@@ -81,6 +81,15 @@ def _require_keys(payload: dict, allowed: set[str], required: set[str], where: s
         raise SpecError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
+def _strict_int(value, where: str) -> int:
+    """An integer spec value; bools, strings and fractional numbers are errors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     """Validate a spec payload and build all runtime objects from it."""
     if not isinstance(payload, dict):
@@ -90,13 +99,19 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
 
     seeds = payload["seeds"]
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise SpecError("'seeds' must be a non-empty list of integers")
+            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+        raise SpecError("'seeds' must be a non-empty list of non-negative integers")
     if len(set(seeds)) != len(seeds):
         raise SpecError("'seeds' must be distinct")
 
+    problem = payload["problem"]
+    if isinstance(problem, dict) and problem.get("type") == "logistic":
+        for key, least in (("n", 1), ("d", 1), ("seed", 0), ("batch", 1)):
+            if key in problem and _strict_int(problem[key], f"logistic '{key}'") < least:
+                raise SpecError(f"logistic '{key}' must be >= {least}")
+
     try:
-        oracle = oracle_from_dict(payload["problem"])
+        oracle = oracle_from_dict(problem)
     except OracleError as exc:
         raise SpecError(f"invalid problem: {exc}") from exc
 
@@ -105,18 +120,19 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise SpecError("'algorithm' must be a JSON object")
     _require_keys(algo, {"tau", "v", "eta", "K", "rule", "mixing", "init"},
                   {"tau", "eta", "K", "mixing"}, "algorithm")
+    if isinstance(algo["mixing"], dict) and "n" in algo["mixing"]:
+        _strict_int(algo["mixing"]["n"], "mixing 'n'")
     try:
         mixing = mixing_from_dict(algo["mixing"])
     except MixingError as exc:
         raise SpecError(f"invalid mixing matrix: {exc}") from exc
     try:
         config = AlgorithmConfig(
-            tau=int(algo["tau"]),
+            tau=_strict_int(algo["tau"], "'tau'"),
             mixing=mixing,
-            v=int(algo.get("v", 0)),
+            v=_strict_int(algo.get("v", 0), "'v'"),
             eta=float(algo["eta"]),
-            steps=int(algo["K"]),
-            seed=seeds[0],
+            steps=_strict_int(algo["K"], "'K'"),
             rule=str(algo.get("rule", "post")),
         )
     except ConfigError as exc:
@@ -132,8 +148,11 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     else:
         raise SpecError("'init' must be a number or a list of numbers")
 
+    delay = payload["delay"]
+    if isinstance(delay, dict) and not isinstance(delay.get("nonblocking_aux", False), bool):
+        raise SpecError("'nonblocking_aux' must be true or false")
     try:
-        delay_model = delay_from_dict(payload["delay"])
+        delay_model = delay_from_dict(delay)
     except TimelineError as exc:
         raise SpecError(f"invalid delay model: {exc}") from exc
 
@@ -207,9 +226,12 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
+    timeline0 = None
     for seed, trace in zip(spec.seeds, traces):
         timeline = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
                                      spec.delay_model, seed=seed, v=spec.config.v)
+        if timeline0 is None:
+            timeline0 = timeline
         trace.wall_clock = timeline.cumulative[:trace.rows]
         write_trace_csv(trace, out / f"trace_seed{seed}.csv")
 
@@ -218,8 +240,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
     if completed:
         write_trace_csv(average_traces(completed), out / "trace_mean.csv")
 
-    timeline0 = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
-                                  spec.delay_model, seed=spec.seeds[0], v=spec.config.v)
     summary = {
         "mean_grad_norm_sq": float(np.mean([t.mean_grad_norm_sq for t in completed])) if completed else None,
         "final_loss": float(np.mean([t.final_loss for t in completed])) if completed else None,
@@ -281,7 +301,11 @@ def cmd_preset(args: argparse.Namespace) -> int:
         print(f"error: unknown preset {args.name!r}; available: {sorted(PRESETS)}",
               file=sys.stderr)
         return EXIT_INVALID
-    summary = run_preset(args.name, args.out, seeds=args.seeds)
+    try:
+        summary = run_preset(args.name, args.out, seeds=args.seeds)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -291,18 +315,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.zeta is not None and args.zeta >= 1.0:
         print("error: bounds require zeta < 1", file=sys.stderr)
         return EXIT_INVALID
-    if args.tau is not None:
-        output["zeta_threshold"] = zeta_threshold(args.tau)
-    if args.best_easgd_alpha:
-        if args.m is None:
-            print("error: --best-easgd-alpha requires --m", file=sys.stderr)
-            return EXIT_INVALID
-        alpha, zeta = best_easgd_alpha(args.m)
-        output["best_easgd_alpha"] = {"alpha": alpha, "zeta": zeta}
+    if args.best_easgd_alpha and args.m is None:
+        print("error: --best-easgd-alpha requires --m", file=sys.stderr)
+        return EXIT_INVALID
     core = (args.f1_minus_finf, args.lipschitz, args.sigma_sq, args.m,
             args.tau, args.zeta, args.eta, args.K)
-    if all(x is not None for x in core):
-        try:
+    try:
+        if args.tau is not None:
+            output["zeta_threshold"] = zeta_threshold(args.tau)
+        if args.best_easgd_alpha:
+            alpha, zeta = best_easgd_alpha(args.m)
+            output["best_easgd_alpha"] = {"alpha": alpha, "zeta": zeta}
+        if all(x is not None for x in core):
             inputs = BoundInputs(
                 f1_minus_finf=args.f1_minus_finf,
                 lipschitz=args.lipschitz,
@@ -316,9 +340,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 beta=args.beta,
             )
             output["bound_report"] = theorem1_bound(inputs).to_dict()
-        except TheoryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+    except (MixingError, TheoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if not output:
         print("error: nothing to compute; pass --tau, --best-easgd-alpha, or the full "
               "bound inputs (--f1-minus-finf --lipschitz --sigma-sq --m --tau --zeta "

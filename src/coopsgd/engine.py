@@ -13,8 +13,8 @@ with explicit zero columns at auxiliary positions.
 
 Because every mixing matrix has unit row sums, the all-column average
 follows plain SGD with the effective learning rate m*eta/(m+v) under both
-rules; `run` tracks the worst per-step defect of that recursion as a
-self-check.
+rules; `run_many` tracks the worst per-step defect of that recursion as a
+self-check. `run_many` is the only implementation of the update rule.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class AlgorithmConfig:
     v: int
     eta: float
     steps: int
-    seed: int
     rule: str = "post"
 
     def __post_init__(self):
@@ -90,72 +89,6 @@ class AlgorithmConfig:
     @property
     def eta_tilde(self) -> float:
         return effective_lr(self.eta, self.m, self.v)
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "v": self.v,
-            "eta": self.eta,
-            "K": self.steps,
-            "seed": self.seed,
-            "rule": self.rule,
-            "mixing": {"n": self.mixing.n, "zeta": self.mixing.zeta},
-        }
-
-
-@dataclass(frozen=True)
-class ParamMatrix:
-    """d x (m+v) state: worker models first, auxiliary variables last."""
-
-    X: np.ndarray
-    m: int
-    v: int
-
-    def __post_init__(self):
-        if self.X.ndim != 2:
-            raise EngineError("parameter matrix must be 2-d")
-        if self.X.shape[1] != self.m + self.v:
-            raise EngineError(f"expected {self.m + self.v} columns, got {self.X.shape[1]}")
-
-    @staticmethod
-    def from_common_point(x0: np.ndarray, m: int, v: int) -> "ParamMatrix":
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        return ParamMatrix(np.tile(x0[:, None], (1, m + v)), m, v)
-
-
-def averaged_model(params: ParamMatrix) -> np.ndarray:
-    """Arithmetic mean over all m+v columns, auxiliaries included."""
-    return params.X.mean(axis=1)
-
-
-def network_error(params: ParamMatrix) -> float:
-    """Total squared dispersion of columns around the column mean."""
-    x = params.X
-    xbar = x.mean(axis=1, keepdims=True)
-    return float(((x - xbar) ** 2).sum())
-
-
-def coop_step(params: ParamMatrix, w_k: MixingMatrix, eta: float, G: np.ndarray,
-              rule: str = "post") -> ParamMatrix:
-    """One exact update under the selected rule.
-
-    G must have zero columns at the auxiliary positions; gradients only ever
-    come from workers.
-    """
-    if rule not in ("post", "pre"):
-        raise EngineError(f"rule must be 'post' or 'pre', got {rule!r}")
-    X = params.X
-    if w_k.n != X.shape[1]:
-        raise EngineError(f"mixing matrix of size {w_k.n} does not match {X.shape[1]} columns")
-    if G.shape != X.shape:
-        raise EngineError(f"gradient matrix shape {G.shape} does not match state shape {X.shape}")
-    if params.v > 0 and np.any(G[:, params.m:] != 0.0):
-        raise EngineError("auxiliary gradient columns must be exactly zero")
-    if rule == "post":
-        new_x = (X - eta * G) @ w_k.entries
-    else:
-        new_x = X @ w_k.entries - eta * G
-    return ParamMatrix(new_x, params.m, params.v)
 
 
 @dataclass
@@ -199,10 +132,6 @@ class RunTrace:
     def initial_loss(self) -> float:
         return float(self.loss[0])
 
-    def mean_network_error(self) -> float:
-        count = min(self.rows, self.steps_requested)
-        return float(self.network_error[:count].mean())
-
     def tail_slice(self, fraction: float = 0.2) -> slice:
         """Row range covering the final `fraction` of the requested horizon."""
         start = int(np.ceil((1.0 - fraction) * self.steps_requested))
@@ -216,7 +145,10 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     which keeps the per-step cost nearly independent of the seed count.
     Worker i of seed s draws from the i-th child of SeedSequence(seeds[s]),
     so streams are independent across both seeds and workers, and adding
-    workers never perturbs existing streams. `config.seed` is ignored here.
+    workers never perturbs existing streams. Gradients come from
+    `oracle.batch_gradient_sampler(rng_table, K)`, called once per step with
+    the (seeds, d, m) worker columns, and metrics from
+    `oracle.batch_objective_and_grads`.
 
     `x0` may be a scalar (broadcast over coordinates) or a d-vector; every
     column starts at that common point. Non-finite state or metrics stop an
@@ -323,11 +255,6 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     return traces
 
 
-def run(config: AlgorithmConfig, oracle, x0=1.0) -> RunTrace:
-    """Execute K steps of A(tau, W, v) for the config's own seed."""
-    return run_many(config, oracle, [config.seed], x0=x0)[0]
-
-
 def average_traces(traces: list[RunTrace]) -> RunTrace:
     """Pointwise mean of complete traces; the expectation proxy for bounds."""
     if not traces:
@@ -379,86 +306,3 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     data = np.asarray(rows) if rows else np.empty((0, len(TRACE_CSV_COLUMNS)))
     return {name: data[:, i] for i, name in enumerate(TRACE_CSV_COLUMNS)}
 
-
-# ---------------------------------------------------------------------------
-# Reference implementations of the classical update rules.
-#
-# These transcribe each algorithm's published per-worker form directly,
-# without the matrix formulation used by coop_step, and exist purely as
-# equivalence oracles for the special-case tests.
-# ---------------------------------------------------------------------------
-
-def reference_fullsync_step(X: np.ndarray, eta: float, G: np.ndarray) -> np.ndarray:
-    """All workers share one model and apply the averaged gradient."""
-    if X.shape != G.shape:
-        raise EngineError("state and gradient shapes must match")
-    d, m = X.shape
-    total = np.zeros(d)
-    for i in range(m):
-        total += G[:, i]
-    new_model = X[:, 0] - eta * (total / m)
-    out = np.empty_like(X)
-    for i in range(m):
-        out[:, i] = new_model
-    return out
-
-
-def reference_pasgd_step(X: np.ndarray, eta: float, G: np.ndarray,
-                         step_index: int, tau: int) -> np.ndarray:
-    """Local step each iteration; average post-update models every tau steps."""
-    if X.shape != G.shape:
-        raise EngineError("state and gradient shapes must match")
-    d, m = X.shape
-    out = np.empty_like(X)
-    if step_index % tau == 0:
-        avg = np.zeros(d)
-        for j in range(m):
-            avg += X[:, j] - eta * G[:, j]
-        avg /= m
-        for i in range(m):
-            out[:, i] = avg
-    else:
-        for i in range(m):
-            out[:, i] = X[:, i] - eta * G[:, i]
-    return out
-
-
-def reference_easgd_step(X: np.ndarray, eta: float, G: np.ndarray, alpha: float) -> np.ndarray:
-    """Elastic averaging: workers pulled toward the anchor in the last column.
-
-    Matches the pre-multiply form of the framework with the elastic mixing
-    matrix and one auxiliary variable.
-    """
-    if X.shape != G.shape:
-        raise EngineError("state and gradient shapes must match")
-    d, n = X.shape
-    m = n - 1
-    if m < 1:
-        raise EngineError("elastic reference needs at least one worker plus the anchor")
-    z = X[:, m]
-    xbar = np.zeros(d)
-    for i in range(m):
-        xbar += X[:, i]
-    xbar /= m
-    out = np.empty_like(X)
-    for i in range(m):
-        out[:, i] = X[:, i] - eta * G[:, i] - alpha * (X[:, i] - z)
-    out[:, m] = (1.0 - m * alpha) * z + m * alpha * xbar
-    return out
-
-
-def reference_dpsgd_step(X: np.ndarray, eta: float, G: np.ndarray,
-                         w_entries: np.ndarray) -> np.ndarray:
-    """Gossip then local step: x_i <- sum_j w_ji x_j - eta g_i."""
-    if X.shape != G.shape:
-        raise EngineError("state and gradient shapes must match")
-    d, m = X.shape
-    if w_entries.shape != (m, m):
-        raise EngineError(f"mixing matrix shape {w_entries.shape} does not match {m} workers")
-    out = np.empty_like(X)
-    for i in range(m):
-        mixed = np.zeros(d)
-        for j in range(m):
-            mixed += w_entries[j, i] * X[:, j]
-        out[:, i] = mixed - eta * G[:, i]
-    return out

@@ -358,25 +358,3 @@ def random_doubly_stochastic(n: int, rng: np.random.Generator, max_iters: int = 
     s = 0.5 * (s + s.T)
     return as_mixing(s)
 
-
-@dataclass(frozen=True)
-class MixingSchedule:
-    """Time-varying mixing: the base matrix every tau steps, identity between.
-
-    Step indices count from 1; mixing fires at steps tau, 2*tau, ...
-    """
-
-    base: MixingMatrix
-    tau: int
-
-    def __post_init__(self):
-        if self.tau < 1:
-            raise MixingError("communication period tau must be >= 1")
-
-    def at_step(self, k: int) -> MixingMatrix:
-        if k % self.tau == 0:
-            return self.base
-        return make_identity(self.base.n)
-
-    def is_sync_step(self, k: int) -> bool:
-        return k % self.tau == 0

@@ -36,8 +36,12 @@ def _check_point(x: np.ndarray, d: int) -> np.ndarray:
 class GradientOracle:
     """Interface shared by all objectives.
 
-    Column-batched variants are plain loops by default; subclasses override
-    them with vectorized math where it pays off in the simulation loop.
+    Subclasses implement the single-vector forms `objective_value`,
+    `full_gradient` and `stochastic_gradient`. The simulation engine runs many
+    seeds of one configuration as a stacked (seeds, d, cols) system and calls
+    only the seed-batched pair `batch_objective_and_grads` and
+    `batch_gradient_sampler`; their defaults here loop over the single-vector
+    forms, and subclasses override them with vectorized math where it pays off.
     """
 
     d: int
@@ -55,28 +59,14 @@ class GradientOracle:
     def stochastic_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def stochastic_gradient_cols(self, X: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-        cols = [self.stochastic_gradient(X[:, i], rngs[i]) for i in range(X.shape[1])]
-        return np.stack(cols, axis=1)
-
-    def objective_and_grad_cols(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column objective values and full gradients."""
-        vals = np.empty(X.shape[1])
-        grads = np.empty_like(X)
-        for i in range(X.shape[1]):
-            vals[i] = self.objective_value(X[:, i])
-            grads[:, i] = self.full_gradient(X[:, i])
-        return vals, grads
-
-    # Batched entry points used by the simulation engine, which runs many
-    # seeds of one configuration as a stacked (seeds, d, cols) system. The
-    # defaults just loop; vectorized subclasses override them.
-
     def batch_objective_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective values (seeds, cols) and full gradients (seeds, d, cols)."""
         vals = np.empty(X.shape[:1] + X.shape[2:])
         grads = np.empty_like(X)
         for s in range(X.shape[0]):
-            vals[s], grads[s] = self.objective_and_grad_cols(X[s])
+            for i in range(X.shape[2]):
+                vals[s, i] = self.objective_value(X[s, :, i])
+                grads[s, :, i] = self.full_gradient(X[s, :, i])
         return vals, grads
 
     def batch_gradient_sampler(self, rng_table: list[list[np.random.Generator]], horizon: int):
@@ -85,7 +75,8 @@ class GradientOracle:
         def sample(Xw: np.ndarray) -> np.ndarray:
             G = np.empty_like(Xw)
             for s in range(Xw.shape[0]):
-                G[s] = self.stochastic_gradient_cols(Xw[s], rng_table[s])
+                for i in range(Xw.shape[2]):
+                    G[s, :, i] = self.stochastic_gradient(Xw[s, :, i], rng_table[s][i])
             return G
 
         return sample
@@ -138,20 +129,6 @@ class QuadraticProblem(GradientOracle):
         if self.sigma_sq > 0.0:
             g = g + rng.normal(0.0, self._noise_scale, size=self.d)
         return g
-
-    def stochastic_gradient_cols(self, X, rngs):
-        G = self.A @ X - self.b[:, None]
-        for i in range(X.shape[1]):
-            if self.beta > 0.0:
-                G[:, i] *= 1.0 + np.sqrt(self.beta) * rngs[i].standard_normal()
-            if self.sigma_sq > 0.0:
-                G[:, i] += rngs[i].normal(0.0, self._noise_scale, size=self.d)
-        return G
-
-    def objective_and_grad_cols(self, X):
-        ax = self.A @ X
-        vals = 0.5 * np.einsum("ij,ij->j", X, ax) - self.b @ X
-        return vals, ax - self.b[:, None]
 
     def batch_objective_and_grads(self, X):
         ax = np.matmul(self.A, X)

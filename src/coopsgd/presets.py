@@ -214,7 +214,7 @@ _SUMMARIZERS = {
 
 def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
     """Run every configuration of a preset and write its combined summary."""
-    from coopsgd.cli import parse_experiment_spec, run_experiment
+    from coopsgd.cli import _atomic_write_json, parse_experiment_spec, run_experiment
 
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
@@ -227,8 +227,5 @@ def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
             results[cfg_name] = json.load(fh)
     summary = {"preset": name, "seeds": seeds, "configs": sorted(results)}
     summary.update(_SUMMARIZERS[name](results))
-    out_path = Path(out_dir) / "preset_summary.json"
-    with open(out_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_write_json(Path(out_dir) / "preset_summary.json", summary)
     return summary

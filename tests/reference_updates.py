@@ -1,0 +1,135 @@
+"""Equivalence oracles for the engine's update rule.
+
+The `reference_*_step` functions transcribe each classical algorithm's
+published per-worker form directly, without the matrix formulation that
+`run_many` uses. `engine_vs_reference` drives `run_many` itself, through an
+oracle wrapper that records the worker columns its sampler receives, and
+advances a reference trajectory on the same per-worker noise streams.
+"""
+
+import numpy as np
+
+from coopsgd import engine as eng
+
+
+def reference_fullsync_step(X: np.ndarray, eta: float, G: np.ndarray) -> np.ndarray:
+    """All workers share one model and apply the averaged gradient."""
+    d, m = X.shape
+    total = np.zeros(d)
+    for i in range(m):
+        total += G[:, i]
+    new_model = X[:, 0] - eta * (total / m)
+    out = np.empty_like(X)
+    for i in range(m):
+        out[:, i] = new_model
+    return out
+
+
+def reference_pasgd_step(X: np.ndarray, eta: float, G: np.ndarray,
+                         step_index: int, tau: int) -> np.ndarray:
+    """Local step each iteration; average post-update models every tau steps."""
+    d, m = X.shape
+    out = np.empty_like(X)
+    if step_index % tau == 0:
+        avg = np.zeros(d)
+        for j in range(m):
+            avg += X[:, j] - eta * G[:, j]
+        avg /= m
+        for i in range(m):
+            out[:, i] = avg
+    else:
+        for i in range(m):
+            out[:, i] = X[:, i] - eta * G[:, i]
+    return out
+
+
+def reference_easgd_step(X: np.ndarray, eta: float, G: np.ndarray, alpha: float) -> np.ndarray:
+    """Elastic averaging: workers pulled toward the anchor in the last column.
+
+    Matches the pre-multiply form of the framework with the elastic mixing
+    matrix and one auxiliary variable.
+    """
+    d, n = X.shape
+    m = n - 1
+    z = X[:, m]
+    xbar = np.zeros(d)
+    for i in range(m):
+        xbar += X[:, i]
+    xbar /= m
+    out = np.empty_like(X)
+    for i in range(m):
+        out[:, i] = X[:, i] - eta * G[:, i] - alpha * (X[:, i] - z)
+    out[:, m] = (1.0 - m * alpha) * z + m * alpha * xbar
+    return out
+
+
+def reference_dpsgd_step(X: np.ndarray, eta: float, G: np.ndarray,
+                         w_entries: np.ndarray) -> np.ndarray:
+    """Gossip then local step: x_i <- sum_j w_ji x_j - eta g_i."""
+    d, m = X.shape
+    out = np.empty_like(X)
+    for i in range(m):
+        mixed = np.zeros(d)
+        for j in range(m):
+            mixed += w_entries[j, i] * X[:, j]
+        out[:, i] = mixed - eta * G[:, i]
+    return out
+
+
+class RecordingOracle:
+    """Passes every call through to `oracle`; keeps a copy of the (seeds, d, m)
+    worker columns handed to the sampler at each step."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.worker_columns = []
+
+    def batch_gradient_sampler(self, rng_table, horizon):
+        sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
+
+        def recording_sample(Xw):
+            self.worker_columns.append(Xw.copy())
+            return sample(Xw)
+
+        return recording_sample
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+def reference_states(oracle, x0: np.ndarray, m: int, v: int, seed: int, steps: int,
+                     eta: float, reference) -> list[np.ndarray]:
+    """States after 0..steps reference updates; worker i draws its gradients
+    from the i-th child of SeedSequence(seed), as in `run_many`."""
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
+    x = np.tile(x0[:, None], (1, m + v))
+    states = [x]
+    for k in range(1, steps + 1):
+        g = np.zeros_like(x)
+        for i in range(m):
+            g[:, i] = oracle.stochastic_gradient(x[:, i], rngs[i])
+        x = reference(x, eta, g, k)
+        states.append(x)
+    return states
+
+
+def engine_vs_reference(oracle, w, v: int, tau: int, rule: str, reference,
+                        steps: int, eta: float, seed: int, x0: float) -> tuple[float, float]:
+    """Worst deviation of `run_many` from a reference trajectory.
+
+    Returns the worst absolute difference over the worker columns the engine
+    fed its sampler at every step, and over the trace's network-error rows
+    against the same quantity recomputed from the reference states.
+    """
+    config = eng.AlgorithmConfig(tau=tau, mixing=w, v=v, eta=eta, steps=steps, rule=rule)
+    recorder = RecordingOracle(oracle)
+    (trace,) = eng.run_many(config, recorder, [seed], x0=x0)
+    assert not trace.diverged and len(recorder.worker_columns) == steps
+    states = reference_states(oracle, np.full(oracle.d, x0), config.m, v, seed, steps,
+                              eta, reference)
+    worst_cols = max(float(np.max(np.abs(cols[0] - state[:, :config.m])))
+                     for cols, state in zip(recorder.worker_columns, states))
+    ref_net_err = np.array([float(((x - x.mean(axis=1, keepdims=True)) ** 2).sum())
+                            for x in states])
+    worst_net_err = float(np.max(np.abs(trace.network_error - ref_net_err)))
+    return worst_cols, worst_net_err

@@ -14,6 +14,8 @@ from coopsgd.objectives import make_diag_quadratic
 from coopsgd.presets import run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
+import reference_updates as ref
+
 SEEDS = list(range(101, 121))  # 20 evaluation seeds
 
 
@@ -29,46 +31,30 @@ def worker_rngs(seed: int, m: int):
 # 1. Special-case trajectory equivalence over 1000 shared-noise steps
 # -------------------------------------------------------------------------
 
-def _equivalence_worst_deviation(w, m, v, tau, rule, reference, steps=1000, eta=0.05):
+def test_criterion_01_special_case_equivalence():
     # eigenvalues in [0.5, 1] keep every mode well contracted, so floating
     # point drift between the two arithmetics cannot accumulate
     oracle = make_diag_quadratic(10, 0.5, 1.0, sigma_sq=1.0)
-    x = np.tile(np.full(10, 2.0)[:, None], (1, m + v))
-    x_ref = x.copy()
-    rngs, rngs_ref = worker_rngs(29, m), worker_rngs(29, m)
-    identity = mx.make_identity(w.n)
-    worst = 0.0
-    for k in range(1, steps + 1):
-        g = np.zeros_like(x)
-        g[:, :m] = oracle.stochastic_gradient_cols(x[:, :m], rngs)
-        g_ref = np.zeros_like(x_ref)
-        g_ref[:, :m] = oracle.stochastic_gradient_cols(x_ref[:, :m], rngs_ref)
-        w_k = w if k % tau == 0 else identity
-        x = eng.coop_step(eng.ParamMatrix(x, m, v), w_k, eta, g, rule=rule).X
-        x_ref = reference(x_ref, eta, g_ref, k)
-        worst = max(worst, float(np.max(np.abs(x - x_ref))))
-    return worst
-
-
-def test_criterion_01_special_case_equivalence():
+    ring = mx.make_ring(8)
     cases = {
-        "fully synchronous": _equivalence_worst_deviation(
-            mx.make_fully_connected(4), 4, 0, 1, "post",
-            lambda x, eta, g, k: eng.reference_fullsync_step(x, eta, g)),
-        "periodic averaging tau=5": _equivalence_worst_deviation(
-            mx.make_fully_connected(4), 4, 0, 5, "post",
-            lambda x, eta, g, k: eng.reference_pasgd_step(x, eta, g, k, 5)),
-        "gossip ring(8)": _equivalence_worst_deviation(
-            mx.make_ring(8), 8, 0, 1, "pre",
-            lambda x, eta, g, k: eng.reference_dpsgd_step(x, eta, g, mx.make_ring(8).entries)),
-        "elastic anchor": _equivalence_worst_deviation(
-            mx.make_easgd(8, 0.2), 8, 1, 1, "pre",
-            lambda x, eta, g, k: eng.reference_easgd_step(x, eta, g, 0.2)),
+        "fully synchronous": (mx.make_fully_connected(4), 0, 1, "post",
+                              lambda x, eta, g, k: ref.reference_fullsync_step(x, eta, g)),
+        "periodic averaging tau=5": (mx.make_fully_connected(4), 0, 5, "post",
+                                     lambda x, eta, g, k: ref.reference_pasgd_step(x, eta, g, k, 5)),
+        "gossip ring(8)": (ring, 0, 1, "pre",
+                           lambda x, eta, g, k: ref.reference_dpsgd_step(x, eta, g, ring.entries)),
+        "elastic anchor": (mx.make_easgd(8, 0.2), 1, 1, "pre",
+                           lambda x, eta, g, k: ref.reference_easgd_step(x, eta, g, 0.2)),
     }
-    for name, worst in cases.items():
-        assert worst < 1e-12, f"{name}: deviation {worst:.3e}"
-    detail = ", ".join(f"{name} {worst:.1e}" for name, worst in cases.items())
-    report(1, f"1000-step trajectories match the reference updates ({detail})")
+    worst = {}
+    for name, (w, v, tau, rule, reference) in cases.items():
+        cols, net_err = ref.engine_vs_reference(oracle, w, v, tau, rule, reference,
+                                                steps=1000, eta=0.05, seed=29, x0=2.0)
+        assert cols < 1e-12, f"{name}: worker-column deviation {cols:.3e}"
+        assert net_err < 1e-12, f"{name}: network-error deviation {net_err:.3e}"
+        worst[name] = max(cols, net_err)
+    detail = ", ".join(f"{name} {dev:.1e}" for name, dev in worst.items())
+    report(1, f"1000-step run_many trajectories match the reference updates ({detail})")
 
 
 # -------------------------------------------------------------------------
@@ -157,7 +143,7 @@ def test_criterion_05_averaged_model_recursion():
                           (2, mx.make_easgd(5, 0.2), 1),
                           (5, mx.make_ring(6), 0)]:
             cfg = eng.AlgorithmConfig(tau=tau, mixing=w, v=v, eta=0.01,
-                                      steps=2000, seed=0, rule=rule)
+                                      steps=2000, rule=rule)
             traces = eng.run_many(cfg, oracle, SEEDS[:5], x0=2.0)
             for t in traces:
                 worst = max(worst, t.recursion_defect_max)
@@ -184,7 +170,7 @@ def test_criterion_06_convergence_bound_envelope():
         m = w.n - v
         eta_tilde = th.max_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, m, v, fraction=0.9)
         eta = eta_tilde * (m + v) / m
-        cfg = eng.AlgorithmConfig(tau=tau, mixing=w, v=v, eta=eta, steps=steps, seed=0)
+        cfg = eng.AlgorithmConfig(tau=tau, mixing=w, v=v, eta=eta, steps=steps)
         traces = eng.run_many(cfg, oracle, SEEDS, x0=2.0)
         assert not any(t.diverged for t in traces)
         measured = float(np.mean([t.mean_grad_norm_sq for t in traces]))
@@ -282,30 +268,27 @@ def test_criterion_09_cross_formula_identities():
 # -------------------------------------------------------------------------
 
 def test_criterion_10_noise_variance_monte_carlo():
+    # draws come from the sampler `run_many` uses, on its per-worker streams
     oracle = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
     x = np.full(10, 0.7)
     g_full = oracle.full_gradient(x)
     trials = 100_000
 
-    rngs = worker_rngs(1234, 1)
-    acc = 0.0
-    x_col = x[:, None]
-    for _ in range(trials):
-        dev = oracle.stochastic_gradient_cols(x_col, rngs)[:, 0] - g_full
-        acc += dev @ dev
-    single = acc / trials
+    def mean_sq_deviation(seed: int, m: int) -> float:
+        sample = oracle.batch_gradient_sampler([worker_rngs(seed, m)], trials)
+        x_cols = np.tile(x[None, :, None], (1, 1, m))
+        acc = 0.0
+        for _ in range(trials):
+            dev = sample(x_cols)[0].mean(axis=1) - g_full
+            acc += dev @ dev
+        return acc / trials
+
+    single = mean_sq_deviation(1234, 1)
     assert single == pytest.approx(1.0, rel=0.05)
 
     averaged = {}
     for m in (2, 4, 8):
-        rngs = worker_rngs(1000 + m, m)
-        x_cols = np.tile(x[:, None], (1, m))
-        acc = 0.0
-        for _ in range(trials):
-            g_bar = oracle.stochastic_gradient_cols(x_cols, rngs).mean(axis=1)
-            dev = g_bar - g_full
-            acc += dev @ dev
-        averaged[m] = acc / trials
+        averaged[m] = mean_sq_deviation(1000 + m, m)
         assert averaged[m] == pytest.approx(1.0 / m, rel=0.05)
     detail = ", ".join(f"m={m}: {v:.4f} vs {1 / m:.4f}" for m, v in averaged.items())
     report(10, f"single-draw deviation {single:.4f} vs 1.0; averaged draws {detail}")

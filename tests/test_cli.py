@@ -76,6 +76,48 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="init"):
             parse_experiment_spec(spec)
 
+    def test_fractional_step_count_rejected(self, tmp_path):
+        spec = quadratic_spec(tmp_path)
+        spec["algorithm"]["K"] = 50.9
+        with pytest.raises(SpecError, match="'K' must be an integer"):
+            parse_experiment_spec(spec)
+
+    def test_bool_period_rejected(self, tmp_path):
+        spec = quadratic_spec(tmp_path)
+        spec["algorithm"]["tau"] = True
+        with pytest.raises(SpecError, match="'tau' must be an integer"):
+            parse_experiment_spec(spec)
+
+    def test_fractional_auxiliary_count_rejected(self, tmp_path):
+        spec = quadratic_spec(tmp_path)
+        spec["algorithm"]["v"] = 0.7
+        with pytest.raises(SpecError, match="'v' must be an integer"):
+            parse_experiment_spec(spec)
+
+    def test_string_nonblocking_flag_rejected(self, tmp_path):
+        spec = quadratic_spec(tmp_path)
+        spec["delay"]["nonblocking_aux"] = "false"
+        with pytest.raises(SpecError, match="nonblocking_aux"):
+            parse_experiment_spec(spec)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mixing n", 4.5), ("n", 40.5), ("d", True), ("seed", 3.2), ("batch", "4"), ("seed", -3),
+    ])
+    def test_other_integer_fields_strict(self, tmp_path, field, value):
+        spec = quadratic_spec(tmp_path)
+        if field == "mixing n":
+            spec["algorithm"]["mixing"]["n"] = value
+        else:
+            spec["problem"] = {"type": "logistic", "n": 40, "d": 4, "seed": 3, "batch": 4,
+                               field: value}
+        with pytest.raises(SpecError, match=f"'{field.split()[-1]}' must be"):
+            parse_experiment_spec(spec)
+
+    def test_integral_float_accepted(self, tmp_path):
+        spec = quadratic_spec(tmp_path)
+        spec["algorithm"]["K"] = 50.0
+        assert parse_experiment_spec(spec).config.steps == 50
+
 
 class TestRunExperiment:
     def test_outputs_and_summary(self, tmp_path):
@@ -165,6 +207,22 @@ class TestMainEntry:
 
     def test_unknown_preset(self, tmp_path):
         assert main(["preset", "nonesuch", "--out", str(tmp_path)]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("argv", [
+        ["preset", "hybrid-compare", "--out", "{out}", "--seeds", "1", "1"],
+        ["preset", "hybrid-compare", "--out", "{out}", "--seeds", "-1"],
+        ["run", "{spec}"],
+        ["validate", "{spec}"],
+        ["bounds", "--tau", "0"],
+        ["bounds", "--m", "0", "--best-easgd-alpha"],
+    ])
+    def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(quadratic_spec(tmp_path, seeds=[-1])))
+        assert main([a.format(out=tmp_path / "out", spec=spec) for a in argv]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestPresetReproducibility:

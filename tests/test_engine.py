@@ -1,4 +1,7 @@
-"""Engine semantics: exact step arithmetic, traces, special-case oracles."""
+"""Engine semantics: configuration checks, run traces, CSV output.
+
+The special-case equivalence of `run_many` with the classical update rules
+is acceptance criterion 01 (tests/test_acceptance.py)."""
 
 import numpy as np
 import pytest
@@ -8,51 +11,6 @@ from coopsgd import mixing as mx
 from coopsgd.objectives import make_diag_quadratic
 
 
-def worker_rngs(seed: int, m: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m)]
-
-
-class TestCoopStep:
-    def test_pure_averaging(self):
-        pm = eng.ParamMatrix(np.array([[1.0, 3.0]]), 2, 0)
-        out = eng.coop_step(pm, mx.make_fully_connected(2), 0.7, np.zeros((1, 2)))
-        assert np.array_equal(out.X, [[2.0, 2.0]])
-
-    def test_hand_arithmetic_with_gradients(self):
-        pm = eng.ParamMatrix(np.array([[1.0, 3.0]]), 2, 0)
-        out = eng.coop_step(pm, mx.make_fully_connected(2), 1.0, np.array([[1.0, 1.0]]))
-        assert np.array_equal(out.X, [[1.0, 1.0]])
-
-    def test_identity_mixing_is_local_step(self):
-        pm = eng.ParamMatrix(np.array([[1.0, 3.0]]), 2, 0)
-        out = eng.coop_step(pm, mx.make_identity(2), 0.5, np.array([[2.0, 2.0]]))
-        assert np.array_equal(out.X, [[0.0, 2.0]])
-
-    def test_auxiliary_gradients_must_be_zero(self):
-        pm = eng.ParamMatrix(np.zeros((2, 3)), 2, 1)
-        bad = np.ones((2, 3))
-        with pytest.raises(eng.EngineError):
-            eng.coop_step(pm, mx.make_easgd(2, 0.2), 0.1, bad)
-
-    def test_dimension_mismatch(self):
-        pm = eng.ParamMatrix(np.zeros((2, 3)), 3, 0)
-        with pytest.raises(eng.EngineError):
-            eng.coop_step(pm, mx.make_fully_connected(2), 0.1, np.zeros((2, 3)))
-
-
-class TestAveragedModel:
-    def test_basic_mean(self):
-        assert eng.averaged_model(eng.ParamMatrix(np.array([[1.0, 3.0]]), 2, 0)) == [2.0]
-
-    def test_auxiliary_columns_count(self):
-        pm = eng.ParamMatrix(np.array([[1.0, 3.0, 5.0]]), 2, 1)
-        assert eng.averaged_model(pm) == [3.0]
-
-    def test_consensus_fixed_point(self):
-        pm = eng.ParamMatrix(np.full((4, 5), 2.5), 4, 1)
-        assert np.array_equal(eng.averaged_model(pm), np.full(4, 2.5))
-
-
 class TestEffectiveLearningRate:
     def test_values(self):
         assert eng.effective_lr(0.1, 8, 1) == pytest.approx(0.8 / 9, abs=1e-15)
@@ -60,64 +18,37 @@ class TestEffectiveLearningRate:
         assert eng.effective_lr(0.1, 2, 2) == pytest.approx(0.05, abs=1e-15)
 
 
-class TestNetworkError:
-    def test_hand_values(self):
-        assert eng.network_error(eng.ParamMatrix(np.array([[1.0, 3.0]]), 2, 0)) == 2.0
-        assert eng.network_error(eng.ParamMatrix(np.full((3, 4), 1.3), 4, 0)) == 0.0
-        pm = eng.ParamMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]), 2, 0)
-        assert eng.network_error(pm) == 2.0
-
-    def test_mixing_preserves_mean(self):
-        rng = np.random.default_rng(0)
-        for w in (mx.make_ring(6), mx.make_easgd(5, 0.25), mx.random_doubly_stochastic(7, rng)):
-            x = rng.standard_normal((4, w.n)) * 5
-            pm = eng.ParamMatrix(x, w.n, 0)
-            out = eng.coop_step(pm, w, 0.3, np.zeros_like(x))
-            assert np.max(np.abs(eng.averaged_model(out) - eng.averaged_model(pm))) < 1e-12
-
-    def test_consensus_contraction(self):
-        rng = np.random.default_rng(1)
-        for w in (mx.make_ring(8), mx.make_dense_with_zeta(6, 0.5),
-                  mx.random_doubly_stochastic(5, rng)):
-            for _ in range(20):
-                x = rng.standard_normal((3, w.n)) * 4
-                pm = eng.ParamMatrix(x, w.n, 0)
-                mixed = eng.coop_step(pm, w, 1.0, np.zeros_like(x))
-                assert (eng.network_error(mixed)
-                        <= w.zeta ** 2 * eng.network_error(pm) + 1e-12)
-
-
 class TestConfigValidation:
     def test_horizon_must_divide(self):
         with pytest.raises(eng.ConfigError, match="nearest valid"):
             eng.AlgorithmConfig(tau=7, mixing=mx.make_fully_connected(4), v=0,
-                                eta=0.1, steps=100, seed=0)
+                                eta=0.1, steps=100)
 
     def test_mixing_size_vs_v(self):
         with pytest.raises(eng.ConfigError):
             eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(2), v=2,
-                                eta=0.1, steps=10, seed=0)
+                                eta=0.1, steps=10)
 
     def test_rule_names(self):
         with pytest.raises(eng.ConfigError):
             eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(2), v=0,
-                                eta=0.1, steps=10, seed=0, rule="sideways")
+                                eta=0.1, steps=10, rule="sideways")
 
 
 class TestRun:
     def test_plain_gradient_descent_converges(self):
         q = make_diag_quadratic(10, 0.5, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(4), v=0,
-                                  eta=1.0, steps=500, seed=0)
-        trace = eng.run(cfg, q, x0=3.0)
+                                  eta=1.0, steps=500)
+        trace = eng.run_many(cfg, q, [0], x0=3.0)[0]
         assert not trace.diverged
         assert trace.grad_norm_sq[-1] < 1e-20
 
     def test_network_error_zero_exactly_on_sync_rows(self):
         q = make_diag_quadratic(6, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=4, mixing=mx.make_fully_connected(5), v=0,
-                                  eta=0.05, steps=48, seed=2)
-        trace = eng.run(cfg, q, x0=1.0)
+                                  eta=0.05, steps=48)
+        trace = eng.run_many(cfg, q, [2], x0=1.0)[0]
         for k in range(0, 49, 4):
             assert trace.network_error[k] <= 1e-20
         between = [trace.network_error[k] for k in range(49) if k % 4 != 0]
@@ -126,15 +57,15 @@ class TestRun:
     def test_fully_synchronous_network_error_identically_zero(self):
         q = make_diag_quadratic(6, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(5), v=0,
-                                  eta=0.05, steps=200, seed=4)
-        trace = eng.run(cfg, q, x0=1.0)
+                                  eta=0.05, steps=200)
+        trace = eng.run_many(cfg, q, [4], x0=1.0)[0]
         assert np.max(trace.network_error) <= 1e-20
 
     def test_overcoupled_elastic_diverges(self):
         q = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_easgd(8, 0.23), v=1,
-                                  eta=0.1, steps=20000, seed=1, rule="pre")
-        trace = eng.run(cfg, q, x0=1.0)
+                                  eta=0.1, steps=20000, rule="pre")
+        trace = eng.run_many(cfg, q, [1], x0=1.0)[0]
         assert trace.diverged
         assert trace.rows < 20001
         assert np.isfinite(trace.loss).all()
@@ -143,15 +74,15 @@ class TestRun:
         q = make_diag_quadratic(8, 0.2, 1.0, sigma_sq=1.0)
         for rule in ("post", "pre"):
             cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(5, 0.2), v=1,
-                                      eta=0.05, steps=400, seed=6, rule=rule)
-            trace = eng.run(cfg, q, x0=1.5)
+                                      eta=0.05, steps=400, rule=rule)
+            trace = eng.run_many(cfg, q, [6], x0=1.5)[0]
             assert trace.recursion_defect_max <= 1e-13
 
     def test_determinism_bit_identical(self):
         q = make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5)
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_ring(4), v=0,
-                                  eta=0.05, steps=100, seed=9)
-        a, b = eng.run(cfg, q, x0=1.0), eng.run(cfg, q, x0=1.0)
+                                  eta=0.05, steps=100)
+        a, b = eng.run_many(cfg, q, [9], x0=1.0)[0], eng.run_many(cfg, q, [9], x0=1.0)[0]
         for name in ("loss", "grad_norm_sq", "network_error",
                      "worker_loss_mean", "worker_grad_norm_sq_mean"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -162,7 +93,7 @@ class TestRun:
         # the overcoupled matrix and check truncation points differ
         q = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_easgd(8, 0.23), v=1,
-                                  eta=0.1, steps=12000, seed=0, rule="pre")
+                                  eta=0.1, steps=12000, rule="pre")
         traces = eng.run_many(cfg, q, [1, 2, 3], x0=1.0)
         assert all(t.diverged for t in traces)
         assert len({t.rows for t in traces}) > 1
@@ -170,8 +101,8 @@ class TestRun:
     def test_summary_metric_counts_gradient_states(self):
         q = make_diag_quadratic(4, 0.5, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(3), v=0,
-                                  eta=0.5, steps=10, seed=0)
-        trace = eng.run(cfg, q, x0=1.0)
+                                  eta=0.5, steps=10)
+        trace = eng.run_many(cfg, q, [0], x0=1.0)[0]
         assert trace.rows == 11
         assert trace.mean_grad_norm_sq == pytest.approx(trace.grad_norm_sq[:10].mean(), abs=0)
 
@@ -180,8 +111,8 @@ class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
-                                  eta=0.05, steps=20, seed=3)
-        trace = eng.run(cfg, q, x0=1.0)
+                                  eta=0.05, steps=20)
+        trace = eng.run_many(cfg, q, [3], x0=1.0)[0]
         path = tmp_path / "trace.csv"
         eng.write_trace_csv(trace, path)
         data = eng.read_trace_csv(path)
@@ -192,92 +123,18 @@ class TestTraceCsv:
     def test_header_exact(self, tmp_path):
         q = make_diag_quadratic(2, 1.0, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(2), v=0,
-                                  eta=0.1, steps=2, seed=0)
+                                  eta=0.1, steps=2)
         path = tmp_path / "t.csv"
-        eng.write_trace_csv(eng.run(cfg, q), path)
+        eng.write_trace_csv(eng.run_many(cfg, q, [0])[0], path)
         first = path.read_text().splitlines()[0]
         assert first == "k,loss,grad_norm_sq,network_error,wall_clock_s"
-
-
-class EquivalenceHarness:
-    """Drives a framework trajectory and a reference trajectory on identical
-    per-worker noise streams and reports the worst per-step deviation."""
-
-    def __init__(self, m, v, d=10, seed=17, eta=0.05, sigma_sq=1.0):
-        self.oracle = make_diag_quadratic(d, 0.5, 1.0, sigma_sq=sigma_sq)
-        self.m, self.v, self.eta = m, v, eta
-        self.x_coop = np.tile(np.full(d, 2.0)[:, None], (1, m + v))
-        self.x_ref = self.x_coop.copy()
-        self.rngs_coop = worker_rngs(seed, m)
-        self.rngs_ref = worker_rngs(seed, m)
-
-    def gradients(self, x, rngs):
-        g = np.zeros_like(x)
-        g[:, :self.m] = self.oracle.stochastic_gradient_cols(x[:, :self.m], rngs)
-        return g
-
-    def run(self, steps, coop_advance, ref_advance):
-        worst = 0.0
-        for k in range(1, steps + 1):
-            g_coop = self.gradients(self.x_coop, self.rngs_coop)
-            g_ref = self.gradients(self.x_ref, self.rngs_ref)
-            self.x_coop = coop_advance(self.x_coop, g_coop, k)
-            self.x_ref = ref_advance(self.x_ref, g_ref, k)
-            worst = max(worst, float(np.max(np.abs(self.x_coop - self.x_ref))))
-        return worst
-
-
-class TestSpecialCaseEquivalence:
-    STEPS = 300  # the acceptance suite runs the full 1000-step version
-
-    def coop(self, w, rule):
-        def advance(x, g, k):
-            pm = eng.ParamMatrix(x, x.shape[1] - self.v_of(w), self.v_of(w))
-            w_k = w if k % self.tau == 0 else mx.make_identity(w.n)
-            return eng.coop_step(pm, w_k, 0.05, g, rule=rule).X
-        return advance
-
-    def v_of(self, w):
-        return getattr(self, "_v", 0)
-
-    def test_fullsync_matches(self):
-        h = EquivalenceHarness(m=4, v=0)
-        self.tau, self._v = 1, 0
-        w = mx.make_fully_connected(4)
-        worst = h.run(self.STEPS, self.coop(w, "post"),
-                      lambda x, g, k: eng.reference_fullsync_step(x, 0.05, g))
-        assert worst < 1e-12
-
-    def test_pasgd_matches(self):
-        h = EquivalenceHarness(m=4, v=0)
-        self.tau, self._v = 5, 0
-        w = mx.make_fully_connected(4)
-        worst = h.run(self.STEPS, self.coop(w, "post"),
-                      lambda x, g, k: eng.reference_pasgd_step(x, 0.05, g, k, 5))
-        assert worst < 1e-12
-
-    def test_dpsgd_matches_under_pre_rule(self):
-        h = EquivalenceHarness(m=8, v=0)
-        self.tau, self._v = 1, 0
-        w = mx.make_ring(8)
-        worst = h.run(self.STEPS, self.coop(w, "pre"),
-                      lambda x, g, k: eng.reference_dpsgd_step(x, 0.05, g, w.entries))
-        assert worst < 1e-12
-
-    def test_easgd_matches_under_pre_rule(self):
-        h = EquivalenceHarness(m=8, v=1)
-        self.tau, self._v = 1, 1
-        w = mx.make_easgd(8, 0.2)
-        worst = h.run(self.STEPS, self.coop(w, "pre"),
-                      lambda x, g, k: eng.reference_easgd_step(x, 0.05, g, 0.2))
-        assert worst < 1e-12
 
 
 class TestAverageTraces:
     def test_mean_of_fields(self):
         q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(3), v=0,
-                                  eta=0.05, steps=50, seed=0)
+                                  eta=0.05, steps=50)
         traces = eng.run_many(cfg, q, [5, 6, 7], x0=1.0)
         avg = eng.average_traces(traces)
         stacked = np.mean([t.loss for t in traces], axis=0)
@@ -285,10 +142,11 @@ class TestAverageTraces:
 
     def test_rejects_divergent(self):
         q = make_diag_quadratic(4, 0.1, 1.0, sigma_sq=1.0)
-        good = eng.run(eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(3),
-                                           v=0, eta=0.05, steps=50, seed=0), q)
+        good_cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(3), v=0,
+                                       eta=0.05, steps=50)
+        good = eng.run_many(good_cfg, q, [0])[0]
         bad_cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_easgd(8, 0.23), v=1,
-                                      eta=0.1, steps=12000, seed=1, rule="pre")
-        bad = eng.run(bad_cfg, q)
+                                      eta=0.1, steps=12000, rule="pre")
+        bad = eng.run_many(bad_cfg, q, [1])[0]
         with pytest.raises(eng.EngineError):
             eng.average_traces([good, bad])

@@ -306,16 +306,23 @@ class TestSerialization:
             mx.mixing_from_dict({"n": 2, "entries": [0.5] * 4, "extra": 1})
 
 
-class TestSchedule:
-    def test_base_at_multiples_identity_between(self):
-        sched = mx.MixingSchedule(base=mx.make_ring(5), tau=4)
-        for k in range(1, 20):
-            got = sched.at_step(k)
-            if k % 4 == 0:
-                assert got is sched.base
-            else:
-                assert np.array_equal(got.entries, np.eye(5))
+class TestMixingStep:
+    """One mixing round X -> X W on raw arrays, as the engine applies it."""
 
-    def test_tau_one_always_mixes(self):
-        sched = mx.MixingSchedule(base=mx.make_fully_connected(3), tau=1)
-        assert all(sched.is_sync_step(k) for k in range(1, 10))
+    @staticmethod
+    def dispersion(x):
+        return float(((x - x.mean(axis=1, keepdims=True)) ** 2).sum())
+
+    def test_mixing_preserves_mean(self):
+        rng = np.random.default_rng(0)
+        for w in (mx.make_ring(6), mx.make_easgd(5, 0.25), mx.random_doubly_stochastic(7, rng)):
+            x = rng.standard_normal((4, w.n)) * 5
+            assert np.max(np.abs((x @ w.entries).mean(axis=1) - x.mean(axis=1))) < 1e-12
+
+    def test_consensus_contraction(self):
+        rng = np.random.default_rng(1)
+        for w in (mx.make_ring(8), mx.make_dense_with_zeta(6, 0.5),
+                  mx.random_doubly_stochastic(5, rng)):
+            for _ in range(20):
+                x = rng.standard_normal((3, w.n)) * 4
+                assert self.dispersion(x @ w.entries) <= w.zeta ** 2 * self.dispersion(x) + 1e-12

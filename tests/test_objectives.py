@@ -100,11 +100,12 @@ class TestQuadraticNoise:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(4)]
         x = np.linspace(-1, 1, 10)
         g_full = q.full_gradient(x)
-        x_cols = np.tile(x[:, None], (1, 4))
+        x_cols = np.tile(x[None, :, None], (1, 1, 4))
         trials = 100_000
+        sample = q.batch_gradient_sampler([rngs], trials)
         acc = 0.0
         for _ in range(trials):
-            g_bar = q.stochastic_gradient_cols(x_cols, rngs).mean(axis=1)
+            g_bar = sample(x_cols)[0].mean(axis=1)
             dev = g_bar - g_full
             acc += dev @ dev
         assert acc / trials == pytest.approx(0.25, rel=0.05)

@@ -221,8 +221,8 @@ class TestEmpiricalDecomposition:
     def test_noiseless_fully_sync_reduces_and_holds(self):
         q = make_diag_quadratic(6, 0.5, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(4), v=0,
-                                  eta=0.5, steps=200, seed=0)
-        trace = eng.run(cfg, q, x0=2.0)
+                                  eta=0.5, steps=200)
+        trace = eng.run_many(cfg, q, [0], x0=2.0)[0]
         bi = th.BoundInputs(trace.initial_loss - q.f_inf, q.lipschitz, 0.0,
                             m=4, v=0, tau=1, zeta=0.0, eta=0.5, steps=200)
         rep = th.empirical_decomposition_bound(trace, bi)
@@ -234,7 +234,7 @@ class TestEmpiricalDecomposition:
         q = make_diag_quadratic(10, 0.5, 1.0, sigma_sq=1.0)
         w = mx.make_dense_with_zeta(4, 1/3)
         eta = th.max_stable_eta_tilde(1.0, 4, 1/3, 4, 0, fraction=0.9)
-        cfg = eng.AlgorithmConfig(tau=4, mixing=w, v=0, eta=eta, steps=2000, seed=0)
+        cfg = eng.AlgorithmConfig(tau=4, mixing=w, v=0, eta=eta, steps=2000)
         traces = eng.run_many(cfg, q, list(range(20)), x0=2.0)
         avg = eng.average_traces(traces)
         bi = th.BoundInputs(avg.initial_loss - q.f_inf, q.lipschitz, 1.0,
@@ -246,8 +246,8 @@ class TestEmpiricalDecomposition:
     def test_inapplicable_flagged(self):
         q = make_diag_quadratic(4, 0.5, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(2), v=0,
-                                  eta=1.5, steps=10, seed=0)
-        trace = eng.run(cfg, q, x0=1.0)
+                                  eta=1.5, steps=10)
+        trace = eng.run_many(cfg, q, [0], x0=1.0)[0]
         bi = th.BoundInputs(trace.initial_loss - q.f_inf, q.lipschitz, 0.0,
                             m=2, v=0, tau=1, zeta=0.0, eta=1.5, steps=10)
         rep = th.empirical_decomposition_bound(trace, bi)
