@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,7 @@ from coopsgd.engine import (
     RunTrace,
     average_traces,
     run_many,
+    write_text_atomic,
     write_trace_csv,
 )
 from coopsgd.mixing import MixingError, best_easgd_alpha, mixing_from_dict
@@ -165,8 +165,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         "eta": config.eta,
         "K": config.steps,
         "rule": config.rule,
-        "mixing": {"n": mixing.n, "entries": [float(x) for x in mixing.entries.reshape(-1)],
-                   "zeta": mixing.zeta},
+        "mixing": mixing.to_dict(),
         "init": init,
     }
     return ExperimentSpec(
@@ -183,11 +182,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _tail_mean(trace: RunTrace, values: np.ndarray) -> float:
@@ -220,7 +215,9 @@ def _bound_report_dict(spec: ExperimentSpec, traces: list[RunTrace]) -> dict | N
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run all seeds, write per-seed CSVs, the seed mean, and a summary.
 
-    Returns the process exit code: 0 normally, 3 if every seed diverged.
+    Trace CSVs left in the output directory by an earlier run that this run
+    does not write are deleted. Returns the process exit code: 0 normally,
+    3 if every seed diverged.
     """
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,8 +234,12 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     completed = [t for t in traces if not t.diverged]
     completed_seeds = [s for s, t in zip(spec.seeds, traces) if not t.diverged]
+    written = {out / f"trace_seed{seed}.csv" for seed in spec.seeds}
     if completed:
+        written.add(out / "trace_mean.csv")
         write_trace_csv(average_traces(completed), out / "trace_mean.csv")
+    for stale in {*out.glob("trace_seed*.csv"), *out.glob("trace_mean.csv")} - written:
+        stale.unlink()
 
     summary = {
         "mean_grad_norm_sq": float(np.mean([t.mean_grad_norm_sq for t in completed])) if completed else None,
@@ -276,11 +277,10 @@ def _load_spec_file(path: str) -> ExperimentSpec:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        spec = _load_spec_file(args.spec)
-    except SpecError as exc:
+        return run_experiment(_load_spec_file(args.spec))
+    except (SpecError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return run_experiment(spec)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -20,6 +20,7 @@ self-check. `run_many` is the only implementation of the update rule.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,9 +291,16 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         f"{ks[i]},{cols[0][i]!r},{cols[1][i]!r},{cols[2][i]!r},{cols[3][i]!r}"
         for i in range(trace.rows)
     )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` under a temporary name, then rename it over `path`, so
+    readers never see a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

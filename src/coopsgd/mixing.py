@@ -69,13 +69,13 @@ class MixingMatrix:
     def is_valid(self) -> bool:
         return self.zeta < 1.0 - ZETA_VALID_MARGIN
 
+    def to_dict(self) -> dict:
+        """The {"n", "entries", "zeta"} form that `mixing_from_dict` reads."""
+        return {"n": self.n, "entries": [float(x) for x in self.entries.reshape(-1)],
+                "zeta": self.zeta}
+
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "entries": [float(x) for x in self.entries.reshape(-1)],
-            "zeta": self.zeta,
-        }
-        return json.dumps(payload)
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "MixingMatrix":

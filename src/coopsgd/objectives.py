@@ -8,6 +8,10 @@ constants (beta, sigma_sq) in the contract
 and its infimum f_inf, so theoretical bounds can be evaluated with exact
 inputs instead of estimated ones.
 
+Each objective implements only the seed-batched pair that the engine runs
+(see `GradientOracle`); the single-vector forms are views on a (1, d, 1)
+stack, so tests and engine share one implementation of each objective.
+
 The quadratic oracle adds isotropic Gaussian noise with total variance
 exactly sigma_sq (per-coordinate sigma_sq/d), making the contract hold with
 equality at beta = 0. A multiplicative mode (beta > 0) scales the full
@@ -16,6 +20,8 @@ to exercise the general learning-rate condition.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +42,14 @@ def _check_point(x: np.ndarray, d: int) -> np.ndarray:
 class GradientOracle:
     """Interface shared by all objectives.
 
-    Subclasses implement the single-vector forms `objective_value`,
-    `full_gradient` and `stochastic_gradient`. The simulation engine runs many
-    seeds of one configuration as a stacked (seeds, d, cols) system and calls
-    only the seed-batched pair `batch_objective_and_grads` and
-    `batch_gradient_sampler`; their defaults here loop over the single-vector
-    forms, and subclasses override them with vectorized math where it pays off.
+    Subclasses implement the seed-batched pair: `batch_objective_and_grads`
+    maps a (seeds, d, cols) stack to objective values (seeds, cols) and full
+    gradients (seeds, d, cols), and `batch_gradient_sampler(rng_table,
+    horizon)` returns a callable that maps the (seeds, d, m) worker columns to
+    stochastic gradients for up to `horizon` calls, drawing from
+    `rng_table[s][i]` for seed s and worker i. The single-vector forms
+    `objective_value`, `full_gradient` and `stochastic_gradient` validate one
+    point and evaluate that pair on it.
     """
 
     d: int
@@ -50,36 +58,23 @@ class GradientOracle:
     sigma_sq: float
     f_inf: float
 
-    def objective_value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def stochastic_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
     def batch_objective_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective values (seeds, cols) and full gradients (seeds, d, cols)."""
-        vals = np.empty(X.shape[:1] + X.shape[2:])
-        grads = np.empty_like(X)
-        for s in range(X.shape[0]):
-            for i in range(X.shape[2]):
-                vals[s, i] = self.objective_value(X[s, :, i])
-                grads[s, :, i] = self.full_gradient(X[s, :, i])
-        return vals, grads
+        raise NotImplementedError
 
     def batch_gradient_sampler(self, rng_table: list[list[np.random.Generator]], horizon: int):
-        """Callable (seeds, d, m) -> stochastic gradients, one rng per (seed, worker)."""
+        raise NotImplementedError
 
-        def sample(Xw: np.ndarray) -> np.ndarray:
-            G = np.empty_like(Xw)
-            for s in range(Xw.shape[0]):
-                for i in range(Xw.shape[2]):
-                    G[s, :, i] = self.stochastic_gradient(Xw[s, :, i], rng_table[s][i])
-            return G
+    def objective_value(self, x: np.ndarray) -> float:
+        x = _check_point(x, self.d)
+        return float(self.batch_objective_and_grads(x[None, :, None])[0][0, 0])
 
-        return sample
+    def full_gradient(self, x: np.ndarray) -> np.ndarray:
+        x = _check_point(x, self.d)
+        return self.batch_objective_and_grads(x[None, :, None])[1][0, :, 0]
+
+    def stochastic_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        x = _check_point(x, self.d)
+        return self.batch_gradient_sampler([[rng]], 1)(x[None, :, None])[0, :, 0]
 
 
 class QuadraticProblem(GradientOracle):
@@ -114,57 +109,48 @@ class QuadraticProblem(GradientOracle):
         self.f_inf = float(0.5 * x_star @ (A @ x_star) - b @ x_star)
         self._noise_scale = np.sqrt(self.sigma_sq / self.d)
 
-    def objective_value(self, x) -> float:
-        x = _check_point(x, self.d)
-        return float(0.5 * x @ (self.A @ x) - self.b @ x)
-
-    def full_gradient(self, x) -> np.ndarray:
-        x = _check_point(x, self.d)
-        return self.A @ x - self.b
-
-    def stochastic_gradient(self, x, rng) -> np.ndarray:
-        g = self.full_gradient(x)
-        if self.beta > 0.0:
-            g = g * (1.0 + np.sqrt(self.beta) * rng.standard_normal())
-        if self.sigma_sq > 0.0:
-            g = g + rng.normal(0.0, self._noise_scale, size=self.d)
-        return g
-
     def batch_objective_and_grads(self, X):
         ax = np.matmul(self.A, X)
         vals = 0.5 * np.einsum("sij,sij->sj", X, ax) - np.einsum("i,sij->sj", self.b, X)
         return vals, ax - self.b[:, None]
 
     def batch_gradient_sampler(self, rng_table, horizon, chunk_size: int = 256):
-        """Vectorized sampler; additive noise is pre-drawn in blocks.
+        """Vectorized sampler; noise is pre-drawn in blocks of steps.
 
-        Each (seed, worker) stream still produces exactly the values that
-        per-step draws would, since block draws consume the stream in the
-        same order. The multiplicative mode keeps the generic per-call path.
+        Per stream and step the draws are the multiplicative factor's standard
+        normal (beta > 0) followed by the d additive normals (sigma_sq > 0),
+        so block draws consume each (seed, worker) stream in the same order,
+        and produce the same values, as one draw per call would.
         """
+        width = self.d if self.sigma_sq > 0.0 else 0
+        scale = self._noise_scale  # a scalar scale keeps numpy's fast path
+        sqrt_beta = np.sqrt(self.beta)
         if self.beta > 0.0:
-            return super().batch_gradient_sampler(rng_table, horizon)
-        n_seeds = len(rng_table)
-        m = len(rng_table[0])
+            scale = np.concatenate([[1.0], np.full(width, scale)])
+            width += 1
         state = {"buf": None, "pos": 0, "left": horizon}
 
         def refill():
             count = min(chunk_size, max(state["left"], 1))
-            buf = np.empty((count, n_seeds, self.d, m))
-            for s in range(n_seeds):
-                for i in range(m):
-                    buf[:, s, :, i] = rng_table[s][i].normal(0.0, self._noise_scale,
-                                                             size=(count, self.d))
+            buf = np.empty((count, len(rng_table), width, len(rng_table[0])))
+            for s, row in enumerate(rng_table):
+                for i, rng in enumerate(row):
+                    buf[:, s, :, i] = rng.normal(0.0, scale, size=(count, width))
             state["buf"], state["pos"] = buf, 0
 
         def sample(Xw: np.ndarray) -> np.ndarray:
             G = np.matmul(self.A, Xw) - self.b[:, None]
-            if self.sigma_sq > 0.0:
+            if width:
                 if state["buf"] is None or state["pos"] >= state["buf"].shape[0]:
                     refill()
-                G += state["buf"][state["pos"]]
+                noise = state["buf"][state["pos"]]
                 state["pos"] += 1
                 state["left"] -= 1
+                if self.beta > 0.0:
+                    G *= 1.0 + sqrt_beta * noise[:, :1]
+                    noise = noise[:, 1:]
+                if self.sigma_sq > 0.0:
+                    G += noise
             return G
 
         return sample
@@ -197,8 +183,10 @@ class LogisticProblem(GradientOracle):
     X^T X / (4 N) + l2 I. sigma_sq is a certified Assumption-style bound
     (4 max_i ||x_i||^2 / batch with beta = 0), not an equality.
 
-    f_inf is computed once at construction by deterministic full-gradient
-    descent run to gradient norm below 1e-10.
+    The sampler draws one `integers(0, N, size=batch)` per (seed, worker)
+    stream and step, in `rng_table` order, then gathers all mini-batches and
+    differentiates them in one pass. f_inf is computed on first use by
+    deterministic full-gradient descent run to gradient norm below 1e-10.
     """
 
     def __init__(self, features, labels, l2_reg: float = 0.0, batch_size: int = 1,
@@ -225,7 +213,6 @@ class LogisticProblem(GradientOracle):
         self.lipschitz = float(np.linalg.eigvalsh(gram)[-1]) + self.l2_reg
         self.beta = 0.0
         self.sigma_sq = 4.0 * float(np.max(np.einsum("ij,ij->i", X, X))) / self.batch_size
-        self.f_inf = self._minimize()
 
     @staticmethod
     def synthetic(n_samples: int, d: int, seed: int, l2_reg: float = 0.01,
@@ -242,36 +229,38 @@ class LogisticProblem(GradientOracle):
                 "l2": l2_reg, "batch": batch_size}
         return LogisticProblem(X, y, l2_reg=l2_reg, batch_size=batch_size, _spec=spec)
 
-    def _minimize(self, tol: float = 1e-10, max_iters: int = 500_000) -> float:
-        w = np.zeros(self.d)
+    @cached_property
+    def f_inf(self) -> float:
+        w = np.zeros((1, self.d, 1))
         step = 1.0 / self.lipschitz
-        for _ in range(max_iters):
-            g = self.full_gradient(w)
-            if np.linalg.norm(g) < tol:
+        for _ in range(500_000):
+            vals, g = self.batch_objective_and_grads(w)
+            if np.linalg.norm(g) < 1e-10:
                 break
             w = w - step * g
-        return self.objective_value(w)
+        return float(vals[0, 0])
 
-    def objective_value(self, w) -> float:
-        w = _check_point(w, self.d)
-        margins = self.y * (self.X @ w)
-        losses = np.logaddexp(0.0, -margins)
-        return float(losses.mean() + 0.5 * self.l2_reg * (w @ w))
+    def batch_objective_and_grads(self, W):
+        margins = self.y[:, None] * np.matmul(self.X, W)  # (seeds, N, cols)
+        # log(1 + e^-m) without overflow; d/dm log(1+e^-m) = -sigmoid(-m)
+        losses = np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
+        reg = 0.5 * self.l2_reg * np.einsum("sij,sij->sj", W, W)
+        coeff = -self.y[:, None] / (1.0 + np.exp(margins))
+        grads = np.matmul(self.X.T, coeff) / self.n_samples + self.l2_reg * W
+        return losses.mean(axis=1) + reg, grads
 
-    def full_gradient(self, w) -> np.ndarray:
-        w = _check_point(w, self.d)
-        margins = self.y * (self.X @ w)
-        # d/dm log(1+e^-m) = -sigmoid(-m)
-        coeff = -self.y / (1.0 + np.exp(margins))
-        return self.X.T @ coeff / self.n_samples + self.l2_reg * w
+    def batch_gradient_sampler(self, rng_table, horizon):
+        def sample(Ww: np.ndarray) -> np.ndarray:
+            idx = np.array([[rng.integers(0, self.n_samples, size=self.batch_size)
+                             for rng in row] for row in rng_table])  # (seeds, m, batch)
+            xb, yb = self.X[idx], self.y[idx]  # (seeds, m, batch, d), (seeds, m, batch)
+            w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)
+            margins = yb * np.matmul(xb, w)[..., 0]
+            coeff = -yb / (1.0 + np.exp(margins))
+            g = np.matmul(xb.transpose(0, 1, 3, 2), coeff[..., None])[..., 0]
+            return g.transpose(0, 2, 1) / self.batch_size + self.l2_reg * Ww
 
-    def stochastic_gradient(self, w, rng) -> np.ndarray:
-        w = _check_point(w, self.d)
-        idx = rng.integers(0, self.n_samples, size=self.batch_size)
-        xb, yb = self.X[idx], self.y[idx]
-        margins = yb * (xb @ w)
-        coeff = -yb / (1.0 + np.exp(margins))
-        return xb.T @ coeff / self.batch_size + self.l2_reg * w
+        return sample
 
     def to_dict(self) -> dict:
         if self._spec is None:

@@ -57,8 +57,7 @@ def _algorithm(tau: int, mixing, v: int, eta: float, steps: int, rule: str = "po
         "eta": eta,
         "K": steps,
         "rule": rule,
-        "mixing": {"n": mixing.n, "entries": [float(x) for x in mixing.entries.reshape(-1)],
-                   "zeta": mixing.zeta},
+        "mixing": mixing.to_dict(),
         "init": _INIT,
     }
 

@@ -156,6 +156,17 @@ class TestRunExperiment:
         assert summary["mean_grad_norm_sq"] is None
         assert not (tmp_path / "exp" / "trace_mean.csv").exists()
 
+    def test_rerun_leaves_only_its_own_files(self, tmp_path):
+        out = tmp_path / "exp"
+        for seeds in ([1, 2], [3]):
+            assert run_experiment(parse_experiment_spec(quadratic_spec(tmp_path, seeds=seeds))) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "summary.json", "trace_mean.csv", "trace_seed3.csv"]
+        diverging = quadratic_spec(tmp_path, seeds=[4])
+        diverging["algorithm"].update(eta=3.0, K=5000, tau=1)
+        assert run_experiment(parse_experiment_spec(diverging)) == EXIT_ALL_DIVERGED
+        assert sorted(f.name for f in out.iterdir()) == ["summary.json", "trace_seed4.csv"]
+
     def test_invalid_mixing_runs_without_bound_report(self, tmp_path):
         w = make_easgd(2, 0.8)  # zeta > 1: outside every bound's regime
         spec_dict = quadratic_spec(tmp_path)
@@ -215,11 +226,17 @@ class TestMainEntry:
         ["validate", "{spec}"],
         ["bounds", "--tau", "0"],
         ["bounds", "--m", "0", "--best-easgd-alpha"],
+        ["run", "{nonfinite}"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(quadratic_spec(tmp_path, seeds=[-1])))
-        assert main([a.format(out=tmp_path / "out", spec=spec) for a in argv]) == EXIT_INVALID
+        nonfinite = tmp_path / "nonfinite.json"
+        payload = quadratic_spec(tmp_path)
+        payload["algorithm"]["init"] = 1e200  # the objective overflows at the initial point
+        nonfinite.write_text(json.dumps(payload))
+        argv = [a.format(out=tmp_path / "out", spec=spec, nonfinite=nonfinite) for a in argv]
+        assert main(argv) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""

@@ -12,6 +12,20 @@ from coopsgd.objectives import (
 )
 
 
+def worker_rng_table(seeds: list[int], m: int) -> list[list[np.random.Generator]]:
+    """One rng per (seed, worker), spawned as `run_many` spawns them."""
+    return [[np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(m)]
+            for s in seeds]
+
+
+def draws(oracle, x: np.ndarray, rng: np.random.Generator, trials: int):
+    """`trials` stochastic gradients at x from one sampler on one stream."""
+    sample = oracle.batch_gradient_sampler([[rng]], trials)
+    x_col = x[None, :, None]
+    for _ in range(trials):
+        yield sample(x_col)[0, :, 0]
+
+
 def central_difference_gradient(oracle, x: np.ndarray) -> np.ndarray:
     """Independent finite-difference oracle for full gradients."""
     step = 1e-5 * (1.0 + np.linalg.norm(x))
@@ -81,6 +95,32 @@ class TestQuadratic:
         with pytest.raises(OracleError):
             QuadraticProblem(np.diag([1.0, -0.5]), np.zeros(2))
 
+    @pytest.mark.parametrize("beta,sigma_sq", [(0.0, 0.0), (0.0, 0.5), (0.3, 0.0), (0.3, 0.5)])
+    def test_batched_pair_matches_per_column_views(self, beta, sigma_sq):
+        # (3 seeds, d, 4 workers) stacks, so seed/worker axis or stream-order
+        # mix-ups show; noise follows the per-call transcription bit for bit,
+        # across the sampler's 256-step block boundary
+        d, m, steps = 6, 4, 300
+        q = make_diag_quadratic(d, sigma_sq=sigma_sq, beta=beta)
+        sample = q.batch_gradient_sampler(worker_rng_table([3, 4, 5], m), steps)
+        ref_rngs = worker_rng_table([3, 4, 5], m)
+        points = np.random.default_rng(0)
+        for _ in range(steps):
+            X = points.standard_normal((3, d, m))
+            G = sample(X)
+            vals, grads = q.batch_objective_and_grads(X)
+            for s in range(3):
+                for i in range(m):
+                    g = q.full_gradient(X[s, :, i])
+                    assert vals[s, i] == q.objective_value(X[s, :, i])
+                    assert np.array_equal(grads[s, :, i], g)
+                    rng = ref_rngs[s][i]
+                    if beta > 0.0:
+                        g = g * (1.0 + np.sqrt(beta) * rng.standard_normal())
+                    if sigma_sq > 0.0:
+                        g = g + rng.normal(0.0, np.sqrt(sigma_sq / d), d)
+                    assert np.array_equal(G[s, :, i], g)
+
 
 class TestQuadraticNoise:
     def test_single_draw_variance(self):
@@ -90,8 +130,8 @@ class TestQuadraticNoise:
         g_full = q.full_gradient(x)
         trials = 100_000
         acc = 0.0
-        for _ in range(trials):
-            dev = q.stochastic_gradient(x, rng) - g_full
+        for g in draws(q, x, rng, trials):
+            dev = g - g_full
             acc += dev @ dev
         assert acc / trials == pytest.approx(1.0, rel=0.05)
 
@@ -117,10 +157,9 @@ class TestQuadraticNoise:
         trials = 100_000
         for _ in range(3):
             x = rng_points.standard_normal(6)
-            rng = np.random.default_rng(5)
             total = np.zeros(6)
-            for _ in range(trials):
-                total += q.stochastic_gradient(x, rng)
+            for g in draws(q, x, np.random.default_rng(5), trials):
+                total += g
             err = total / trials - q.full_gradient(x)
             assert np.all(np.abs(err) <= 3 * per_coord_sd / np.sqrt(trials))
 
@@ -132,8 +171,8 @@ class TestQuadraticNoise:
         expected = 0.3 * float(g_full @ g_full) + 0.5
         trials = 200_000
         acc = 0.0
-        for _ in range(trials):
-            dev = q.stochastic_gradient(x, rng) - g_full
+        for g in draws(q, x, rng, trials):
+            dev = g - g_full
             acc += dev @ dev
         assert acc / trials == pytest.approx(expected, rel=0.05)
 
@@ -176,8 +215,7 @@ class TestLogistic:
         trials = 50_000
         total = np.zeros(10)
         acc_sq = 0.0
-        for _ in range(trials):
-            g = problem.stochastic_gradient(x, rng)
+        for g in draws(problem, x, rng, trials):
             total += g
             dev = g - g_full
             acc_sq += dev @ dev
@@ -192,12 +230,32 @@ class TestLogistic:
             g_full = problem.full_gradient(x)
             trials = 20_000
             acc = 0.0
-            for _ in range(trials):
-                dev = problem.stochastic_gradient(x, rng) - g_full
+            for g in draws(problem, x, rng, trials):
+                dev = g - g_full
                 acc += dev @ dev
             measured = acc / trials
             budget = problem.beta * float(g_full @ g_full) + problem.sigma_sq
             assert measured <= budget + 3 * measured / np.sqrt(trials)
+
+    def test_batched_pair_matches_per_column_views(self, problem):
+        m, steps = 4, 100
+        sample = problem.batch_gradient_sampler(worker_rng_table([3, 4, 5], m), steps)
+        ref_rngs = worker_rng_table([3, 4, 5], m)
+        points = np.random.default_rng(9)
+
+        def close(batched, single):
+            return np.max(np.abs(batched - single)) <= 1e-13 * np.max(np.abs(single))
+
+        for _ in range(steps):
+            X = points.standard_normal((3, 10, m))
+            G = sample(X)
+            vals, grads = problem.batch_objective_and_grads(X)
+            for s in range(3):
+                for i in range(m):
+                    x = X[s, :, i]
+                    assert close(vals[s, i], problem.objective_value(x))
+                    assert close(grads[s, :, i], problem.full_gradient(x))
+                    assert close(G[s, :, i], problem.stochastic_gradient(x, ref_rngs[s][i]))
 
     def test_labels_validated(self):
         with pytest.raises(OracleError):
