@@ -18,7 +18,6 @@ from coopsgd.engine import (
 from coopsgd.mixing import (
     MixingError,
     MixingMatrix,
-    MixingReport,
     as_mixing,
     best_easgd_alpha,
     best_generalized_elastic_alpha,
@@ -31,11 +30,8 @@ from coopsgd.mixing import (
     make_hierarchical,
     make_identity,
     make_ring,
-    mixing_from_dict,
     power_deviation_norm,
     random_doubly_stochastic,
-    spectral_gap,
-    validate_mixing,
 )
 from coopsgd.objectives import (
     GradientOracle,
@@ -43,7 +39,6 @@ from coopsgd.objectives import (
     OracleError,
     QuadraticProblem,
     make_diag_quadratic,
-    oracle_from_dict,
 )
 from coopsgd.theory import (
     BoundInputs,
@@ -61,6 +56,19 @@ from coopsgd.theory import (
 )
 from coopsgd.timeline import DelayModel, TimelineTrace, simulate_timeline, sync_cost
 
+# The spec readers live in `coopsgd.cli`, which is imported on first use so
+# that `python -m coopsgd.cli` does not find the module already loaded.
+_CLI_NAMES = ("SpecError", "delay_from_dict", "mixing_from_dict", "oracle_from_dict")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from coopsgd import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module 'coopsgd' has no attribute {name!r}")
+
+
 __all__ = [
     "AlgorithmConfig",
     "BoundInputs",
@@ -71,10 +79,10 @@ __all__ = [
     "LogisticProblem",
     "MixingError",
     "MixingMatrix",
-    "MixingReport",
     "OracleError",
     "QuadraticProblem",
     "RunTrace",
+    "SpecError",
     "TheoryError",
     "TimelineTrace",
     "as_mixing",
@@ -82,6 +90,7 @@ __all__ = [
     "best_easgd_alpha",
     "best_generalized_elastic_alpha",
     "corollary1_bound",
+    "delay_from_dict",
     "dpsgd_bound",
     "easgd_bound",
     "easgd_zeta",
@@ -105,10 +114,8 @@ __all__ = [
     "random_doubly_stochastic",
     "run_many",
     "simulate_timeline",
-    "spectral_gap",
     "sync_cost",
     "theorem1_bound",
-    "validate_mixing",
     "write_trace_csv",
     "zeta_threshold",
 ]

@@ -5,18 +5,22 @@ Subcommands:
     run <spec.json>                 execute one experiment spec
     preset <name> --out DIR         run a named preset experiment family
     bounds [flags]                  print closed-form bound quantities
-    validate <spec.json>            parse and validate a spec, run nothing
+    validate <spec.json>            check a spec's form, run nothing
 
 Exit codes: 0 success, 2 invalid input, 3 every seed diverged.
 
-Experiment specs are strict JSON: unknown fields anywhere are hard errors,
-because silently ignored configuration is the main reproducibility hazard.
+This module is the only reader of spec JSON. Specs are strict: unknown
+fields anywhere are hard errors, because silently ignored configuration is
+the main reproducibility hazard, and every number must be a finite JSON
+number. The domain constructors keep their semantic checks (symmetry, PSD,
+row sums, K % tau), and their errors surface here as `SpecError`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,10 +36,10 @@ from coopsgd.engine import (
     write_text_atomic,
     write_trace_csv,
 )
-from coopsgd.mixing import MixingError, best_easgd_alpha, mixing_from_dict
-from coopsgd.objectives import OracleError, oracle_from_dict
+from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
+from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
 from coopsgd.theory import BoundInputs, TheoryError, theorem1_bound, zeta_threshold
-from coopsgd.timeline import DelayModel, TimelineError, delay_from_dict, simulate_timeline
+from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -72,92 +76,132 @@ class ExperimentSpec:
         }
 
 
-def _require_keys(payload: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(payload) - allowed
+def _object(payload, where: str, required: set[str], optional: set[str] = frozenset()) -> dict:
+    """`payload` as a JSON object holding every required key and no unknown one."""
+    if not isinstance(payload, dict):
+        raise SpecError(f"{where} must be a JSON object")
+    unknown = set(payload) - required - optional
     if unknown:
         raise SpecError(f"unknown field(s) in {where}: {sorted(unknown)}")
     missing = required - set(payload)
     if missing:
         raise SpecError(f"missing field(s) in {where}: {sorted(missing)}")
+    return payload
 
 
-def _strict_int(value, where: str) -> int:
+def _int(value, where: str, least: int | None = None) -> int:
     """An integer spec value; bools, strings and fractional numbers are errors."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecError(f"{where} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise SpecError(f"{where} must be >= {least}")
     return value
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number; bools, strings, NaN and infinities are errors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise SpecError(f"{where} must be a finite number, got {value!r}")
+
+
+def _numbers(value, where: str, ndim: int) -> np.ndarray:
+    """A rectangular `ndim`-axis array of finite JSON numbers, as float64."""
+    try:
+        arr = np.asarray(value)  # no dtype: strings, bools and None keep their own kind
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf"
+            or not np.isfinite(arr).all()
+            # a bool among numbers takes the numbers' dtype, so look for one
+            or any(bool in map(type, row) for row in (value if ndim == 2 else [value]))):
+        raise SpecError(f"{where} must be a rectangular {ndim}-d array of finite numbers")
+    return arr.astype(float, copy=False)
+
+
+def oracle_from_dict(payload) -> GradientOracle:
+    """Build an oracle from the JSON form its `to_dict` writes."""
+    if not isinstance(payload, dict) or "type" not in payload:
+        raise SpecError("'problem' must be a JSON object with a 'type' field")
+    if payload["type"] == "quadratic":
+        p = _object(payload, "quadratic problem", {"type", "A", "b"}, {"sigma_sq", "beta"})
+        return QuadraticProblem(_numbers(p["A"], "'A'", 2), _numbers(p["b"], "'b'", 1),
+                                sigma_sq=_number(p.get("sigma_sq", 0.0), "'sigma_sq'"),
+                                beta=_number(p.get("beta", 0.0), "'beta'"))
+    if payload["type"] == "logistic":
+        p = _object(payload, "logistic problem", {"type", "n", "d", "seed"}, {"l2", "batch"})
+        return LogisticProblem.synthetic(_int(p["n"], "logistic 'n'", 1),
+                                         _int(p["d"], "logistic 'd'", 1),
+                                         _int(p["seed"], "logistic 'seed'", 0),
+                                         l2_reg=_number(p.get("l2", 0.01), "'l2'"),
+                                         batch_size=_int(p.get("batch", 8), "logistic 'batch'", 1))
+    raise SpecError(f"unknown problem type: {payload['type']!r}")
+
+
+def mixing_from_dict(payload) -> MixingMatrix:
+    """Rebuild a matrix from the {"n", "entries", "zeta"} form `MixingMatrix.to_dict`
+    writes; `zeta` is informational and recomputed."""
+    p = _object(payload, "mixing", {"n", "entries"}, {"zeta"})
+    n = _int(p["n"], "mixing 'n'", 1)
+    flat = _numbers(p["entries"], "mixing 'entries'", 1)
+    if "zeta" in p:
+        _number(p["zeta"], "mixing 'zeta'")
+    if flat.size != n * n:
+        raise SpecError(f"mixing 'entries' must hold n*n values for n={n}, got {flat.size}")
+    return as_mixing(flat.reshape(n, n))
+
+
+def delay_from_dict(payload) -> DelayModel:
+    """Build a delay model from the JSON form `DelayModel.to_dict` writes."""
+    p = _object(payload, "delay", {"compute"},
+                {"jitter", "latency", "per_neighbor", "nonblocking_aux"})
+    if not isinstance(p.get("nonblocking_aux", False), bool):
+        raise SpecError("'nonblocking_aux' must be true or false")
+    return DelayModel(compute_base=_number(p["compute"], "'compute'"),
+                      compute_jitter_mean=_number(p.get("jitter", 0.0), "'jitter'"),
+                      comm_latency=_number(p.get("latency", 0.0), "'latency'"),
+                      comm_per_neighbor=_number(p.get("per_neighbor", 0.0), "'per_neighbor'"),
+                      nonblocking_aux=p.get("nonblocking_aux", False))
+
+
+# What each constructor's error says about the spec.
+_SECTIONS = {OracleError: "problem", MixingError: "mixing matrix", ConfigError: "algorithm",
+             TimelineError: "delay model"}
 
 
 def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     """Validate a spec payload and build all runtime objects from it."""
-    if not isinstance(payload, dict):
-        raise SpecError("experiment spec must be a JSON object")
-    _require_keys(payload, {"problem", "algorithm", "delay", "seeds", "output_dir"},
-                  {"problem", "algorithm", "delay", "seeds", "output_dir"}, "experiment spec")
-
-    seeds = payload["seeds"]
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+    spec = _object(payload, "experiment spec",
+                   {"problem", "algorithm", "delay", "seeds", "output_dir"})
+    if not isinstance(spec["seeds"], list) or not spec["seeds"]:
         raise SpecError("'seeds' must be a non-empty list of non-negative integers")
+    seeds = [_int(s, "each seed", 0) for s in spec["seeds"]]
     if len(set(seeds)) != len(seeds):
         raise SpecError("'seeds' must be distinct")
-
-    problem = payload["problem"]
-    if isinstance(problem, dict) and problem.get("type") == "logistic":
-        for key, least in (("n", 1), ("d", 1), ("seed", 0), ("batch", 1)):
-            if key in problem and _strict_int(problem[key], f"logistic '{key}'") < least:
-                raise SpecError(f"logistic '{key}' must be >= {least}")
-
-    try:
-        oracle = oracle_from_dict(problem)
-    except OracleError as exc:
-        raise SpecError(f"invalid problem: {exc}") from exc
-
-    algo = payload["algorithm"]
-    if not isinstance(algo, dict):
-        raise SpecError("'algorithm' must be a JSON object")
-    _require_keys(algo, {"tau", "v", "eta", "K", "rule", "mixing", "init"},
-                  {"tau", "eta", "K", "mixing"}, "algorithm")
-    if isinstance(algo["mixing"], dict) and "n" in algo["mixing"]:
-        _strict_int(algo["mixing"]["n"], "mixing 'n'")
-    try:
-        mixing = mixing_from_dict(algo["mixing"])
-    except MixingError as exc:
-        raise SpecError(f"invalid mixing matrix: {exc}") from exc
-    try:
-        config = AlgorithmConfig(
-            tau=_strict_int(algo["tau"], "'tau'"),
-            mixing=mixing,
-            v=_strict_int(algo.get("v", 0), "'v'"),
-            eta=float(algo["eta"]),
-            steps=_strict_int(algo["K"], "'K'"),
-            rule=str(algo.get("rule", "post")),
-        )
-    except ConfigError as exc:
-        raise SpecError(f"invalid algorithm: {exc}") from exc
-
+    algo = _object(spec["algorithm"], "algorithm", {"tau", "eta", "K", "mixing"},
+                   {"v", "rule", "init"})
     init = algo.get("init", 1.0)
-    if isinstance(init, list):
-        x0 = np.asarray(init, dtype=float)
-        if x0.shape != (oracle.d,):
-            raise SpecError(f"'init' vector must have dimension {oracle.d}")
-    elif isinstance(init, (int, float)) and not isinstance(init, bool):
-        x0 = float(init)
-    else:
-        raise SpecError("'init' must be a number or a list of numbers")
-
-    delay = payload["delay"]
-    if isinstance(delay, dict) and not isinstance(delay.get("nonblocking_aux", False), bool):
-        raise SpecError("'nonblocking_aux' must be true or false")
-    try:
-        delay_model = delay_from_dict(delay)
-    except TimelineError as exc:
-        raise SpecError(f"invalid delay model: {exc}") from exc
-
-    if not isinstance(payload["output_dir"], str) or not payload["output_dir"]:
+    x0 = _numbers(init, "'init'", 1) if isinstance(init, list) else _number(init, "'init'")
+    if not isinstance(spec["output_dir"], str) or not spec["output_dir"]:
         raise SpecError("'output_dir' must be a non-empty string")
+
+    try:
+        oracle = oracle_from_dict(spec["problem"])
+        mixing = mixing_from_dict(algo["mixing"])
+        config = AlgorithmConfig(tau=_int(algo["tau"], "'tau'"), mixing=mixing,
+                                 v=_int(algo.get("v", 0), "'v'"), eta=_number(algo["eta"], "'eta'"),
+                                 steps=_int(algo["K"], "'K'"), rule=algo.get("rule", "post"))
+        delay_model = delay_from_dict(spec["delay"])
+    except tuple(_SECTIONS) as exc:
+        raise SpecError(f"invalid {_SECTIONS[type(exc)]}: {exc}") from exc
+    if isinstance(x0, np.ndarray) and x0.shape != (oracle.d,):
+        raise SpecError(f"'init' vector must have dimension {oracle.d}")
 
     canonical_algo = {
         "tau": config.tau,
@@ -172,8 +216,8 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         problem=oracle.to_dict(),
         algorithm=canonical_algo,
         delay=delay_model.to_dict(),
-        seeds=list(seeds),
-        output_dir=payload["output_dir"],
+        seeds=seeds,
+        output_dir=spec["output_dir"],
         oracle=oracle,
         config=config,
         delay_model=delay_model,
@@ -215,14 +259,14 @@ def _bound_report_dict(spec: ExperimentSpec, traces: list[RunTrace]) -> dict | N
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run all seeds, write per-seed CSVs, the seed mean, and a summary.
 
-    Trace CSVs left in the output directory by an earlier run that this run
-    does not write are deleted. Returns the process exit code: 0 normally,
-    3 if every seed diverged.
+    The output directory is created only once the seeds have run, so a spec
+    that `run_many` rejects leaves nothing behind. Trace CSVs left in it by an
+    earlier run that this run does not write are deleted. Returns the process
+    exit code: 0 normally, 3 if every seed diverged.
     """
+    traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
     timeline0 = None
     for seed, trace in zip(spec.seeds, traces):
         timeline = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
@@ -270,7 +314,7 @@ def _load_spec_file(path: str) -> ExperimentSpec:
             payload = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep, too many digits
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     return parse_experiment_spec(payload)
 
@@ -363,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec", help="path to the experiment spec JSON")
     p_run.set_defaults(func=cmd_run)
 
-    p_val = sub.add_parser("validate", help="validate a spec without running it")
+    p_val = sub.add_parser("validate", help="check a spec's form without running it "
+                                           "(F(x0) is checked only by run)")
     p_val.add_argument("spec", help="path to the experiment spec JSON")
     p_val.set_defaults(func=cmd_validate)
 

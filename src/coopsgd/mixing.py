@@ -17,7 +17,6 @@ from a dense symmetric eigensolve, so it can never go stale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +29,6 @@ MAX_NODES = 256
 
 class MixingError(ValueError):
     """Raised for malformed or dimensionally inconsistent mixing matrices."""
-
-
-def _as_square_array(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise MixingError(f"mixing matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise MixingError("mixing matrix must have at least one node")
-    if arr.shape[0] > MAX_NODES:
-        raise MixingError(f"mixing matrix larger than {MAX_NODES} nodes is unsupported")
-    if not np.isfinite(arr).all():
-        raise MixingError("mixing matrix entries must be finite")
-    return arr
 
 
 def _second_largest_abs_eigenvalue(entries: np.ndarray) -> float:
@@ -70,89 +56,38 @@ class MixingMatrix:
         return self.zeta < 1.0 - ZETA_VALID_MARGIN
 
     def to_dict(self) -> dict:
-        """The {"n", "entries", "zeta"} form that `mixing_from_dict` reads."""
+        """The {"n", "entries", "zeta"} form that `cli.mixing_from_dict` reads."""
         return {"n": self.n, "entries": [float(x) for x in self.entries.reshape(-1)],
                 "zeta": self.zeta}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "MixingMatrix":
-        payload = json.loads(text)
-        return mixing_from_dict(payload)
 
 
 def as_mixing(entries) -> MixingMatrix:
     """Wrap a raw square array, enforcing symmetry and unit row sums.
 
-    Defects beyond 1e-12 are construction errors; the zeta < 1 condition is
-    deliberately not enforced here (see `validate_mixing`).
+    Defects beyond 1e-12 are construction errors, each named in the
+    `MixingError`; the zeta < 1 condition is deliberately not enforced here
+    (see `MixingMatrix.is_valid`).
     """
-    arr = _as_square_array(entries)
-    sym_defect = float(np.max(np.abs(arr - arr.T)))
-    if sym_defect > SYMMETRY_TOL:
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise MixingError(f"mixing matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise MixingError("mixing matrix must have at least one node")
+    if arr.shape[0] > MAX_NODES:
+        raise MixingError(f"mixing matrix larger than {MAX_NODES} nodes is unsupported")
+    if not np.isfinite(arr).all():
+        raise MixingError("mixing matrix entries must be finite")
+    # entries near 1e308 overflow to an inf (or NaN) defect, which must fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym_defect = float(np.max(np.abs(arr - arr.T)))
+        row_defect = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
+    if not sym_defect <= SYMMETRY_TOL:
         raise MixingError(f"matrix is not symmetric (max defect {sym_defect:.3e})")
-    row_defect = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-    if row_defect > ROW_SUM_TOL:
+    if not row_defect <= ROW_SUM_TOL:
         raise MixingError(f"row sums deviate from 1 (max defect {row_defect:.3e})")
     arr = arr.copy()
     arr.setflags(write=False)
     return MixingMatrix(entries=arr, n=arr.shape[0], zeta=_second_largest_abs_eigenvalue(arr))
-
-
-def mixing_from_dict(payload: dict) -> MixingMatrix:
-    """Rebuild a matrix from its {"n", "entries", "zeta"} JSON form.
-
-    `zeta` in the payload is informational; it is recomputed on load.
-    """
-    unknown = set(payload) - {"n", "entries", "zeta"}
-    if unknown:
-        raise MixingError(f"unknown mixing fields: {sorted(unknown)}")
-    if "n" not in payload or "entries" not in payload:
-        raise MixingError("mixing payload requires 'n' and 'entries'")
-    n = int(payload["n"])
-    flat = np.asarray(payload["entries"], dtype=float)
-    if flat.size != n * n:
-        raise MixingError(f"expected {n * n} entries for n={n}, got {flat.size}")
-    return as_mixing(flat.reshape(n, n))
-
-
-@dataclass(frozen=True)
-class MixingReport:
-    """Outcome of `validate_mixing`: measured defects plus the verdict."""
-
-    n: int
-    symmetry_defect: float
-    row_sum_defect: float
-    zeta: float
-    valid: bool
-
-
-def validate_mixing(matrix) -> MixingReport:
-    """Check the averaging assumptions and report defects; never raises.
-
-    Valid means: symmetry and row-sum defects below 1e-12 and zeta < 1 - 1e-12.
-    Accepts either a MixingMatrix or a raw square array.
-    """
-    arr = matrix.entries if isinstance(matrix, MixingMatrix) else _as_square_array(matrix)
-    sym = float(np.max(np.abs(arr - arr.T)))
-    row = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-    symmetrized = 0.5 * (arr + arr.T)
-    zeta = _second_largest_abs_eigenvalue(symmetrized)
-    valid = sym <= SYMMETRY_TOL and row <= ROW_SUM_TOL and zeta < 1.0 - ZETA_VALID_MARGIN
-    return MixingReport(n=arr.shape[0], symmetry_defect=sym, row_sum_defect=row, zeta=zeta, valid=valid)
-
-
-def spectral_gap(matrix) -> float:
-    """Second largest absolute eigenvalue from a dense symmetric eigensolve."""
-    if isinstance(matrix, MixingMatrix):
-        return _second_largest_abs_eigenvalue(matrix.entries)
-    arr = _as_square_array(matrix)
-    sym = float(np.max(np.abs(arr - arr.T)))
-    if sym > SYMMETRY_TOL:
-        raise MixingError(f"spectral_gap requires a symmetric matrix (defect {sym:.3e})")
-    return _second_largest_abs_eigenvalue(arr)
 
 
 def power_deviation_norm(matrix: MixingMatrix, power: int) -> float:
@@ -163,10 +98,8 @@ def power_deviation_norm(matrix: MixingMatrix, power: int) -> float:
     """
     if power < 0:
         raise MixingError("power must be a nonnegative integer")
-    arr = matrix.entries if isinstance(matrix, MixingMatrix) else _as_square_array(matrix)
-    n = arr.shape[0]
-    j_proj = np.full((n, n), 1.0 / n)
-    wj = np.linalg.matrix_power(arr, power)
+    j_proj = np.full((matrix.n, matrix.n), 1.0 / matrix.n)
+    wj = np.linalg.matrix_power(matrix.entries, power)
     return float(np.linalg.norm(wj - j_proj, 2))
 
 
@@ -193,7 +126,7 @@ def make_easgd(m: int, alpha: float) -> MixingMatrix:
 
     Workers keep weight 1-alpha on themselves and exchange alpha with the
     anchor, which keeps 1 - m*alpha. Whether the result is usable (zeta < 1)
-    depends on alpha and is reported by validate_mixing, not enforced here.
+    depends on alpha and is reported by `is_valid`, not enforced here.
     """
     if m < 1:
         raise MixingError("elastic averaging needs m >= 1 workers")

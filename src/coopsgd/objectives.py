@@ -81,7 +81,7 @@ class QuadraticProblem(GradientOracle):
     """F(x) = 0.5 x^T A x - b^T x with A symmetric positive semidefinite.
 
     L = lambda_max(A) exactly; f_inf = F(x*) at the least-squares stationary
-    point A x* = b.
+    point A x* = b, solved on first use.
     """
 
     def __init__(self, A, b, sigma_sq: float = 0.0, beta: float = 0.0):
@@ -91,8 +91,9 @@ class QuadraticProblem(GradientOracle):
             raise OracleError(f"A must be square, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise OracleError("b must match the dimension of A")
-        if np.max(np.abs(A - A.T)) > 1e-12:
-            raise OracleError("A must be symmetric")
+        with np.errstate(over="ignore"):  # asymmetric entries near 1e308: an inf defect
+            if np.max(np.abs(A - A.T)) > 1e-12:
+                raise OracleError("A must be symmetric")
         if sigma_sq < 0 or beta < 0:
             raise OracleError("noise constants must be nonnegative")
         eigvals = np.linalg.eigvalsh(A)
@@ -104,10 +105,12 @@ class QuadraticProblem(GradientOracle):
         self.lipschitz = float(eigvals[-1])
         self.beta = float(beta)
         self.sigma_sq = float(sigma_sq)
-        x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
-        self.minimizer = x_star
-        self.f_inf = float(0.5 * x_star @ (A @ x_star) - b @ x_star)
         self._noise_scale = np.sqrt(self.sigma_sq / self.d)
+
+    @cached_property
+    def f_inf(self) -> float:
+        x_star, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
+        return float(0.5 * x_star @ (self.A @ x_star) - self.b @ x_star)
 
     def batch_objective_and_grads(self, X):
         ax = np.matmul(self.A, X)
@@ -266,33 +269,3 @@ class LogisticProblem(GradientOracle):
         if self._spec is None:
             raise OracleError("only synthetic logistic problems serialize to JSON")
         return dict(self._spec)
-
-
-def oracle_from_dict(payload: dict) -> GradientOracle:
-    """Build an oracle from its JSON dict form; unknown fields are errors."""
-    if "type" not in payload:
-        raise OracleError("problem payload requires a 'type' field")
-    kind = payload["type"]
-    if kind == "quadratic":
-        allowed = {"type", "A", "b", "sigma_sq", "beta"}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise OracleError(f"unknown quadratic fields: {sorted(unknown)}")
-        if "A" not in payload or "b" not in payload:
-            raise OracleError("quadratic payload requires 'A' and 'b'")
-        return QuadraticProblem(payload["A"], payload["b"],
-                                sigma_sq=float(payload.get("sigma_sq", 0.0)),
-                                beta=float(payload.get("beta", 0.0)))
-    if kind == "logistic":
-        allowed = {"type", "n", "d", "seed", "l2", "batch"}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise OracleError(f"unknown logistic fields: {sorted(unknown)}")
-        missing = {"n", "d", "seed"} - set(payload)
-        if missing:
-            raise OracleError(f"logistic payload missing fields: {sorted(missing)}")
-        return LogisticProblem.synthetic(int(payload["n"]), int(payload["d"]),
-                                         int(payload["seed"]),
-                                         l2_reg=float(payload.get("l2", 0.01)),
-                                         batch_size=int(payload.get("batch", 8)))
-    raise OracleError(f"unknown problem type: {kind!r}")

@@ -60,22 +60,6 @@ class DelayModel:
         }
 
 
-def delay_from_dict(payload: dict) -> DelayModel:
-    allowed = {"compute", "jitter", "latency", "per_neighbor", "nonblocking_aux"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise TimelineError(f"unknown delay fields: {sorted(unknown)}")
-    if "compute" not in payload:
-        raise TimelineError("delay payload requires 'compute'")
-    return DelayModel(
-        compute_base=float(payload["compute"]),
-        compute_jitter_mean=float(payload.get("jitter", 0.0)),
-        comm_latency=float(payload.get("latency", 0.0)),
-        comm_per_neighbor=float(payload.get("per_neighbor", 0.0)),
-        nonblocking_aux=bool(payload.get("nonblocking_aux", False)),
-    )
-
-
 def sync_cost(mixing: MixingMatrix, delay: DelayModel, v: int = 0) -> float:
     """Cost of one synchronization: latency + per-partner term.
 

@@ -1,8 +1,14 @@
 """CLI: spec validation, experiment outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coopsgd.cli import (
     EXIT_ALL_DIVERGED,
@@ -32,6 +38,86 @@ def quadratic_spec(tmp_path, **overrides) -> dict:
     }
     spec.update(overrides)
     return spec
+
+
+def replace_at(spec, path: tuple, value):
+    """`spec` with the value at `path` (keys and list indices) replaced."""
+    if not path:
+        return value
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
+def value_paths(node, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from value_paths(child, prefix + (key,))
+
+
+# Single-field mutations that crashed with a traceback or passed `validate`.
+MALFORMED = [
+    (("algorithm", "eta"), "fast"),
+    (("problem", "A", 0, 1), "0"),
+    (("problem", "A", 0, 0), math.nan),
+    (("problem",), "type"),
+    (("algorithm", "init"), [2.0, "2"]),
+    (("algorithm", "mixing", "entries", 3), "0.25"),
+    (("delay",), 5),
+    (("algorithm", "eta"), "0.05"),
+    (("algorithm", "eta"), True),
+    (("algorithm", "eta"), math.nan),
+    (("algorithm", "eta"), math.inf),
+    (("problem", "sigma_sq"), "1"),
+    (("delay", "compute"), "0.5"),
+    (("problem", "sigma_sq"), math.nan),
+    (("delay", "compute"), math.nan),
+    (("problem", "b", 1), True),  # a bool among numbers takes their dtype in numpy
+]
+
+
+def json_containers(inner):
+    """Lists (ragged ones included) and objects of `inner` values."""
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+# None, bools, floats with NaN and +-inf, text, small and huge integers, and containers
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers() | st.integers(min_value=-10**400, max_value=10**400),
+    json_containers, max_leaves=10,
+)
+
+
+class TestSpecProperty:
+    """Any one value or subtree of a valid spec replaced by any JSON value:
+    `validate` exits 0 or 2, and 2 comes with exactly one `error:` line."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_validate_exits_zero_or_two_with_one_line(self, tmp_path, data):
+        spec = quadratic_spec(tmp_path)
+        path = data.draw(st.sampled_from(list(value_paths(spec))), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(replace_at(spec, path, value)))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the example
+            code = main(["validate", str(spec_file)])
+        if code == EXIT_OK:
+            assert err.getvalue() == "" and out.getvalue().startswith("ok: ")
+        else:
+            assert code == EXIT_INVALID
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert out.getvalue() == ""
 
 
 class TestSpecParsing:
@@ -240,6 +326,17 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+        assert not (tmp_path / "exp").exists()  # a rejected spec leaves no output directory
+
+    @pytest.mark.parametrize("path, value", MALFORMED, ids=[
+        "/".join(map(str, path)) + f"={value!r}" for path, value in MALFORMED])
+    def test_malformed_value_exits_two_with_one_line(self, tmp_path, capsys, path, value):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(replace_at(quadratic_spec(tmp_path), path, value)))
+        assert main(["run", str(spec_file)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "exp").exists()
 
 
 class TestPresetReproducibility:

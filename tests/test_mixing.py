@@ -1,9 +1,12 @@
 """Mixing-matrix constructors and spectral identities."""
 
+import json
+
 import numpy as np
 import pytest
 
 from coopsgd import mixing as mx
+from coopsgd.cli import SpecError, mixing_from_dict
 
 
 def circulant_ring_zeta(m: int) -> float:
@@ -150,18 +153,18 @@ class TestGeneralizedElasticZeta:
 class TestSpectralGap:
     def test_projector_is_zero(self):
         for n in (1, 2, 7):
-            assert mx.spectral_gap(mx.make_fully_connected(n)) < 1e-12
+            assert mx.make_fully_connected(n).zeta < 1e-12
 
     def test_identity_is_one(self):
-        assert mx.spectral_gap(mx.make_identity(4)) == pytest.approx(1.0, abs=1e-12)
+        assert mx.make_identity(4).zeta == pytest.approx(1.0, abs=1e-12)
 
     def test_ring4_against_circulant_oracle(self):
         assert circulant_ring_zeta(4) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert mx.spectral_gap(mx.make_ring(4)) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert mx.as_mixing(mx.make_ring(4).entries).zeta == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_rejects_asymmetric_input(self):
-        with pytest.raises(mx.MixingError):
-            mx.spectral_gap(np.array([[0.5, 0.5], [0.2, 0.8]]))
+        with pytest.raises(mx.MixingError, match="not symmetric"):
+            mx.as_mixing(np.array([[0.5, 0.5], [0.2, 0.8]]))
 
 
 class TestPowerDeviationNorm:
@@ -237,23 +240,28 @@ class TestHierarchical:
 
 class TestValidation:
     def test_projector_valid(self):
-        rep = mx.validate_mixing(mx.make_fully_connected(4))
-        assert rep.valid and rep.zeta < 1e-12
+        w = mx.make_fully_connected(4)
+        assert w.is_valid and w.zeta < 1e-12
 
     def test_identity_invalid(self):
-        rep = mx.validate_mixing(mx.make_identity(4))
-        assert not rep.valid
-        assert rep.zeta == pytest.approx(1.0, abs=1e-12)
+        w = mx.make_identity(4)
+        assert not w.is_valid
+        assert w.zeta == pytest.approx(1.0, abs=1e-12)
 
     def test_overcoupled_elastic_invalid(self):
-        rep = mx.validate_mixing(mx.make_easgd(8, 0.23))
-        assert not rep.valid
-        assert rep.zeta == pytest.approx(1.07, abs=1e-9)
+        w = mx.make_easgd(8, 0.23)
+        assert not w.is_valid
+        assert w.zeta == pytest.approx(1.07, abs=1e-9)
 
     def test_reports_defects_on_raw_arrays(self):
-        rep = mx.validate_mixing(np.array([[0.6, 0.4], [0.3, 0.7]]))
-        assert not rep.valid
-        assert rep.symmetry_defect == pytest.approx(0.1, abs=1e-15)
+        with pytest.raises(mx.MixingError, match=r"not symmetric \(max defect 1\.000e-01\)"):
+            mx.as_mixing(np.array([[0.6, 0.4], [0.3, 0.7]]))
+        with pytest.raises(mx.MixingError, match=r"row sums deviate .* 1\.000e-01"):
+            mx.as_mixing(np.array([[0.6, 0.5], [0.5, 0.4]]))
+        # rows of +-1e308 sum to inf - inf: a NaN defect must still fail the check
+        signs = np.array([1.0, 1.0, -1.0, -1.0] * 2)
+        with pytest.raises(mx.MixingError, match="row sums .* nan"):
+            mx.as_mixing(1e308 * np.outer(signs, signs))
 
     def test_every_constructor_passes_structural_checks(self):
         rng = np.random.default_rng(3)
@@ -267,9 +275,9 @@ class TestValidation:
             mx.random_doubly_stochastic(9, rng),
         ]
         for w in candidates:
-            rep = mx.validate_mixing(w)
-            assert rep.symmetry_defect <= 1e-12
-            assert rep.row_sum_defect <= 1e-12
+            assert np.max(np.abs(w.entries - w.entries.T)) <= 1e-12
+            assert np.max(np.abs(w.entries.sum(axis=1) - 1.0)) <= 1e-12
+            assert mx.as_mixing(w.entries).zeta == w.zeta
 
 
 class TestRandomDoublyStochastic:
@@ -297,13 +305,13 @@ class TestRandomDoublyStochastic:
 class TestSerialization:
     def test_round_trip(self):
         w = mx.make_easgd(4, 0.18)
-        again = mx.MixingMatrix.from_json(w.to_json())
+        again = mixing_from_dict(json.loads(json.dumps(w.to_dict())))
         assert np.array_equal(again.entries, w.entries)
         assert again.zeta == pytest.approx(w.zeta, abs=1e-15)
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(mx.MixingError):
-            mx.mixing_from_dict({"n": 2, "entries": [0.5] * 4, "extra": 1})
+        with pytest.raises(SpecError, match="extra"):
+            mixing_from_dict({"n": 2, "entries": [0.5] * 4, "extra": 1})
 
 
 class TestMixingStep:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from coopsgd.cli import SpecError, oracle_from_dict
 from coopsgd.objectives import (
     LogisticProblem,
     OracleError,
     QuadraticProblem,
     make_diag_quadratic,
-    oracle_from_dict,
 )
 
 
@@ -278,7 +278,7 @@ class TestSerialization:
         assert again.f_inf == pytest.approx(p.f_inf, abs=1e-14)
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(OracleError):
+        with pytest.raises(SpecError, match="bogus"):
             oracle_from_dict({"type": "quadratic", "A": [[1.0]], "b": [0.0], "bogus": 1})
-        with pytest.raises(OracleError):
+        with pytest.raises(SpecError, match="mystery"):
             oracle_from_dict({"type": "mystery"})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coopsgd import mixing as mx
-from coopsgd.timeline import DelayModel, TimelineError, delay_from_dict, simulate_timeline, sync_cost
+from coopsgd.cli import SpecError, delay_from_dict
+from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline, sync_cost
 
 
 def constant_delay(**overrides) -> DelayModel:
@@ -119,7 +120,7 @@ class TestSerialization:
         assert delay_from_dict(d.to_dict()) == d
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(TimelineError):
+        with pytest.raises(SpecError, match="warp"):
             delay_from_dict({"compute": 1.0, "warp": 9})
 
     def test_negative_rejected(self):
