@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,8 +35,6 @@ from coopsgd.engine import (
     RunTrace,
     average_traces,
     run_many,
-    write_text_atomic,
-    write_trace_csv,
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
 from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
@@ -46,6 +46,7 @@ EXIT_INVALID = 2
 EXIT_ALL_DIVERGED = 3
 
 TAIL_FRACTION = 0.2
+TRACE_CSV_COLUMNS = ["k", "loss", "grad_norm_sq", "network_error", "wall_clock_s"]
 
 
 class SpecError(ValueError):
@@ -188,8 +189,17 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
                    {"v", "rule", "init"})
     init = algo.get("init", 1.0)
     x0 = _numbers(init, "'init'", 1) if isinstance(init, list) else _number(init, "'init'")
-    if not isinstance(spec["output_dir"], str) or not spec["output_dir"]:
+    output_dir = spec["output_dir"]
+    if not isinstance(output_dir, str) or not output_dir:
         raise SpecError("'output_dir' must be a non-empty string")
+    try:
+        mode = os.stat(output_dir).st_mode
+    except FileNotFoundError:  # `run` creates it under the existing directories
+        mode = stat.S_IFDIR
+    except (OSError, ValueError) as exc:  # a file on the way (ENOTDIR), a NUL, a bad name
+        raise SpecError(f"'output_dir' cannot be created: {exc}") from exc
+    if not stat.S_ISDIR(mode):
+        raise SpecError(f"'output_dir' is not a directory: {output_dir!r}")
 
     try:
         oracle = oracle_from_dict(spec["problem"])
@@ -217,7 +227,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         algorithm=canonical_algo,
         delay=delay_model.to_dict(),
         seeds=seeds,
-        output_dir=spec["output_dir"],
+        output_dir=output_dir,
         oracle=oracle,
         config=config,
         delay_model=delay_model,
@@ -225,8 +235,31 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     )
 
 
+def _write_text_atomic(path, text: str) -> None:
+    """Write `text` under a temporary name, then rename it over `path`, so
+    readers never see a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_trace_csv(trace: RunTrace, wall_clock: np.ndarray, path) -> None:
+    """Write a trace and its wall-clock column under the stable plot-ready header.
+
+    Floats are rendered with shortest round-trip repr, so identical runs
+    produce byte-identical files.
+    """
+    loss, grad_sq, net_err = trace.metrics[:3].tolist()
+    clock = wall_clock.tolist()
+    lines = [",".join(TRACE_CSV_COLUMNS)]
+    lines.extend(f"{k},{loss[k]!r},{grad_sq[k]!r},{net_err[k]!r},{clock[k]!r}"
+                 for k in range(trace.rows))
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _tail_mean(trace: RunTrace, values: np.ndarray) -> float:
@@ -268,20 +301,23 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     timeline0 = None
+    completed_clocks = []
     for seed, trace in zip(spec.seeds, traces):
         timeline = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
                                      spec.delay_model, seed=seed, v=spec.config.v)
         if timeline0 is None:
             timeline0 = timeline
-        trace.wall_clock = timeline.cumulative[:trace.rows]
-        write_trace_csv(trace, out / f"trace_seed{seed}.csv")
+        if not trace.diverged:
+            completed_clocks.append(timeline.cumulative)
+        write_trace_csv(trace, timeline.cumulative[:trace.rows], out / f"trace_seed{seed}.csv")
 
     completed = [t for t in traces if not t.diverged]
     completed_seeds = [s for s, t in zip(spec.seeds, traces) if not t.diverged]
     written = {out / f"trace_seed{seed}.csv" for seed in spec.seeds}
     if completed:
         written.add(out / "trace_mean.csv")
-        write_trace_csv(average_traces(completed), out / "trace_mean.csv")
+        write_trace_csv(average_traces(completed), np.mean(completed_clocks, axis=0),
+                        out / "trace_mean.csv")
     for stale in {*out.glob("trace_seed*.csv"), *out.glob("trace_mean.csv")} - written:
         stale.unlink()
 
@@ -443,4 +479,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run the importable `coopsgd.cli`, which `presets` also imports, so that
+    # `python -m coopsgd.cli` has one `SpecError` class, not two.
+    from coopsgd.cli import main as imported_main
+
+    sys.exit(imported_main())

@@ -14,20 +14,17 @@ with explicit zero columns at auxiliary positions.
 Because every mixing matrix has unit row sums, the all-column average
 follows plain SGD with the effective learning rate m*eta/(m+v) under both
 rules; `run_many` tracks the worst per-step defect of that recursion as a
-self-check. `run_many` is the only implementation of the update rule.
+self-check. `run_many` is the only implementation of the update rule. The
+engine does no file I/O; `coopsgd.cli` writes the traces.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from coopsgd.mixing import MixingMatrix
-
-TRACE_CSV_COLUMNS = ["k", "loss", "grad_norm_sq", "network_error", "wall_clock_s"]
 
 
 class ConfigError(ValueError):
@@ -96,28 +93,38 @@ class AlgorithmConfig:
 class RunTrace:
     """Per-iteration record of a single run.
 
-    Row r holds the state after r updates, for r = 0..K; row 0 is the common
-    initialization. The convergence metric of interest averages
-    `grad_norm_sq` over the K states at which gradients were evaluated
-    (rows 0..K-1). Divergent runs are truncated at the last finite state.
-
-    `wall_clock` is zero-filled here and merged in by the timeline module.
+    `metrics` has one row per metric below and one column per recorded
+    state: column r holds the state after r updates, for r = 0..K, and
+    column 0 is the common initialization. The convergence metric of
+    interest averages `grad_norm_sq` over the K states at which gradients
+    were evaluated (columns 0..K-1). Divergent runs are truncated at the last
+    finite state, so a run diverged exactly when `rows`, the number of
+    recorded states, is below K+1.
     """
 
-    k: np.ndarray
-    loss: np.ndarray
-    grad_norm_sq: np.ndarray
-    network_error: np.ndarray
-    worker_loss_mean: np.ndarray
-    worker_grad_norm_sq_mean: np.ndarray
-    wall_clock: np.ndarray
+    metrics: np.ndarray
     steps_requested: int
-    diverged: bool
     recursion_defect_max: float
 
     @property
     def rows(self) -> int:
-        return len(self.k)
+        return self.metrics.shape[1]
+
+    @property
+    def k(self) -> np.ndarray:
+        return np.arange(self.rows)
+
+    @property
+    def diverged(self) -> bool:
+        return self.rows < self.steps_requested + 1
+
+    loss = property(lambda self: self.metrics[0], doc="F at the column mean")
+    grad_norm_sq = property(lambda self: self.metrics[1], doc="||grad F||^2 at the column mean")
+    network_error = property(lambda self: self.metrics[2],
+                             doc="squared Frobenius distance of the columns from their mean")
+    worker_loss_mean = property(lambda self: self.metrics[3], doc="F averaged over the workers")
+    worker_grad_norm_sq_mean = property(lambda self: self.metrics[4],
+                                        doc="||grad F||^2 averaged over the workers")
 
     @property
     def mean_grad_norm_sq(self) -> float:
@@ -180,14 +187,15 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     worker_avg = np.full(m, 1.0 / m)
     col_avg = np.full(n, 1.0 / n)
 
-    loss = np.empty((n_seeds, K + 1))
-    grad_sq = np.empty((n_seeds, K + 1))
-    net_err = np.empty((n_seeds, K + 1))
-    w_loss = np.empty((n_seeds, K + 1))
-    w_grad_sq = np.empty((n_seeds, K + 1))
+    metrics = np.empty((5, n_seeds, K + 1))
+    loss, grad_sq, net_err, w_loss, w_grad_sq = metrics
 
     def record(row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fill metric row; returns (column means, per-seed finite flags)."""
+        """Fill metric column `row`; returns (column means, per-seed finite flags).
+
+        A non-finite entry of X makes X - xbar non-finite in its coordinate,
+        so the network error flags a non-finite state without a scan of X.
+        """
         xbar = X @ col_avg
         cols = np.concatenate([X, xbar[:, :, None]], axis=2)
         vals, grads = oracle.batch_objective_and_grads(cols)
@@ -199,10 +207,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         w_grad_sq[:, row] = np.einsum("sij,sij->s", gw, gw) / m
         diff = X - xbar[:, :, None]
         net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
-        row_ok = (np.isfinite(loss[:, row]) & np.isfinite(grad_sq[:, row])
-                  & np.isfinite(net_err[:, row]) & np.isfinite(w_loss[:, row])
-                  & np.isfinite(w_grad_sq[:, row]))
-        return xbar, row_ok
+        return xbar, np.isfinite(metrics[:, :, row]).all(axis=0)
 
     # overflow/invalid simply mark divergence, so numpy warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,9 +228,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
             else:
                 mixed = np.matmul(X, W) if sync else X
                 X = mixed - eta * G
-            state_ok = np.isfinite(X).reshape(n_seeds, -1).all(axis=1)
-            xbar, row_ok = record(k)
-            ok = state_ok & row_ok
+            xbar, ok = record(k)
             newly_dead = alive & ~ok
             if newly_dead.any():
                 first_bad[newly_dead] = k
@@ -238,22 +241,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
             defect_max = np.where(alive, np.maximum(defect_max, step_defect), defect_max)
             xbar_prev = xbar
 
-    traces = []
-    for s in range(n_seeds):
-        rows = int(min(first_bad[s], K + 1))
-        traces.append(RunTrace(
-            k=np.arange(rows),
-            loss=loss[s, :rows].copy(),
-            grad_norm_sq=grad_sq[s, :rows].copy(),
-            network_error=net_err[s, :rows].copy(),
-            worker_loss_mean=w_loss[s, :rows].copy(),
-            worker_grad_norm_sq_mean=w_grad_sq[s, :rows].copy(),
-            wall_clock=np.zeros(rows),
-            steps_requested=K,
-            diverged=rows < K + 1,
-            recursion_defect_max=float(defect_max[s]),
-        ))
-    return traces
+    return [RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
+                     recursion_defect_max=float(defect_max[s])) for s in range(n_seeds)]
 
 
 def average_traces(traces: list[RunTrace]) -> RunTrace:
@@ -263,54 +252,6 @@ def average_traces(traces: list[RunTrace]) -> RunTrace:
     rows = traces[0].rows
     if any(t.rows != rows for t in traces) or any(t.diverged for t in traces):
         raise EngineError("can only average complete traces of equal length")
-    return RunTrace(
-        k=traces[0].k.copy(),
-        loss=np.mean([t.loss for t in traces], axis=0),
-        grad_norm_sq=np.mean([t.grad_norm_sq for t in traces], axis=0),
-        network_error=np.mean([t.network_error for t in traces], axis=0),
-        worker_loss_mean=np.mean([t.worker_loss_mean for t in traces], axis=0),
-        worker_grad_norm_sq_mean=np.mean([t.worker_grad_norm_sq_mean for t in traces], axis=0),
-        wall_clock=np.mean([t.wall_clock for t in traces], axis=0),
-        steps_requested=traces[0].steps_requested,
-        diverged=False,
-        recursion_defect_max=max(t.recursion_defect_max for t in traces),
-    )
-
-
-def write_trace_csv(trace: RunTrace, path) -> None:
-    """Write the per-iteration trace with the stable plot-ready header.
-
-    Floats are rendered with shortest round-trip repr, so identical runs
-    produce byte-identical files.
-    """
-    ks = trace.k.tolist()
-    cols = [trace.loss.tolist(), trace.grad_norm_sq.tolist(),
-            trace.network_error.tolist(), trace.wall_clock.tolist()]
-    lines = [",".join(TRACE_CSV_COLUMNS)]
-    lines.extend(
-        f"{ks[i]},{cols[0][i]!r},{cols[1][i]!r},{cols[2][i]!r},{cols[3][i]!r}"
-        for i in range(trace.rows)
-    )
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write `text` under a temporary name, then rename it over `path`, so
-    readers never see a partial file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read back a trace CSV into column arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_CSV_COLUMNS:
-            raise EngineError(f"unexpected trace header: {header}")
-        rows = [[float(x) for x in row] for row in reader]
-    data = np.asarray(rows) if rows else np.empty((0, len(TRACE_CSV_COLUMNS)))
-    return {name: data[:, i] for i, name in enumerate(TRACE_CSV_COLUMNS)}
-
+    return RunTrace(metrics=np.mean([t.metrics for t in traces], axis=0),
+                    steps_requested=traces[0].steps_requested,
+                    recursion_defect_max=max(t.recursion_defect_max for t in traces))

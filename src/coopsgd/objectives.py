@@ -26,6 +26,10 @@ from functools import cached_property
 import numpy as np
 
 
+# Bytes of pre-drawn quadratic noise a sampler holds at once.
+NOISE_BUFFER_BYTES = 4 * 2**20
+
+
 class OracleError(ValueError):
     """Raised for malformed oracle inputs."""
 
@@ -117,13 +121,15 @@ class QuadraticProblem(GradientOracle):
         vals = 0.5 * np.einsum("sij,sij->sj", X, ax) - np.einsum("i,sij->sj", self.b, X)
         return vals, ax - self.b[:, None]
 
-    def batch_gradient_sampler(self, rng_table, horizon, chunk_size: int = 256):
+    def batch_gradient_sampler(self, rng_table, horizon):
         """Vectorized sampler; noise is pre-drawn in blocks of steps.
 
-        Per stream and step the draws are the multiplicative factor's standard
-        normal (beta > 0) followed by the d additive normals (sigma_sq > 0),
-        so block draws consume each (seed, worker) stream in the same order,
-        and produce the same values, as one draw per call would.
+        A block holds as many steps as fit in NOISE_BUFFER_BYTES, and at
+        least one. Per stream and step the draws are the multiplicative
+        factor's standard normal (beta > 0) followed by the d additive normals
+        (sigma_sq > 0), so block draws consume each (seed, worker) stream in
+        the same order, and produce the same values, as one draw per call
+        would.
         """
         width = self.d if self.sigma_sq > 0.0 else 0
         scale = self._noise_scale  # a scalar scale keeps numpy's fast path
@@ -131,11 +137,14 @@ class QuadraticProblem(GradientOracle):
         if self.beta > 0.0:
             scale = np.concatenate([[1.0], np.full(width, scale)])
             width += 1
+        n_seeds, m = len(rng_table), len(rng_table[0])
         state = {"buf": None, "pos": 0, "left": horizon}
 
         def refill():
-            count = min(chunk_size, max(state["left"], 1))
-            buf = np.empty((count, len(rng_table), width, len(rng_table[0])))
+            block = max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m))
+            count = min(block, max(state["left"], 1))
+            state["buf"] = None  # let the spent block go before the next is allocated
+            buf = np.empty((count, n_seeds, width, m))
             for s, row in enumerate(rng_table):
                 for i, rng in enumerate(row):
                     buf[:, s, :, i] = rng.normal(0.0, scale, size=(count, width))

@@ -4,22 +4,27 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import coopsgd
 from coopsgd.cli import (
     EXIT_ALL_DIVERGED,
     EXIT_INVALID,
     EXIT_OK,
+    TRACE_CSV_COLUMNS,
     SpecError,
     main,
     parse_experiment_spec,
     run_experiment,
 )
-from coopsgd.engine import TRACE_CSV_COLUMNS
 from coopsgd.mixing import make_easgd
 
 
@@ -313,20 +318,60 @@ class TestMainEntry:
         ["bounds", "--tau", "0"],
         ["bounds", "--m", "0", "--best-easgd-alpha"],
         ["run", "{nonfinite}"],
+        ["run", "{out_is_file}"],
+        ["validate", "{out_is_file}"],
+        ["run", "{out_in_file}"],
+        ["validate", "{out_in_file}"],
+        ["run", "{out_has_nul}"],
+        ["validate", "{out_has_nul}"],
+        ["run", "{out_too_long}"],
+        ["run", "{out_unencodable}"],
+        ["preset", "hybrid-compare", "--out", "{a_file}"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(quadratic_spec(tmp_path, seeds=[-1])))
-        nonfinite = tmp_path / "nonfinite.json"
-        payload = quadratic_spec(tmp_path)
-        payload["algorithm"]["init"] = 1e200  # the objective overflows at the initial point
-        nonfinite.write_text(json.dumps(payload))
-        argv = [a.format(out=tmp_path / "out", spec=spec, nonfinite=nonfinite) for a in argv]
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        specs = {
+            "spec": quadratic_spec(tmp_path, seeds=[-1]),
+            "nonfinite": quadratic_spec(tmp_path),
+            "out_is_file": quadratic_spec(tmp_path, output_dir=str(a_file)),
+            "out_in_file": quadratic_spec(tmp_path, output_dir=str(a_file / "exp")),
+            "out_has_nul": quadratic_spec(tmp_path, output_dir=str(tmp_path / "exp\0")),
+            "out_too_long": quadratic_spec(tmp_path, output_dir=str(tmp_path / ("x" * 300))),
+            "out_unencodable": quadratic_spec(tmp_path, output_dir=str(tmp_path / "exp\ud800")),
+        }
+        specs["nonfinite"]["algorithm"]["init"] = 1e200  # the objective overflows at x0
+        paths = {"out": tmp_path / "out", "a_file": a_file}
+        for name, payload in specs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        argv = [a.format(**paths) for a in argv]
         assert main(argv) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "exp").exists()  # a rejected spec leaves no output directory
+        assert a_file.read_text() == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bounds", "--tau", "3"], EXIT_OK),
+        (["preset", "hybrid-compare", "--out", "{a_file}"], EXIT_INVALID),
+    ])
+    def test_module_entry_point(self, tmp_path, argv, code):
+        # `python -m coopsgd.cli` warns if importing the package loaded `cli`
+        # first, and `presets` must raise the `SpecError` that `main` catches
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        src = str(Path(coopsgd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-W", "error", "-m", "coopsgd.cli",
+                                 *(a.format(a_file=a_file) for a in argv)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == code
+        if code == EXIT_OK:
+            assert result.stderr == ""
+        else:
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("path, value", MALFORMED, ids=[
         "/".join(map(str, path)) + f"={value!r}" for path, value in MALFORMED])
@@ -340,16 +385,7 @@ class TestMainEntry:
 
 
 class TestPresetReproducibility:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        from coopsgd.presets import run_preset
-
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_preset("hybrid-compare", str(a), seeds=[3, 4])
-        run_preset("hybrid-compare", str(b), seeds=[3, 4])
-        csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
-        assert csvs
-        for rel in csvs:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    """Byte-identical preset reruns are acceptance criterion 12."""
 
     def test_logistic_spec_end_to_end(self, tmp_path):
         spec = {

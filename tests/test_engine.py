@@ -1,13 +1,17 @@
-"""Engine semantics: configuration checks, run traces, CSV output.
+"""Engine semantics: configuration checks, run traces, and the trace CSV
+that `cli` writes from them.
 
 The special-case equivalence of `run_many` with the classical update rules
 is acceptance criterion 01 (tests/test_acceptance.py)."""
+
+import csv
 
 import numpy as np
 import pytest
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
+from coopsgd.cli import TRACE_CSV_COLUMNS, write_trace_csv
 from coopsgd.objectives import make_diag_quadratic
 
 
@@ -98,6 +102,41 @@ class TestRun:
         assert all(t.diverged for t in traces)
         assert len({t.rows for t in traces}) > 1
 
+    def test_nonfinite_state_stops_only_its_seed(self):
+        # one infinite gradient coordinate of seed 1 at step 5 makes its state
+        # non-finite: that state's row is not emitted, and the other seeds run on
+        q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
+                                  eta=0.05, steps=20)
+
+        class PoisonedOracle:
+            def __init__(self, oracle):
+                self._oracle = oracle
+
+            def batch_gradient_sampler(self, rng_table, horizon):
+                sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
+                calls = iter(range(1, horizon + 1))
+
+                def poisoned(Xw):
+                    G = sample(Xw)
+                    if next(calls) == 5:
+                        G[1, 2, 0] = np.inf
+                    return G
+
+                return poisoned
+
+            def __getattr__(self, name):
+                return getattr(self._oracle, name)
+
+        clean = eng.run_many(cfg, q, [7, 8, 9], x0=1.0)
+        traces = eng.run_many(cfg, PoisonedOracle(q), [7, 8, 9], x0=1.0)
+        assert traces[1].diverged and traces[1].rows == 5
+        assert np.isfinite(traces[1].metrics).all()
+        assert np.array_equal(traces[1].metrics, clean[1].metrics[:, :5])
+        for s in (0, 2):
+            assert not traces[s].diverged and traces[s].rows == 21
+            assert np.array_equal(traces[s].metrics, clean[s].metrics)
+
     def test_summary_metric_counts_gradient_states(self):
         q = make_diag_quadratic(4, 0.5, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(3), v=0,
@@ -113,19 +152,23 @@ class TestTraceCsv:
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
                                   eta=0.05, steps=20)
         trace = eng.run_many(cfg, q, [3], x0=1.0)[0]
+        clock = np.linspace(0.0, 3.0, trace.rows)
         path = tmp_path / "trace.csv"
-        eng.write_trace_csv(trace, path)
-        data = eng.read_trace_csv(path)
-        assert np.array_equal(data["k"], trace.k)
-        assert np.array_equal(data["loss"], trace.loss)
-        assert np.array_equal(data["network_error"], trace.network_error)
+        write_trace_csv(trace, clock, path)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == TRACE_CSV_COLUMNS
+        data = np.array(rows, dtype=float).T
+        for column, expected in zip(data, [trace.k, trace.loss, trace.grad_norm_sq,
+                                           trace.network_error, clock]):
+            assert np.array_equal(column, expected)
 
     def test_header_exact(self, tmp_path):
         q = make_diag_quadratic(2, 1.0, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(2), v=0,
                                   eta=0.1, steps=2)
         path = tmp_path / "t.csv"
-        eng.write_trace_csv(eng.run_many(cfg, q, [0])[0], path)
+        write_trace_csv(eng.run_many(cfg, q, [0])[0], np.zeros(3), path)
         first = path.read_text().splitlines()[0]
         assert first == "k,loss,grad_norm_sq,network_error,wall_clock_s"
 

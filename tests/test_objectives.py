@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coopsgd import objectives
 from coopsgd.cli import SpecError, oracle_from_dict
 from coopsgd.objectives import (
     LogisticProblem,
@@ -96,11 +97,13 @@ class TestQuadratic:
             QuadraticProblem(np.diag([1.0, -0.5]), np.zeros(2))
 
     @pytest.mark.parametrize("beta,sigma_sq", [(0.0, 0.0), (0.0, 0.5), (0.3, 0.0), (0.3, 0.5)])
-    def test_batched_pair_matches_per_column_views(self, beta, sigma_sq):
+    def test_batched_pair_matches_per_column_views(self, monkeypatch, beta, sigma_sq):
         # (3 seeds, d, 4 workers) stacks, so seed/worker axis or stream-order
         # mix-ups show; noise follows the per-call transcription bit for bit,
-        # across the sampler's 256-step block boundary
+        # across many of the sampler's block boundaries (the budget holds 20
+        # steps of one normal per stream, so 2 or 3 steps of d or d+1)
         d, m, steps = 6, 4, 300
+        monkeypatch.setattr(objectives, "NOISE_BUFFER_BYTES", 8 * 3 * m * 20)
         q = make_diag_quadratic(d, sigma_sq=sigma_sq, beta=beta)
         sample = q.batch_gradient_sampler(worker_rng_table([3, 4, 5], m), steps)
         ref_rngs = worker_rng_table([3, 4, 5], m)
