@@ -194,8 +194,12 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise SpecError("'output_dir' must be a non-empty string")
     try:
         mode = os.stat(output_dir).st_mode
-    except FileNotFoundError:  # `run` creates it under the existing directories
+    except FileNotFoundError:  # `run` creates it under the nearest existing component
         mode = stat.S_IFDIR
+        path = Path(output_dir)
+        nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not os.path.exists(nearest):
+            raise SpecError(f"'output_dir' passes through a dangling symlink: {str(nearest)!r}")
     except (OSError, ValueError) as exc:  # a file on the way (ENOTDIR), a NUL, a bad name
         raise SpecError(f"'output_dir' cannot be created: {exc}") from exc
     if not stat.S_ISDIR(mode):

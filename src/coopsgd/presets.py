@@ -22,7 +22,10 @@ Presets:
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -211,19 +214,55 @@ _SUMMARIZERS = {
 }
 
 
+def _run_cell(spec) -> float:
+    """Run one parsed cell in a pool process and return its seconds.
+
+    `run_experiment` is looked up on `coopsgd.cli` in the pool process, so a
+    wrapper installed on that name in the parent is neither called nor pickled.
+    """
+    from coopsgd import cli
+
+    start = perf_counter()
+    cli.run_experiment(spec)
+    return perf_counter() - start
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
-    """Run every configuration of a preset and write its combined summary."""
-    from coopsgd.cli import _atomic_write_json, parse_experiment_spec, run_experiment
+    """Run every configuration of a preset and write its combined summary.
+
+    Every cell is parsed before any runs, so an invalid one raises `SpecError`
+    and leaves nothing behind. The cells then run in up to one spawned process
+    per CPU, and one line per finished cell goes to stderr.
+    """
+    # imported here, so that importing `presets` costs no memory for the pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    from coopsgd.cli import _atomic_write_json, parse_experiment_spec
 
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     seeds = list(seeds) if seeds else list(DEFAULT_SEEDS)
-    results: dict[str, dict] = {}
-    for cfg_name, payload in PRESETS[name](out_dir, seeds):
-        spec = parse_experiment_spec(payload)
-        run_experiment(spec)
-        with open(Path(spec.output_dir) / "summary.json") as fh:
-            results[cfg_name] = json.load(fh)
+    cells = {cfg_name: parse_experiment_spec(payload)
+             for cfg_name, payload in PRESETS[name](out_dir, seeds)}
+    results: dict[str, dict] = dict.fromkeys(cells)
+    # spawn, never fork: forking after the BLAS threads have started is unsafe
+    with ProcessPoolExecutor(min(len(cells), _cpu_count()),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {pool.submit(_run_cell, spec): cfg_name for cfg_name, spec in cells.items()}
+        for future in as_completed(futures):
+            cfg_name = futures[future]
+            seconds = future.result()
+            with open(Path(cells[cfg_name].output_dir) / "summary.json") as fh:
+                results[cfg_name] = json.load(fh)
+            print(f"{name}/{cfg_name}: {seconds:.2f} s, diverged seeds "
+                  f"{results[cfg_name]['diverged_seeds']}", file=sys.stderr, flush=True)
     summary = {"preset": name, "seeds": seeds, "configs": sorted(results)}
     summary.update(_SUMMARIZERS[name](results))
     _atomic_write_json(Path(out_dir) / "preset_summary.json", summary)

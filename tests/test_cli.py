@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coopsgd
+from coopsgd import presets
 from coopsgd.cli import (
     EXIT_ALL_DIVERGED,
     EXIT_INVALID,
@@ -327,10 +328,17 @@ class TestMainEntry:
         ["run", "{out_too_long}"],
         ["run", "{out_unencodable}"],
         ["preset", "hybrid-compare", "--out", "{a_file}"],
+        ["run", "{out_dangling}"],
+        ["validate", "{out_dangling}"],
+        ["run", "{out_under_dangling}"],
+        ["validate", "{out_under_dangling}"],
+        ["preset", "hybrid-compare", "--out", "{dangling}"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         a_file = tmp_path / "a_file"
         a_file.write_text("")
+        dangling = tmp_path / "dangling"
+        dangling.symlink_to(tmp_path / "missing")
         specs = {
             "spec": quadratic_spec(tmp_path, seeds=[-1]),
             "nonfinite": quadratic_spec(tmp_path),
@@ -339,9 +347,11 @@ class TestMainEntry:
             "out_has_nul": quadratic_spec(tmp_path, output_dir=str(tmp_path / "exp\0")),
             "out_too_long": quadratic_spec(tmp_path, output_dir=str(tmp_path / ("x" * 300))),
             "out_unencodable": quadratic_spec(tmp_path, output_dir=str(tmp_path / "exp\ud800")),
+            "out_dangling": quadratic_spec(tmp_path, output_dir=str(dangling)),
+            "out_under_dangling": quadratic_spec(tmp_path, output_dir=str(dangling / "sub")),
         }
         specs["nonfinite"]["algorithm"]["init"] = 1e200  # the objective overflows at x0
-        paths = {"out": tmp_path / "out", "a_file": a_file}
+        paths = {"out": tmp_path / "out", "a_file": a_file, "dangling": dangling}
         for name, payload in specs.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(payload))
@@ -351,24 +361,44 @@ class TestMainEntry:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "exp").exists()  # a rejected spec leaves no output directory
+        assert not (tmp_path / "missing").exists()
         assert a_file.read_text() == ""
+
+    def test_output_dir_under_symlink_to_directory(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        path = tmp_path / "spec.json"
+        spec = quadratic_spec(tmp_path, output_dir=str(tmp_path / "link" / "exp"))
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path)]) == EXIT_OK
+        assert (tmp_path / "real" / "exp" / "summary.json").is_file()
 
     @pytest.mark.parametrize("argv, code", [
         (["bounds", "--tau", "3"], EXIT_OK),
         (["preset", "hybrid-compare", "--out", "{a_file}"], EXIT_INVALID),
+        (["preset", "hybrid-compare", "--seeds", "3", "--out", "{out}"], EXIT_OK),
     ])
     def test_module_entry_point(self, tmp_path, argv, code):
         # `python -m coopsgd.cli` warns if importing the package loaded `cli`
-        # first, and `presets` must raise the `SpecError` that `main` catches
+        # first, and `presets` must raise the `SpecError` that `main` catches;
+        # the preset's spawned processes import the main module as `__mp_main__`
         a_file = tmp_path / "a_file"
         a_file.write_text("")
+        out = tmp_path / "out"
         src = str(Path(coopsgd.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         result = subprocess.run([sys.executable, "-W", "error", "-m", "coopsgd.cli",
-                                 *(a.format(a_file=a_file) for a in argv)],
+                                 *(a.format(a_file=a_file, out=out) for a in argv)],
                                 capture_output=True, text=True, env=env)
         assert result.returncode == code
-        if code == EXIT_OK:
+        if argv[0] == "preset" and code == EXIT_OK:  # one progress line per cell, nothing else
+            lines = result.stderr.splitlines()
+            assert sorted(line.split(":")[0] for line in lines) == [
+                "hybrid-compare/dpsgd", "hybrid-compare/hybrid", "hybrid-compare/pasgd50"]
+            assert all(line.endswith(" s, diverged seeds []") for line in lines)
+            assert len(list(out.rglob("*.csv"))) == 6  # 3 cells x (1 seed + 1 mean)
+        elif code == EXIT_OK:
             assert result.stderr == ""
         else:
             assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
@@ -401,3 +431,34 @@ class TestPresetReproducibility:
         assert run_experiment(parsed) == EXIT_OK
         summary = json.loads((tmp_path / "logit" / "summary.json").read_text())
         assert summary["recursion_defect_max"] <= 1e-13
+
+
+class TestRunPreset:
+    """`run_preset` parses every cell, then runs the cells in spawned processes."""
+
+    def test_pool_matches_cells_run_one_by_one(self, tmp_path):
+        pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+        presets.run_preset("hybrid-compare", str(pooled), seeds=[3, 4])
+        for _, payload in presets.hybrid_compare_specs(str(serial), [3, 4]):
+            assert run_experiment(parse_experiment_spec(payload)) == EXIT_OK
+        csvs = sorted(p.relative_to(serial) for p in serial.rglob("*.csv"))
+        assert len(csvs) == 9
+        for rel in csvs:
+            assert (pooled / rel).read_bytes() == (serial / rel).read_bytes()
+        for cell in ("dpsgd", "pasgd50", "hybrid"):
+            summaries = [json.loads((root / cell / "summary.json").read_text())
+                         for root in (pooled, serial)]
+            for summary in summaries:
+                del summary["config_echo"]["output_dir"]
+            assert summaries[0] == summaries[1]
+
+    def test_invalid_last_cell_runs_no_cell(self, tmp_path, monkeypatch):
+        def specs_with_bad_last_cell(out_dir, seeds):
+            specs = presets.hybrid_compare_specs(out_dir, seeds)
+            specs[-1][1]["algorithm"]["eta"] = -1.0
+            return specs
+
+        monkeypatch.setitem(presets.PRESETS, "hybrid-compare", specs_with_bad_last_cell)
+        with pytest.raises(SpecError, match="eta must be positive"):
+            presets.run_preset("hybrid-compare", str(tmp_path / "out"), seeds=[3])
+        assert not (tmp_path / "out").exists()
