@@ -424,7 +424,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 beta=args.beta,
             )
             output["bound_report"] = theorem1_bound(inputs).to_dict()
-    except (MixingError, TheoryError) as exc:
+    except (MixingError, TheoryError, OverflowError) as exc:  # overflow: ints beyond float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if not output:

@@ -111,10 +111,6 @@ class RunTrace:
         return self.metrics.shape[1]
 
     @property
-    def k(self) -> np.ndarray:
-        return np.arange(self.rows)
-
-    @property
     def diverged(self) -> bool:
         return self.rows < self.steps_requested + 1
 

@@ -23,7 +23,6 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
-ZETA_VALID_MARGIN = 1e-12
 MAX_NODES = 256
 
 
@@ -44,16 +43,12 @@ class MixingMatrix:
 
     `zeta` is always the numerically computed second largest absolute
     eigenvalue; values >= 1 are kept as-is and simply mark the matrix as
-    unusable for consensus (see `is_valid`).
+    unusable for consensus.
     """
 
     entries: np.ndarray
     n: int
     zeta: float
-
-    @property
-    def is_valid(self) -> bool:
-        return self.zeta < 1.0 - ZETA_VALID_MARGIN
 
     def to_dict(self) -> dict:
         """The {"n", "entries", "zeta"} form that `cli.mixing_from_dict` reads."""
@@ -65,8 +60,7 @@ def as_mixing(entries) -> MixingMatrix:
     """Wrap a raw square array, enforcing symmetry and unit row sums.
 
     Defects beyond 1e-12 are construction errors, each named in the
-    `MixingError`; the zeta < 1 condition is deliberately not enforced here
-    (see `MixingMatrix.is_valid`).
+    `MixingError`; the zeta < 1 condition is deliberately not enforced here.
     """
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -90,19 +84,6 @@ def as_mixing(entries) -> MixingMatrix:
     return MixingMatrix(entries=arr, n=arr.shape[0], zeta=_second_largest_abs_eigenvalue(arr))
 
 
-def power_deviation_norm(matrix: MixingMatrix, power: int) -> float:
-    """Operator norm of W^j - J, numerically.
-
-    For any matrix satisfying the averaging assumptions this equals zeta^j;
-    the identity is exercised by the test suite rather than assumed here.
-    """
-    if power < 0:
-        raise MixingError("power must be a nonnegative integer")
-    j_proj = np.full((matrix.n, matrix.n), 1.0 / matrix.n)
-    wj = np.linalg.matrix_power(matrix.entries, power)
-    return float(np.linalg.norm(wj - j_proj, 2))
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -115,44 +96,10 @@ def make_fully_connected(n: int) -> MixingMatrix:
 
 
 def make_identity(n: int) -> MixingMatrix:
-    """No-communication matrix (zeta = 1, invalid for averaging)."""
+    """No-communication matrix (zeta = 1 for n >= 2, invalid for averaging)."""
     if n < 1:
         raise MixingError("identity matrix needs n >= 1")
     return as_mixing(np.eye(n))
-
-
-def make_easgd(m: int, alpha: float) -> MixingMatrix:
-    """Elastic-averaging matrix over m workers plus one auxiliary anchor.
-
-    Workers keep weight 1-alpha on themselves and exchange alpha with the
-    anchor, which keeps 1 - m*alpha. Whether the result is usable (zeta < 1)
-    depends on alpha and is reported by `is_valid`, not enforced here.
-    """
-    if m < 1:
-        raise MixingError("elastic averaging needs m >= 1 workers")
-    w = np.zeros((m + 1, m + 1))
-    w[:m, :m] = (1.0 - alpha) * np.eye(m)
-    w[:m, m] = alpha
-    w[m, :m] = alpha
-    w[m, m] = 1.0 - m * alpha
-    return as_mixing(w)
-
-
-def easgd_zeta(m: int, alpha: float) -> float:
-    """Closed form zeta of the elastic matrix: max(|1-a|, |1-(m+1)a|).
-
-    Values >= 1 are returned as-is; the caller decides about validity.
-    """
-    if m < 1:
-        raise MixingError("easgd_zeta needs m >= 1")
-    return max(abs(1.0 - alpha), abs(1.0 - (m + 1) * alpha))
-
-
-def best_easgd_alpha(m: int) -> tuple[float, float]:
-    """Elasticity minimizing zeta: alpha* = 2/(m+2), zeta* = m/(m+2)."""
-    if m < 1:
-        raise MixingError("best_easgd_alpha needs m >= 1")
-    return 2.0 / (m + 2), m / (m + 2.0)
 
 
 def make_generalized_elastic(base: MixingMatrix, alpha: float) -> MixingMatrix:
@@ -160,12 +107,11 @@ def make_generalized_elastic(base: MixingMatrix, alpha: float) -> MixingMatrix:
 
     Block form [[(1-a) W, a 1], [a 1^T, 1 - m a]]. The auxiliary pulls all
     nodes toward a common anchor, which strictly shrinks zeta for the right
-    alpha (see `generalized_elastic_zeta`).
+    alpha (see `generalized_elastic_zeta`). Whether the result is usable
+    (zeta < 1) depends on alpha and is not enforced here.
     """
     if alpha < 0:
         raise MixingError("alpha must be nonnegative")
-    if not base.is_valid:
-        raise MixingError("base matrix must itself satisfy the averaging assumptions")
     m = base.n
     w = np.zeros((m + 1, m + 1))
     w[:m, :m] = (1.0 - alpha) * base.entries
@@ -175,10 +121,28 @@ def make_generalized_elastic(base: MixingMatrix, alpha: float) -> MixingMatrix:
     return as_mixing(w)
 
 
+def make_easgd(m: int, alpha: float) -> MixingMatrix:
+    """Elastic averaging: the bordered matrix over W = I_m.
+
+    Workers keep weight 1-alpha on themselves and exchange alpha with the
+    anchor, which keeps 1 - m*alpha.
+    """
+    return make_generalized_elastic(make_identity(m), alpha)
+
+
+def best_easgd_alpha(m: int) -> tuple[float, float]:
+    """Elasticity minimizing zeta: the bordered optimum at the zeta of I_m.
+
+    I_m has zeta 1 (0 for m = 1, which has no non-leading eigenvalue), so
+    alpha* = 2/(m+2) and zeta* = m/(m+2) for m >= 2, and (1/2, 0) for m = 1.
+    """
+    return best_generalized_elastic_alpha(1.0 if m > 1 else 0.0, m)
+
+
 def generalized_elastic_zeta(zeta: float, m: int, alpha: float) -> float:
     """Closed-form zeta of the bordered matrix: max((1-a) zeta, |1-(m+1)a|)."""
-    if not 0.0 <= zeta < 1.0:
-        raise MixingError("zeta must lie in [0, 1)")
+    if not 0.0 <= zeta <= 1.0:
+        raise MixingError("zeta must lie in [0, 1]")
     if m < 1:
         raise MixingError("generalized_elastic_zeta needs m >= 1")
     if not 0.0 <= alpha <= 1.0:
@@ -188,10 +152,10 @@ def generalized_elastic_zeta(zeta: float, m: int, alpha: float) -> float:
 
 def best_generalized_elastic_alpha(zeta: float, m: int) -> tuple[float, float]:
     """Alpha equalizing both branches: a* = (1+z)/(m+1+z), zeta' = m z/(m+1+z)."""
-    if not 0.0 <= zeta < 1.0:
-        raise MixingError("zeta must lie in [0, 1)")
+    if not 0.0 <= zeta <= 1.0:
+        raise MixingError("zeta must lie in [0, 1]")
     if m < 1:
-        raise MixingError("best_generalized_elastic_alpha needs m >= 1")
+        raise MixingError(f"the elastic optimum needs m >= 1, got {m}")
     alpha = (1.0 + zeta) / (m + 1.0 + zeta)
     return alpha, m * zeta / (m + 1.0 + zeta)
 

@@ -18,11 +18,17 @@ averaged gradient noise, and a network term from inter-worker disagreement:
 
 with C(tau, zeta) = (1 + zeta^2)/(1 - zeta^2) * tau - 1. The error floor is
 the K -> infinity limit, i.e. stat + network.
+
+Periodic averaging (zeta = 0), decentralized SGD (tau = 1), elastic
+averaging (tau = 1, v = 1) and the horizon-tuned step
+eta = (m+v)/(L m) sqrt(m/K) are all this one bound at particular parameter
+points, so they have no formulas of their own here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +55,10 @@ class BoundInputs:
     beta: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TheoryError(f"{field.name} must be finite, got {value}")
         if self.f1_minus_finf < 0:
             raise TheoryError("initial gap F1 - Finf must be nonnegative")
         if self.lipschitz <= 0:
@@ -159,88 +169,6 @@ def theorem1_bound(inputs: BoundInputs) -> BoundReport:
         stat_term=stat,
         network_term=network,
     )
-
-
-@dataclass(frozen=True)
-class FiniteHorizonReport:
-    """Horizon-tuned step size and the resulting two-regime guarantees."""
-
-    eta: float
-    bound: float
-    k_min: int
-    k_min_tight: int
-
-
-def corollary1_bound(f1_minus_finf: float, lipschitz: float, sigma_sq: float,
-                     m: int, v: int, tau: int, zeta: float, steps: int) -> FiniteHorizonReport:
-    """Bound under the horizon-dependent step eta = (m+v)/(L m) * sqrt(m/K).
-
-    Valid once K >= 10 m [(1+v/m) tau/(1-zeta)]^2; from
-    K >= (m+v)^2 m [(1+v/m) tau/(1-zeta)]^2 on, the network part is dominated
-    and the bound becomes 2 [L (F1-Finf) + sigma_sq] / sqrt(m K).
-    """
-    _require_subunit_zeta(zeta)
-    if m < 1 or v < 0 or tau < 1 or steps < 1:
-        raise TheoryError("need m >= 1, v >= 0, tau >= 1, steps >= 1")
-    eta = (m + v) / (lipschitz * m) * np.sqrt(m / steps)
-    aug = 1.0 + v / m
-    bound = ((2.0 * lipschitz * f1_minus_finf + sigma_sq) / np.sqrt(m * steps)
-             + (m / steps) * aug ** 2 * network_coefficient(tau, zeta) * sigma_sq)
-    blowup_sq = (aug * tau / (1.0 - zeta)) ** 2
-    k_min = int(np.ceil(10.0 * m * blowup_sq))
-    k_min_tight = int(np.ceil((m + v) ** 2 * m * blowup_sq))
-    return FiniteHorizonReport(eta=float(eta), bound=float(bound),
-                               k_min=k_min, k_min_tight=k_min_tight)
-
-
-def pasgd_bound(f1_minus_finf: float, lipschitz: float, sigma_sq: float,
-                m: int, tau: int, eta: float, steps: int) -> tuple[bool, float]:
-    """Periodic-averaging specialization (zeta = 0, v = 0).
-
-    Condition eta L + eta^2 L^2 tau (tau - 1) <= 1; bound
-    2 (F1-Finf)/(eta K) + eta L sigma_sq / m + eta^2 L^2 sigma_sq (tau - 1).
-    """
-    if tau < 1 or m < 1 or eta <= 0 or steps < 1:
-        raise TheoryError("need tau >= 1, m >= 1, eta > 0, steps >= 1")
-    lhs = eta * lipschitz + eta ** 2 * lipschitz ** 2 * tau * (tau - 1.0)
-    bound = (2.0 * f1_minus_finf / (eta * steps)
-             + eta * lipschitz * sigma_sq / m
-             + eta ** 2 * lipschitz ** 2 * sigma_sq * (tau - 1.0))
-    return bool(lhs <= 1.0), float(bound)
-
-
-def dpsgd_bound(f1_minus_finf: float, lipschitz: float, sigma_sq: float,
-                m: int, zeta: float, eta: float, steps: int) -> tuple[bool, float]:
-    """Decentralized specialization (tau = 1, v = 0).
-
-    Condition eta L + eta^2 L^2 (2 zeta/(1-zeta)) (zeta/(1+zeta) + 1/(1-zeta)) <= 1;
-    bound 2 (F1-Finf)/(eta K) + eta L sigma_sq/m
-    + eta^2 L^2 sigma_sq 2 zeta^2/(1-zeta^2).
-    """
-    _require_subunit_zeta(zeta)
-    if m < 1 or eta <= 0 or steps < 1:
-        raise TheoryError("need m >= 1, eta > 0, steps >= 1")
-    lhs = (eta * lipschitz + eta ** 2 * lipschitz ** 2
-           * (2.0 * zeta / (1.0 - zeta)) * (zeta / (1.0 + zeta) + 1.0 / (1.0 - zeta)))
-    bound = (2.0 * f1_minus_finf / (eta * steps)
-             + eta * lipschitz * sigma_sq / m
-             + eta ** 2 * lipschitz ** 2 * sigma_sq * 2.0 * zeta ** 2 / (1.0 - zeta ** 2))
-    return bool(lhs <= 1.0), float(bound)
-
-
-def easgd_bound(f1_minus_finf: float, lipschitz: float, sigma_sq: float,
-                m: int, eta_tilde: float, steps: int) -> float:
-    """Elastic averaging at the optimal elasticity (tau=1, v=1, zeta=m/(m+2)).
-
-    At that zeta the network coefficient collapses to (m+1)/2:
-    bound = 2 (F1-Finf)/(eta_tilde K) + eta_tilde L sigma_sq/m
-          + 0.5 eta_tilde^2 L^2 sigma_sq (m+1).
-    """
-    if m < 1 or eta_tilde <= 0 or steps < 1:
-        raise TheoryError("need m >= 1, eta_tilde > 0, steps >= 1")
-    return float(2.0 * f1_minus_finf / (eta_tilde * steps)
-                 + eta_tilde * lipschitz * sigma_sq / m
-                 + 0.5 * eta_tilde ** 2 * lipschitz ** 2 * sigma_sq * (m + 1.0))
 
 
 def max_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v: int,

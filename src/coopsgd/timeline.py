@@ -98,7 +98,6 @@ class TimelineTrace:
     cumulative: np.ndarray
     idle_fraction: np.ndarray
     total_comm_time: float
-    total_compute_time: float
 
     @property
     def total_time(self) -> float:
@@ -137,7 +136,6 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
     per_iteration = np.empty(steps)
     if delay.compute_jitter_mean == 0.0:
         per_iteration[:] = delay.compute_base + cost / tau
-        spans = np.full(rounds, tau * delay.compute_base)
         idle = np.zeros(m)
     else:
         rng = np.random.default_rng(seed)
@@ -149,7 +147,6 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
 
     cumulative = np.concatenate([[0.0], np.cumsum(per_iteration)])
     total_comm = rounds * cost
-    total_compute = float(spans.sum())
     total_time = float(cumulative[-1])
     idle_fraction = idle / total_time if total_time > 0 else np.zeros(m)
     return TimelineTrace(
@@ -157,5 +154,4 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
         cumulative=cumulative,
         idle_fraction=idle_fraction,
         total_comm_time=float(total_comm),
-        total_compute_time=total_compute,
     )

@@ -14,7 +14,9 @@ from coopsgd.objectives import make_diag_quadratic
 from coopsgd.presets import run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
+import reference_bounds as ref_bounds
 import reference_updates as ref
+from reference_mixing import is_valid, power_deviation_norm
 
 SEEDS = list(range(101, 121))  # 20 evaluation seeds
 
@@ -72,7 +74,7 @@ def test_criterion_02_optimal_elasticity_closed_form():
         grid = np.linspace(0.0, 2.0 / (m + 1), 202)[1:-1]
         closed = np.empty(len(grid))
         for i, alpha in enumerate(grid):
-            closed[i] = mx.easgd_zeta(m, float(alpha))
+            closed[i] = mx.generalized_elastic_zeta(1.0, m, float(alpha))  # zeta of I_m
             numeric_a = mx.make_easgd(m, float(alpha)).zeta
             assert abs(closed[i] - numeric_a) < 1e-9
         spacing = grid[1] - grid[0]
@@ -122,9 +124,9 @@ def test_criterion_04_power_deviation_identity():
     mats += [mx.random_doubly_stochastic(int(rng.integers(3, 13)), rng) for _ in range(10)]
     worst = 0.0
     for w in mats:
-        assert w.is_valid
+        assert is_valid(w)
         for j in range(13):
-            err = abs(mx.power_deviation_norm(w, j) - w.zeta ** j)
+            err = abs(power_deviation_norm(w, j) - w.zeta ** j)
             worst = max(worst, err)
             assert err < 1e-8
     report(4, f"{len(mats)} matrices x powers 0..12: worst defect {worst:.1e}")
@@ -224,7 +226,7 @@ def test_criterion_08_elasticity_sweep(easgd_sweep_summary):
 
 
 # -------------------------------------------------------------------------
-# 9. Cross-formula identities between the general and specialized bounds
+# 9. The general bound against the specialised transcriptions
 # -------------------------------------------------------------------------
 
 def test_criterion_09_cross_formula_identities():
@@ -232,6 +234,10 @@ def test_criterion_09_cross_formula_identities():
 
     def close(a, b):
         return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+    def general(f1, lip, sig, m, v, tau, zeta, eta, steps):
+        return th.theorem1_bound(th.BoundInputs(f1, lip, sig, m=m, v=v, tau=tau, zeta=zeta,
+                                                eta=eta, steps=steps)).bound
 
     for _ in range(100):
         f1 = float(rng.uniform(0.1, 5))
@@ -242,25 +248,26 @@ def test_criterion_09_cross_formula_identities():
         zeta = float(rng.uniform(0.0, 0.95))
         eta = float(rng.uniform(0.001, 0.05))
         steps = int(rng.integers(100, 100_000))
-        _, pasgd = th.pasgd_bound(f1, lip, sig, m=m, tau=tau, eta=eta, steps=steps)
-        assert close(pasgd, th.theorem1_bound(th.BoundInputs(
-            f1, lip, sig, m=m, v=0, tau=tau, zeta=0.0, eta=eta, steps=steps)).bound)
-        _, dpsgd = th.dpsgd_bound(f1, lip, sig, m=m, zeta=zeta, eta=eta, steps=steps)
-        assert close(dpsgd, th.theorem1_bound(th.BoundInputs(
-            f1, lip, sig, m=m, v=0, tau=1, zeta=zeta, eta=eta, steps=steps)).bound)
+        _, pasgd = ref_bounds.pasgd_bound(f1, lip, sig, m=m, tau=tau, eta=eta, steps=steps)
+        assert close(pasgd, general(f1, lip, sig, m, 0, tau, 0.0, eta, steps))
+        _, dpsgd = ref_bounds.dpsgd_bound(f1, lip, sig, m=m, zeta=zeta, eta=eta, steps=steps)
+        assert close(dpsgd, general(f1, lip, sig, m, 0, 1, zeta, eta, steps))
         eta_tilde = float(rng.uniform(0.001, 0.05))
-        elastic = th.easgd_bound(f1, lip, sig, m=m, eta_tilde=eta_tilde, steps=steps)
-        assert close(elastic, th.theorem1_bound(th.BoundInputs(
-            f1, lip, sig, m=m, v=1, tau=1, zeta=m / (m + 2.0),
-            eta=eta_tilde * (m + 1) / m, steps=steps)).bound)
+        elastic = ref_bounds.easgd_bound(f1, lip, sig, m=m, eta_tilde=eta_tilde, steps=steps)
+        assert close(elastic, general(f1, lip, sig, m, 1, 1, m / (m + 2.0),
+                                      eta_tilde * (m + 1) / m, steps))
+        v = int(rng.integers(0, 3))
+        horizon = ref_bounds.corollary1_bound(f1, lip, sig, m=m, v=v, tau=tau, zeta=zeta,
+                                              steps=steps)
+        assert close(horizon.bound, general(f1, lip, sig, m, v, tau, zeta, horizon.eta, steps))
 
     for tau in range(1, 201):
         zeta = th.zeta_threshold(tau)
-        _, d_bound = th.dpsgd_bound(0.0, 1.0, 1.0, m=8, zeta=zeta, eta=0.1, steps=1000)
-        _, p_bound = th.pasgd_bound(0.0, 1.0, 1.0, m=8, tau=tau, eta=0.1, steps=1000)
-        assert close(d_bound, p_bound)
-    report(9, "specialized bounds equal the general bound on 100 random inputs; "
-              "threshold zeta equalizes the network terms for tau in 1..200")
+        _, p_bound = ref_bounds.pasgd_bound(0.0, 1.0, 1.0, m=8, tau=tau, eta=0.1, steps=1000)
+        assert close(general(0.0, 1.0, 1.0, 8, 0, 1, zeta, 0.1, 1000), p_bound)
+    report(9, "theorem1_bound equals the periodic, decentralized, elastic and Corollary 1 "
+              "transcriptions on 100 random inputs; at tau=1 with the threshold zeta it "
+              "equals the tau-periodic bound for tau in 1..200")
 
 
 # -------------------------------------------------------------------------

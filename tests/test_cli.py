@@ -66,6 +66,11 @@ def value_paths(node, prefix=()):
         yield from value_paths(child, prefix + (key,))
 
 
+# A complete `bounds` report request; argparse keeps the last value of a
+# repeated option, so appending one replaces it.
+BOUND_ARGS = ["--f1-minus-finf", "1", "--lipschitz", "1", "--sigma-sq", "1", "--m", "4",
+              "--tau", "1", "--zeta", "0", "--eta", "0.01", "--K", "10000"]
+
 # Single-field mutations that crashed with a traceback or passed `validate`.
 MALFORMED = [
     (("algorithm", "eta"), "fast"),
@@ -297,10 +302,13 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["best_easgd_alpha"] == {"alpha": 0.2, "zeta": 0.8}
 
+    def test_bounds_best_alpha_single_worker(self, capsys):
+        assert main(["bounds", "--m", "1", "--best-easgd-alpha"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["best_easgd_alpha"] == {"alpha": 0.5, "zeta": 0.0}
+
     def test_bounds_full_report(self, capsys):
-        rc = main(["bounds", "--f1-minus-finf", "1", "--lipschitz", "1",
-                   "--sigma-sq", "1", "--m", "4", "--tau", "1", "--zeta", "0",
-                   "--eta", "0.01", "--K", "10000"])
+        rc = main(["bounds", *BOUND_ARGS])
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["bound_report"]["network_term"] == 0.0
@@ -333,6 +341,12 @@ class TestMainEntry:
         ["run", "{out_under_dangling}"],
         ["validate", "{out_under_dangling}"],
         ["preset", "hybrid-compare", "--out", "{dangling}"],
+        ["bounds", *BOUND_ARGS, "--eta", "nan"],
+        ["bounds", *BOUND_ARGS, "--lipschitz", "inf"],
+        ["bounds", *BOUND_ARGS, "--f1-minus-finf", "nan"],
+        ["bounds", *BOUND_ARGS, "--beta", "nan"],
+        ["bounds", "--tau", "1" + "0" * 400],
+        ["bounds", "--m", "1" + "0" * 400, "--best-easgd-alpha"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         a_file = tmp_path / "a_file"

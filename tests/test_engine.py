@@ -159,7 +159,7 @@ class TestTraceCsv:
             header, *rows = csv.reader(fh)
         assert header == TRACE_CSV_COLUMNS
         data = np.array(rows, dtype=float).T
-        for column, expected in zip(data, [trace.k, trace.loss, trace.grad_norm_sq,
+        for column, expected in zip(data, [np.arange(trace.rows), trace.loss, trace.grad_norm_sq,
                                            trace.network_error, clock]):
             assert np.array_equal(column, expected)
 

@@ -8,6 +8,8 @@ import pytest
 from coopsgd import mixing as mx
 from coopsgd.cli import SpecError, mixing_from_dict
 
+from reference_mixing import is_valid, power_deviation_norm
+
 
 def circulant_ring_zeta(m: int) -> float:
     """Independent oracle: eigenvalues of the 1/3-weighted ring are
@@ -15,6 +17,11 @@ def circulant_ring_zeta(m: int) -> float:
     ks = np.arange(1, m)
     vals = 1.0 / 3.0 + (2.0 / 3.0) * np.cos(2.0 * np.pi * ks / m)
     return float(np.max(np.abs(vals)))
+
+
+def easgd_zeta(m: int, alpha: float) -> float:
+    """Closed-form zeta of the elastic matrix, as the bordered identity."""
+    return mx.generalized_elastic_zeta(mx.make_identity(m).zeta, m, alpha)
 
 
 class TestFullyConnected:
@@ -52,7 +59,7 @@ class TestElasticMatrix:
         w = mx.make_easgd(8, 0.0)
         assert np.array_equal(w.entries, np.eye(9))
         assert abs(w.zeta - 1.0) < 1e-12
-        assert not w.is_valid
+        assert not is_valid(w)
 
     def test_rows_sum_to_one(self):
         for m, alpha in [(1, 0.3), (5, 0.11), (16, 0.02)]:
@@ -62,20 +69,29 @@ class TestElasticMatrix:
 
 class TestElasticZetaClosedForm:
     def test_empirical_alpha_choice(self):
-        assert mx.easgd_zeta(8, 0.1125) == pytest.approx(0.8875, abs=1e-15)
+        assert easgd_zeta(8, 0.1125) == pytest.approx(0.8875, abs=1e-15)
 
     def test_optimal_alpha(self):
-        assert mx.easgd_zeta(8, 0.2) == pytest.approx(0.8, abs=1e-12)
+        assert easgd_zeta(8, 0.2) == pytest.approx(0.8, abs=1e-12)
 
     def test_nonconvergent_region_returned_as_is(self):
-        assert mx.easgd_zeta(8, 0.23) == pytest.approx(1.07, abs=1e-12)
+        assert easgd_zeta(8, 0.23) == pytest.approx(1.07, abs=1e-12)
 
     def test_matches_eigendecomposition_on_grid(self):
         for m in (2, 5, 8, 33):
             alphas = np.linspace(0.0, 2.0 / (m + 1), 50, endpoint=False)[1:]
             for alpha in alphas:
                 numeric = mx.make_easgd(m, float(alpha)).zeta
-                assert abs(mx.easgd_zeta(m, float(alpha)) - numeric) < 1e-9
+                assert abs(easgd_zeta(m, float(alpha)) - numeric) < 1e-9
+
+    def test_single_worker_matches_eigensolve(self):
+        # I_1 has no non-leading eigenvalue, so the bordered closed form uses
+        # zeta = 0 there: |1 - 2 alpha|, optimal at alpha = 1/2 with zeta 0
+        for alpha in np.linspace(0.0, 1.0, 21):
+            numeric = mx.make_easgd(1, float(alpha)).zeta
+            assert abs(easgd_zeta(1, float(alpha)) - numeric) < 1e-9
+        assert mx.best_easgd_alpha(1) == (0.5, 0.0)
+        assert mx.make_easgd(1, 0.5).zeta == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBestElasticAlpha:
@@ -90,7 +106,7 @@ class TestBestElasticAlpha:
     def test_grid_scan_oracle(self):
         # brute-force scan of the closed form over [0, 0.22] locates the optimum
         grid = np.arange(0.0, 0.22, 1e-4)
-        zetas = [mx.easgd_zeta(8, float(a)) for a in grid]
+        zetas = [easgd_zeta(8, float(a)) for a in grid]
         best = grid[int(np.argmin(zetas))]
         assert abs(best - 0.2) <= 1e-4 + 1e-12
 
@@ -104,7 +120,7 @@ class TestGeneralizedElastic:
     def test_alpha_zero_is_disconnected(self):
         w = mx.make_generalized_elastic(mx.make_ring(5), 0.0)
         assert abs(w.zeta - 1.0) < 1e-12
-        assert not w.is_valid
+        assert not is_valid(w)
 
     def test_scaled_ring7_numeric_cross_check(self):
         # blend ring(7) toward identity until zeta is exactly 0.75, then
@@ -118,9 +134,15 @@ class TestGeneralizedElastic:
         assert bordered.zeta == pytest.approx(0.6, abs=1e-9)
         assert mx.generalized_elastic_zeta(0.75, 7, 0.2) == pytest.approx(0.6, abs=1e-12)
 
-    def test_invalid_base_rejected(self):
-        with pytest.raises(mx.MixingError):
-            mx.make_generalized_elastic(mx.make_identity(4), 0.2)
+    def test_identity_base_is_elastic_averaging(self):
+        # zeta(I_4) = 1 no longer rejects the base: the border gives EASGD
+        w = mx.make_generalized_elastic(mx.make_identity(4), 0.2)
+        expected = np.zeros((5, 5))
+        expected[:4, :4] = 0.8 * np.eye(4)
+        expected[:4, 4] = expected[4, :4] = 0.2
+        expected[4, 4] = 1.0 - 4 * 0.2
+        assert np.array_equal(w.entries, expected)
+        assert w.zeta == pytest.approx(0.8, abs=1e-12)
 
 
 class TestGeneralizedElasticZeta:
@@ -171,15 +193,15 @@ class TestPowerDeviationNorm:
     def test_projector_powers_vanish(self):
         w = mx.make_fully_connected(5)
         for j in (1, 3, 7):
-            assert mx.power_deviation_norm(w, j) < 1e-12
+            assert power_deviation_norm(w, j) < 1e-12
 
     def test_power_zero_is_projector_norm(self):
         for w in (mx.make_ring(6), mx.make_easgd(4, 0.3)):
-            assert mx.power_deviation_norm(w, 0) == pytest.approx(1.0, abs=1e-12)
+            assert power_deviation_norm(w, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_ring4_squared(self):
         w = mx.make_ring(4)
-        assert mx.power_deviation_norm(w, 2) == pytest.approx(1.0 / 9.0, abs=1e-8)
+        assert power_deviation_norm(w, 2) == pytest.approx(1.0 / 9.0, abs=1e-8)
 
     def test_identity_against_zeta_powers(self):
         rng = np.random.default_rng(42)
@@ -187,7 +209,7 @@ class TestPowerDeviationNorm:
                 mx.random_doubly_stochastic(8, rng), mx.make_dense_with_zeta(5, 0.4)]
         for w in mats:
             for j in range(13):
-                assert abs(mx.power_deviation_norm(w, j) - w.zeta ** j) < 1e-8
+                assert abs(power_deviation_norm(w, j) - w.zeta ** j) < 1e-8
 
 
 class TestRing:
@@ -225,7 +247,7 @@ class TestHierarchical:
     def test_two_groups_of_four_regression_zeta(self):
         # frozen from the first numeric eigensolve of this construction
         w = mx.make_hierarchical([4, 4], 0.2, mx.make_fully_connected(2))
-        assert w.is_valid
+        assert is_valid(w)
         assert w.zeta == pytest.approx(0.9656854249492379, abs=1e-10)
 
     def test_unequal_groups_stay_symmetric_stochastic(self):
@@ -241,16 +263,16 @@ class TestHierarchical:
 class TestValidation:
     def test_projector_valid(self):
         w = mx.make_fully_connected(4)
-        assert w.is_valid and w.zeta < 1e-12
+        assert is_valid(w) and w.zeta < 1e-12
 
     def test_identity_invalid(self):
         w = mx.make_identity(4)
-        assert not w.is_valid
+        assert not is_valid(w)
         assert w.zeta == pytest.approx(1.0, abs=1e-12)
 
     def test_overcoupled_elastic_invalid(self):
         w = mx.make_easgd(8, 0.23)
-        assert not w.is_valid
+        assert not is_valid(w)
         assert w.zeta == pytest.approx(1.07, abs=1e-9)
 
     def test_reports_defects_on_raw_arrays(self):
@@ -285,7 +307,7 @@ class TestRandomDoublyStochastic:
         rng = np.random.default_rng(11)
         for n in (3, 5, 12):
             w = mx.random_doubly_stochastic(n, rng)
-            assert w.is_valid
+            assert is_valid(w)
             assert np.max(np.abs(w.entries.sum(axis=0) - 1.0)) < 1e-12
 
     def test_lemma2_randomized(self):

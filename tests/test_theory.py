@@ -8,6 +8,8 @@ from coopsgd import mixing as mx
 from coopsgd import theory as th
 from coopsgd.objectives import make_diag_quadratic
 
+import reference_bounds as ref
+
 
 def inputs(**overrides) -> th.BoundInputs:
     base = dict(f1_minus_finf=1.0, lipschitz=1.0, sigma_sq=1.0, m=4, v=0,
@@ -101,89 +103,57 @@ class TestFloorMonotonicity:
 
 
 class TestCorollary1:
+    """Checks of the Corollary 1 transcription in `reference_bounds`."""
+
     def test_thresholds(self):
-        rep = th.corollary1_bound(1.0, 1.0, 1.0, m=4, v=0, tau=2, zeta=0.0, steps=10_000)
+        rep = ref.corollary1_bound(1.0, 1.0, 1.0, m=4, v=0, tau=2, zeta=0.0, steps=10_000)
         assert rep.k_min == 160
         assert rep.k_min_tight == 256
 
     def test_prescribed_step(self):
-        rep = th.corollary1_bound(1.0, 2.0, 1.0, m=4, v=1, tau=2, zeta=0.0, steps=400)
+        rep = ref.corollary1_bound(1.0, 2.0, 1.0, m=4, v=1, tau=2, zeta=0.0, steps=400)
         assert rep.eta == pytest.approx((5 / 8) * np.sqrt(4 / 400), abs=1e-15)
 
     def test_network_part_vanishes_fully_sync(self):
         steps = 4_000_000
-        rep = th.corollary1_bound(1.0, 1.0, 1.0, m=4, v=0, tau=1, zeta=0.0, steps=steps)
+        rep = ref.corollary1_bound(1.0, 1.0, 1.0, m=4, v=0, tau=1, zeta=0.0, steps=steps)
         expected = (2 * 1.0 * 1.0 + 1.0) / np.sqrt(4 * steps)
         assert rep.bound == pytest.approx(expected, rel=1e-12)
 
+    def test_bound_equals_theorem1_at_its_step(self):
+        rep = ref.corollary1_bound(1.5, 2.0, 0.7, m=6, v=1, tau=3, zeta=0.4, steps=50_000)
+        general = th.theorem1_bound(th.BoundInputs(1.5, 2.0, 0.7, m=6, v=1, tau=3, zeta=0.4,
+                                                   eta=rep.eta, steps=50_000))
+        assert rep.bound == pytest.approx(general.bound, rel=1e-12)
+
 
 class TestSpecializationIdentities:
-    def test_pasgd_matches_general_bound(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            f1 = float(rng.uniform(0.1, 5))
-            lip = float(rng.uniform(0.5, 4))
-            sig = float(rng.uniform(0.0, 2))
-            m = int(rng.integers(1, 16))
-            tau = int(rng.integers(1, 30))
-            eta = float(rng.uniform(0.001, 0.05))
-            steps = int(rng.integers(100, 10_000))
-            _, bound = th.pasgd_bound(f1, lip, sig, m=m, tau=tau, eta=eta, steps=steps)
-            rep = th.theorem1_bound(th.BoundInputs(f1, lip, sig, m=m, v=0, tau=tau,
-                                                   zeta=0.0, eta=eta, steps=steps))
-            assert close(bound, rep.bound)
+    """Hand values of the specialised transcriptions in `reference_bounds`.
 
-    def test_dpsgd_matches_general_bound(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            f1 = float(rng.uniform(0.1, 5))
-            lip = float(rng.uniform(0.5, 4))
-            sig = float(rng.uniform(0.0, 2))
-            m = int(rng.integers(1, 16))
-            zeta = float(rng.uniform(0.0, 0.95))
-            eta = float(rng.uniform(0.001, 0.05))
-            steps = int(rng.integers(100, 10_000))
-            _, bound = th.dpsgd_bound(f1, lip, sig, m=m, zeta=zeta, eta=eta, steps=steps)
-            rep = th.theorem1_bound(th.BoundInputs(f1, lip, sig, m=m, v=0, tau=1,
-                                                   zeta=zeta, eta=eta, steps=steps))
-            assert close(bound, rep.bound)
+    That each equals `theorem1_bound` on random inputs is criterion 09.
+    """
 
     def test_dpsgd_condition_example(self):
-        ok, _ = th.dpsgd_bound(1.0, 1.0, 1.0, m=4, zeta=1/3, eta=0.1, steps=100)
+        ok, _ = ref.dpsgd_bound(1.0, 1.0, 1.0, m=4, zeta=1/3, eta=0.1, steps=100)
         assert ok  # lhs = 0.1 + 0.01 * 1 * (0.25 + 1.5) = 0.1175
 
     def test_pasgd_condition_example(self):
-        ok, _ = th.pasgd_bound(1.0, 1.0, 1.0, m=4, tau=4, eta=0.1, steps=100)
+        ok, _ = ref.pasgd_bound(1.0, 1.0, 1.0, m=4, tau=4, eta=0.1, steps=100)
         assert ok  # lhs = 0.1 + 0.01 * 12 = 0.22
 
     def test_pasgd_tau_one_is_fully_sync(self):
-        _, bound = th.pasgd_bound(1.0, 1.0, 1.0, m=4, tau=1, eta=0.01, steps=1000)
+        _, bound = ref.pasgd_bound(1.0, 1.0, 1.0, m=4, tau=1, eta=0.01, steps=1000)
         rep = th.theorem1_bound(th.BoundInputs(1.0, 1.0, 1.0, m=4, v=0, tau=1,
                                                zeta=0.0, eta=0.01, steps=1000))
         assert close(bound, rep.opt_term + rep.stat_term)
 
-    def test_elastic_matches_general_bound_at_best_zeta(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            f1 = float(rng.uniform(0.1, 5))
-            lip = float(rng.uniform(0.5, 4))
-            sig = float(rng.uniform(0.0, 2))
-            m = int(rng.integers(1, 24))
-            eta_tilde = float(rng.uniform(0.001, 0.05))
-            steps = int(rng.integers(100, 10_000))
-            bound = th.easgd_bound(f1, lip, sig, m=m, eta_tilde=eta_tilde, steps=steps)
-            eta = eta_tilde * (m + 1) / m
-            rep = th.theorem1_bound(th.BoundInputs(f1, lip, sig, m=m, v=1, tau=1,
-                                                   zeta=m / (m + 2.0), eta=eta, steps=steps))
-            assert close(bound, rep.bound)
-
     def test_elastic_coefficient_m8(self):
         # network coefficient at m=8 collapses to (m+1)/2 = 4.5
-        bound = th.easgd_bound(0.0, 1.0, 1.0, m=8, eta_tilde=0.1, steps=1000)
+        bound = ref.easgd_bound(0.0, 1.0, 1.0, m=8, eta_tilde=0.1, steps=1000)
         assert bound == pytest.approx(0.1 / 8 + 0.5 * 0.01 * 9, abs=1e-14)
 
     def test_elastic_noiseless(self):
-        bound = th.easgd_bound(2.0, 1.0, 0.0, m=8, eta_tilde=0.1, steps=100)
+        bound = ref.easgd_bound(2.0, 1.0, 0.0, m=8, eta_tilde=0.1, steps=100)
         assert bound == pytest.approx(2 * 2.0 / (0.1 * 100), abs=1e-14)
 
 
@@ -194,12 +164,10 @@ class TestZetaThreshold:
         assert th.zeta_threshold(199) == pytest.approx(np.sqrt(0.99), abs=1e-15)
 
     def test_equalizes_network_terms(self):
-        eta, lip, sig, m, steps = 0.1, 1.0, 1.0, 8, 1000
-        for tau in range(1, 201):
-            zeta = th.zeta_threshold(tau)
-            _, d_bound = th.dpsgd_bound(0.0, lip, sig, m=m, zeta=zeta, eta=eta, steps=steps)
-            _, p_bound = th.pasgd_bound(0.0, lip, sig, m=m, tau=tau, eta=eta, steps=steps)
-            assert close(d_bound, p_bound)
+        for tau in (1, 2, 3, 8, 33, 200):
+            decentralized = th.theorem1_bound(inputs(tau=1, zeta=th.zeta_threshold(tau)))
+            periodic = th.theorem1_bound(inputs(tau=tau, zeta=0.0))
+            assert decentralized.network_term == pytest.approx(periodic.network_term, rel=1e-12)
 
 
 class TestMaxStableEta:
