@@ -34,10 +34,18 @@ from coopsgd.engine import (
     ConfigError,
     RunTrace,
     average_traces,
+    record_block_rows,
+    record_row_bytes,
     run_many,
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
-from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
+from coopsgd.objectives import (
+    NOISE_BUFFER_BYTES,
+    GradientOracle,
+    LogisticProblem,
+    OracleError,
+    QuadraticProblem,
+)
 from coopsgd.theory import BoundInputs, TheoryError, theorem1_bound, zeta_threshold
 from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline
 
@@ -46,6 +54,9 @@ EXIT_INVALID = 2
 EXIT_ALL_DIVERGED = 3
 
 TAIL_FRACTION = 0.2
+# Bytes one run may hold at once; `parse_experiment_spec` rejects a spec whose
+# run would need more (see `run_bytes`) before it allocates anything large.
+MEMORY_BUDGET_BYTES = 2**30
 TRACE_CSV_COLUMNS = ["k", "loss", "grad_norm_sq", "network_error", "wall_clock_s"]
 
 
@@ -90,7 +101,7 @@ def _object(payload, where: str, required: set[str], optional: set[str] = frozen
     return payload
 
 
-def _int(value, where: str, least: int | None = None) -> int:
+def _int(value, where: str, least: int | None = None, most: int | None = None) -> int:
     """An integer spec value; bools, strings and fractional numbers are errors."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -98,6 +109,8 @@ def _int(value, where: str, least: int | None = None) -> int:
         raise SpecError(f"{where} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise SpecError(f"{where} must be >= {least}")
+    if most is not None and value > most:
+        raise SpecError(f"{where} must be <= {most}")
     return value
 
 
@@ -126,22 +139,66 @@ def _numbers(value, where: str, ndim: int) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def oracle_from_dict(payload) -> GradientOracle:
-    """Build an oracle from the JSON form its `to_dict` writes."""
+def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,
+              batch: int = 0) -> int:
+    """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
+
+    Per recorded row: the (5, seeds, K+1) metric array and its seed mean
+    (80 bytes a seed), the seeds' wall clocks and their mean (16 bytes a
+    seed), one timeline's draws (8 (2m + 10) bytes) and one trace CSV as
+    Python text (at most 512 bytes). Once: the problem's data (a logistic
+    problem's `samples` rows, or a quadratic's matrix with its copy in
+    `config_echo`, 64 bytes an entry), the quadratic noise block and the
+    engine's recording block (each at most its byte constant, and at least
+    one step), and one step's working arrays. The interpreter, numpy and
+    BLAS add a fixed amount on top.
+    """
+    n, m, K = config.mixing.n, config.m, config.steps
+    batch = min(batch, samples)
+    data = 8 * samples * (d + 1) if samples else 64 * d * d
+    noise_step = 8 * n_seeds * (d + 1) * m
+    noise = noise_step * min(K, max(1, NOISE_BUFFER_BYTES // noise_step))
+    record = record_row_bytes(n_seeds, d, n) * record_block_rows(n_seeds, d, n, K)
+    step = 8 * n_seeds * ((n + 1) * (10 * d + 8 * samples) + m * batch * (d + 4))
+    per_row = 96 * n_seeds + 16 * m + 80 + 512
+    return (K + 1) * per_row + data + noise + record + step
+
+
+def _check_memory(n_seeds: int, config: AlgorithmConfig | None, d: int, samples: int = 0,
+                  batch: int = 0) -> None:
+    if config is None:
+        return
+    need = run_bytes(n_seeds, config, d, samples, batch)
+    if need > MEMORY_BUDGET_BYTES:
+        raise SpecError(f"the run needs about {need >> 20} MiB, over the memory budget "
+                        f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
+
+
+def oracle_from_dict(payload, n_seeds: int = 1,
+                     config: AlgorithmConfig | None = None) -> GradientOracle:
+    """Build an oracle from the JSON form its `to_dict` writes.
+
+    Given the `config` it will run under on `n_seeds` seeds, the run's
+    memory is first checked against MEMORY_BUDGET_BYTES, before the oracle
+    allocates anything (a logistic problem draws its samples when built).
+    """
     if not isinstance(payload, dict) or "type" not in payload:
         raise SpecError("'problem' must be a JSON object with a 'type' field")
     if payload["type"] == "quadratic":
         p = _object(payload, "quadratic problem", {"type", "A", "b"}, {"sigma_sq", "beta"})
-        return QuadraticProblem(_numbers(p["A"], "'A'", 2), _numbers(p["b"], "'b'", 1),
-                                sigma_sq=_number(p.get("sigma_sq", 0.0), "'sigma_sq'"),
-                                beta=_number(p.get("beta", 0.0), "'beta'"))
+        A, b = _numbers(p["A"], "'A'", 2), _numbers(p["b"], "'b'", 1)
+        sigma_sq = _number(p.get("sigma_sq", 0.0), "'sigma_sq'")
+        beta = _number(p.get("beta", 0.0), "'beta'")
+        _check_memory(n_seeds, config, b.size)
+        return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta)
     if payload["type"] == "logistic":
         p = _object(payload, "logistic problem", {"type", "n", "d", "seed"}, {"l2", "batch"})
-        return LogisticProblem.synthetic(_int(p["n"], "logistic 'n'", 1),
-                                         _int(p["d"], "logistic 'd'", 1),
-                                         _int(p["seed"], "logistic 'seed'", 0),
-                                         l2_reg=_number(p.get("l2", 0.01), "'l2'"),
-                                         batch_size=_int(p.get("batch", 8), "logistic 'batch'", 1))
+        samples, d = _int(p["n"], "logistic 'n'", 1), _int(p["d"], "logistic 'd'", 1)
+        seed = _int(p["seed"], "logistic 'seed'", 0)
+        l2 = _number(p.get("l2", 0.01), "'l2'")
+        batch = _int(p.get("batch", 8), "logistic 'batch'", 1)
+        _check_memory(n_seeds, config, d, samples, batch)
+        return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch)
     raise SpecError(f"unknown problem type: {payload['type']!r}")
 
 
@@ -182,7 +239,8 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
                    {"problem", "algorithm", "delay", "seeds", "output_dir"})
     if not isinstance(spec["seeds"], list) or not spec["seeds"]:
         raise SpecError("'seeds' must be a non-empty list of non-negative integers")
-    seeds = [_int(s, "each seed", 0) for s in spec["seeds"]]
+    # a 64-bit bound keeps `trace_seed<seed>.csv` a valid file name
+    seeds = [_int(s, "each seed", 0, 2**64 - 1) for s in spec["seeds"]]
     if len(set(seeds)) != len(seeds):
         raise SpecError("'seeds' must be distinct")
     algo = _object(spec["algorithm"], "algorithm", {"tau", "eta", "K", "mixing"},
@@ -206,11 +264,11 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise SpecError(f"'output_dir' is not a directory: {output_dir!r}")
 
     try:
-        oracle = oracle_from_dict(spec["problem"])
         mixing = mixing_from_dict(algo["mixing"])
         config = AlgorithmConfig(tau=_int(algo["tau"], "'tau'"), mixing=mixing,
                                  v=_int(algo.get("v", 0), "'v'"), eta=_number(algo["eta"], "'eta'"),
                                  steps=_int(algo["K"], "'K'"), rule=algo.get("rule", "post"))
+        oracle = oracle_from_dict(spec["problem"], len(seeds), config)
         delay_model = delay_from_dict(spec["delay"])
     except tuple(_SECTIONS) as exc:
         raise SpecError(f"invalid {_SECTIONS[type(exc)]}: {exc}") from exc

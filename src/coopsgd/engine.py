@@ -16,15 +16,27 @@ follows plain SGD with the effective learning rate m*eta/(m+v) under both
 rules; `run_many` tracks the worst per-step defect of that recursion as a
 self-check. `run_many` is the only implementation of the update rule. The
 engine does no file I/O; `coopsgd.cli` writes the traces.
+
+Metrics are recorded with one oracle evaluation per recorded row, and
+reduced in blocks of rows: the metric reductions, the finiteness test that
+finds dead seeds, and the recursion-defect update run once per block on
+the stacked rows, whose size RECORD_BLOCK_BYTES bounds. Dead seeds are
+found at the end of their block; the rows a run emits do not depend on the
+block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from coopsgd.mixing import MixingMatrix
+
+# Bytes of recorded rows (see `record_row_bytes`) that `run_many` stacks
+# before it reduces them to metrics.
+RECORD_BLOCK_BYTES = 256 * 2**10
 
 
 class ConfigError(ValueError):
@@ -142,6 +154,22 @@ class RunTrace:
         return slice(min(start, self.rows), self.rows)
 
 
+def record_row_bytes(n_seeds: int, d: int, n: int) -> int:
+    """Bytes `run_many` keeps per recorded row of n columns in dimension d.
+
+    A row holds the values and gradients at the n columns and their mean,
+    the columns' distances from the mean, the mean itself and the workers'
+    mean gradient: (2n + 3) d + n + 1 floats per seed.
+    """
+    return 8 * n_seeds * ((2 * n + 3) * d + n + 1)
+
+
+def record_block_rows(n_seeds: int, d: int, n: int, steps: int) -> int:
+    """Rows per recording block: as many as RECORD_BLOCK_BYTES holds, at
+    least one and at most `steps`."""
+    return min(steps, max(1, RECORD_BLOCK_BYTES // record_row_bytes(n_seeds, d, n)))
+
+
 def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[RunTrace]:
     """Execute one configuration once per seed, as a single stacked system.
 
@@ -152,12 +180,21 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     workers never perturbs existing streams. Gradients come from
     `oracle.batch_gradient_sampler(rng_table, K)`, called once per step with
     the (seeds, d, m) worker columns, and metrics from
-    `oracle.batch_objective_and_grads`.
+    `oracle.batch_objective_and_grads`, called once per recorded row on the
+    (seeds, d, m+v+1) stack of the columns and their mean.
+
+    Rows are recorded in blocks of as many steps as fit in
+    RECORD_BLOCK_BYTES, and at least one: each step stores its evaluation in
+    the block, and once per block the five metric reductions, the finiteness
+    test and the recursion-defect update run on the stacked rows. A one-step
+    block reduces the evaluation's own arrays, without a copy.
 
     `x0` may be a scalar (broadcast over coordinates) or a d-vector; every
     column starts at that common point. Non-finite state or metrics stop an
     individual seed early: its trace is truncated at the last finite row and
-    flagged divergent, while the remaining seeds keep running.
+    flagged divergent, while the remaining seeds keep running. A seed is
+    found dead at the end of the block it fails in, runs on to that point
+    and is then parked; the rows it emits are the same at every block size.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
@@ -183,59 +220,89 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     worker_avg = np.full(m, 1.0 / m)
     col_avg = np.full(n, 1.0 / n)
 
+    block = record_block_rows(n_seeds, d, n, K)
+    xbars = np.empty((block + 1, n_seeds, d))  # row 0: the mean before the block
+    gbar = np.empty((block, n_seeds, d))
+    if block > 1:
+        vals_blk = np.empty((block, n_seeds, n + 1))
+        grads_blk = np.empty((block, n_seeds, d, n + 1))
+        spread_blk = np.empty((block, n_seeds, d, n))
     metrics = np.empty((5, n_seeds, K + 1))
-    loss, grad_sq, net_err, w_loss, w_grad_sq = metrics
 
-    def record(row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fill metric column `row`; returns (column means, per-seed finite flags).
+    def evaluate(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluate the state as block row `b`; returns the block's values,
+        gradients and spreads X - xbar."""
+        xbar = np.matmul(X, col_avg, out=xbars[b + 1])[:, :, None]
+        vals, grads = oracle.batch_objective_and_grads(np.concatenate([X, xbar], axis=2))
+        if block == 1:
+            return vals[None], grads[None], (X - xbar)[None]
+        vals_blk[b], grads_blk[b] = vals, grads
+        np.subtract(X, xbar, out=spread_blk[b])
+        return vals_blk, grads_blk, spread_blk
+
+    def reduce_block(start: int, rows: int, vals: np.ndarray, grads: np.ndarray,
+               diff: np.ndarray) -> np.ndarray:
+        """Fill metric columns start..start+rows-1 from the first `rows` block
+        rows; returns them as a (5, rows, seeds) array.
 
         A non-finite entry of X makes X - xbar non-finite in its coordinate,
         so the network error flags a non-finite state without a scan of X.
         """
-        xbar = X @ col_avg
-        cols = np.concatenate([X, xbar[:, :, None]], axis=2)
-        vals, grads = oracle.batch_objective_and_grads(cols)
-        loss[:, row] = vals[:, n]
-        center = grads[:, :, n]
-        grad_sq[:, row] = np.einsum("si,si->s", center, center)
-        w_loss[:, row] = vals[:, :m].sum(axis=1) / m
-        gw = grads[:, :, :m]
-        w_grad_sq[:, row] = np.einsum("sij,sij->s", gw, gw) / m
-        diff = X - xbar[:, :, None]
-        net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
-        return xbar, np.isfinite(metrics[:, :, row]).all(axis=0)
+        vals, grads, diff = vals[:rows], grads[:rows], diff[:rows]
+        rec = np.empty((5, rows, n_seeds))
+        rec[0] = vals[:, :, n]
+        center = grads[:, :, :, n]
+        np.einsum("bsi,bsi->bs", center, center, out=rec[1])
+        np.einsum("bsij,bsij->bs", diff, diff, out=rec[2])
+        np.divide(vals[:, :, :m].sum(axis=2), m, out=rec[3])
+        gw = grads[:, :, :, :m]
+        np.einsum("bsij,bsij->bs", gw, gw, out=rec[4])
+        rec[4] /= m
+        metrics[:, :, start:start + rows] = rec.transpose(0, 2, 1)
+        return rec
 
     # overflow/invalid simply mark divergence, so numpy warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar_prev, ok0 = record(0)
-        if not ok0.all():
+        if not np.isfinite(reduce_block(0, 1, *evaluate(0))).all():
             raise ConfigError("objective is non-finite at the initial point")
+        xbars[0] = xbars[1]
 
-        alive = np.ones(n_seeds, dtype=bool)
+        n_alive = n_seeds  # seeds without a non-finite row so far
         first_bad = np.full(n_seeds, K + 1)
         defect_max = np.zeros(n_seeds)
         G = np.zeros((n_seeds, d, n))
-        for k in range(1, K + 1):
-            G[:, :, :m] = sample(X[:, :, :m])
-            sync = k % tau == 0
-            if config.rule == "post":
-                stepped = X - eta * G
-                X = np.matmul(stepped, W) if sync else stepped
-            else:
-                mixed = np.matmul(X, W) if sync else X
-                X = mixed - eta * G
-            xbar, ok = record(k)
-            newly_dead = alive & ~ok
-            if newly_dead.any():
-                first_bad[newly_dead] = k
-                X[newly_dead] = 0.0  # park dead seeds; their rows are never emitted
-                alive &= ok
-                if not alive.any():
-                    break
-            predicted = xbar_prev - eta_t * (G[:, :, :m] @ worker_avg)
-            step_defect = np.abs(xbar - predicted).max(axis=1)
-            defect_max = np.where(alive, np.maximum(defect_max, step_defect), defect_max)
-            xbar_prev = xbar
+        start = 1
+        while start <= K:
+            stop = min(start + block, K + 1)
+            for b, k in enumerate(range(start, stop)):
+                G[:, :, :m] = sample(X[:, :, :m])
+                np.matmul(G[:, :, :m], worker_avg, out=gbar[b])
+                sync = k % tau == 0
+                if config.rule == "post":
+                    stepped = X - eta * G
+                    X = np.matmul(stepped, W) if sync else stepped
+                else:
+                    mixed = np.matmul(X, W) if sync else X
+                    X = mixed - eta * G
+                stored = evaluate(b)
+            rows = stop - start
+            rec = reduce_block(start, rows, *stored)
+            del stored  # a one-step block's arrays go before the next step allocates
+            if not math.isfinite(rec.sum()):  # a non-finite row, or a sum that overflowed
+                ok = np.isfinite(rec).all(axis=0)
+                dead = (first_bad > K) & ~ok.all(axis=0)
+                first_bad[dead] = start + ok[:, dead].argmin(axis=0)
+                X[dead] = 0.0  # park dead seeds; their rows are never emitted
+                n_alive = np.count_nonzero(first_bad > K)
+            predicted = xbars[:rows] - eta_t * gbar[:rows]
+            step_defect = np.abs(xbars[1:rows + 1] - predicted).max(axis=2)
+            if n_alive < n_seeds:  # count each seed's steps before its first bad row
+                step_defect[np.arange(start, stop)[:, None] >= first_bad] = 0.0
+            defect_max = np.maximum(defect_max, step_defect.max(axis=0))
+            if not n_alive:
+                break
+            xbars[0] = xbars[rows]
+            start = stop
 
     return [RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
                      recursion_defect_max=float(defect_max[s])) for s in range(n_seeds)]

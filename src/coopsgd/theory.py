@@ -151,16 +151,23 @@ class BoundReport:
 
 
 def theorem1_bound(inputs: BoundInputs) -> BoundReport:
-    """General bound on the K-step average squared gradient norm."""
+    """General bound on the K-step average squared gradient norm.
+
+    Raises TheoryError when a term, or the learning-rate condition, leaves
+    the float range, so every report holds finite numbers only.
+    """
     _require_subunit_zeta(inputs.zeta)
     et, lip, m = inputs.eta_tilde, inputs.lipschitz, inputs.m
-    opt = 2.0 * inputs.f1_minus_finf / (et * inputs.steps)
-    stat = et * lip * inputs.sigma_sq / m
-    network = (et ** 2 * lip ** 2 * inputs.sigma_sq
-               * network_coefficient(inputs.tau, inputs.zeta)
-               * (1.0 + inputs.v / m) ** 2)
-    lhs, ok = lr_condition(inputs)
-    return BoundReport(
+    try:
+        opt = 2.0 * inputs.f1_minus_finf / (et * inputs.steps)
+        stat = et * lip * inputs.sigma_sq / m
+        network = (et ** 2 * lip ** 2 * inputs.sigma_sq
+                   * network_coefficient(inputs.tau, inputs.zeta)
+                   * (1.0 + inputs.v / m) ** 2)
+        lhs, ok = lr_condition(inputs)
+    except OverflowError as exc:  # float ** float raises instead of returning inf
+        raise TheoryError(f"the bound overflows: {exc}") from exc
+    report = BoundReport(
         lr_lhs=lhs,
         lr_ok=ok,
         bound=opt + stat + network,
@@ -169,6 +176,9 @@ def theorem1_bound(inputs: BoundInputs) -> BoundReport:
         stat_term=stat,
         network_term=network,
     )
+    if not all(math.isfinite(value) for value in report.to_dict().values()):
+        raise TheoryError("the bound overflows: a term is not finite")
+    return report
 
 
 def max_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v: int,

@@ -5,6 +5,8 @@ published per-worker form directly, without the matrix formulation that
 `run_many` uses. `engine_vs_reference` drives `run_many` itself, through an
 oracle wrapper that records the worker columns its sampler receives, and
 advances a reference trajectory on the same per-worker noise streams.
+`reference_run_many` is `run_many` with its metrics recorded one step at a
+time, the reference for the engine's blocked recording.
 """
 
 import numpy as np
@@ -133,3 +135,68 @@ def engine_vs_reference(oracle, w, v: int, tau: int, rule: str, reference,
                             for x in states])
     worst_net_err = float(np.max(np.abs(trace.network_error - ref_net_err)))
     return worst_cols, worst_net_err
+
+
+def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.RunTrace]:
+    """`run_many` with every metric, divergence and defect check made per step.
+
+    Each step evaluates its row, reduces it to the five metrics, parks the
+    seeds whose row is non-finite and stops once none is left, then updates
+    the recursion defect of the seeds still alive.
+    """
+    n, m, d, K = config.mixing.n, config.m, oracle.d, config.steps
+    x0 = np.asarray(x0, dtype=float)
+    x0 = np.full(d, float(x0)) if x0.ndim == 0 else x0
+    n_seeds = len(seeds)
+    rng_table = [[np.random.default_rng(c) for c in np.random.SeedSequence(s).spawn(m)]
+                 for s in seeds]
+    sample = oracle.batch_gradient_sampler(rng_table, K)
+    X = np.tile(x0[None, :, None], (n_seeds, 1, n))
+    W, eta, eta_t = config.mixing.entries, config.eta, config.eta_tilde
+    worker_avg, col_avg = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    metrics = np.empty((5, n_seeds, K + 1))
+    loss, grad_sq, net_err, w_loss, w_grad_sq = metrics
+
+    def record(row):
+        xbar = X @ col_avg
+        vals, grads = oracle.batch_objective_and_grads(
+            np.concatenate([X, xbar[:, :, None]], axis=2))
+        loss[:, row] = vals[:, n]
+        center = grads[:, :, n]
+        grad_sq[:, row] = np.einsum("si,si->s", center, center)
+        w_loss[:, row] = vals[:, :m].sum(axis=1) / m
+        gw = grads[:, :, :m]
+        w_grad_sq[:, row] = np.einsum("sij,sij->s", gw, gw) / m
+        diff = X - xbar[:, :, None]
+        net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
+        return xbar, np.isfinite(metrics[:, :, row]).all(axis=0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar_prev, ok0 = record(0)
+        assert ok0.all()
+        alive = np.ones(n_seeds, dtype=bool)
+        first_bad = np.full(n_seeds, K + 1)
+        defect_max = np.zeros(n_seeds)
+        G = np.zeros((n_seeds, d, n))
+        for k in range(1, K + 1):
+            G[:, :, :m] = sample(X[:, :, :m])
+            sync = k % config.tau == 0
+            if config.rule == "post":
+                X = X - eta * G
+                X = np.matmul(X, W) if sync else X
+            else:
+                X = (np.matmul(X, W) if sync else X) - eta * G
+            xbar, ok = record(k)
+            newly_dead = alive & ~ok
+            if newly_dead.any():
+                first_bad[newly_dead] = k
+                X[newly_dead] = 0.0
+                alive &= ok
+                if not alive.any():
+                    break
+            predicted = xbar_prev - eta_t * (G[:, :, :m] @ worker_avg)
+            step_defect = np.abs(xbar - predicted).max(axis=1)
+            defect_max = np.where(alive, np.maximum(defect_max, step_defect), defect_max)
+            xbar_prev = xbar
+    return [eng.RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
+                         recursion_defect_max=float(defect_max[s])) for s in range(n_seeds)]

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coopsgd
-from coopsgd import presets
+from coopsgd import cli, presets
 from coopsgd.cli import (
     EXIT_ALL_DIVERGED,
     EXIT_INVALID,
@@ -26,7 +26,7 @@ from coopsgd.cli import (
     parse_experiment_spec,
     run_experiment,
 )
-from coopsgd.mixing import make_easgd
+from coopsgd.mixing import make_easgd, make_fully_connected
 
 
 def quadratic_spec(tmp_path, **overrides) -> dict:
@@ -105,30 +105,59 @@ JSON_VALUES = st.recursive(
 )
 
 
+# Mostly bare numbers, which keep more mutated specs runnable
+NUMBERS_FIRST = st.integers() | st.floats() | JSON_VALUES
+
+
+def mutated_main(tmp_path, data, command: str, values=JSON_VALUES,
+                 fixed=()) -> tuple[int, str, str]:
+    """Run `command` on the test spec with one value or subtree, outside the
+    paths in `fixed`, replaced by a drawn value; returns the exit code,
+    stdout and stderr."""
+    spec = quadratic_spec(tmp_path)
+    paths = [p for p in value_paths(spec) if p not in fixed]
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(values, label="value")
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(replace_at(spec, path, value)))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the example
+        code = main([command, str(spec_file)])
+    if code == EXIT_INVALID:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestSpecProperty:
     """Any one value or subtree of a valid spec replaced by any JSON value:
-    `validate` exits 0 or 2, and 2 comes with exactly one `error:` line."""
+    `validate` exits 0 or 2, `run` exits 0, 2 or 3, and 2 comes with exactly
+    one `error:` line."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_validate_exits_zero_or_two_with_one_line(self, tmp_path, data):
-        spec = quadratic_spec(tmp_path)
-        path = data.draw(st.sampled_from(list(value_paths(spec))), label="path")
-        value = data.draw(JSON_VALUES, label="value")
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps(replace_at(spec, path, value)))
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the example
-            code = main(["validate", str(spec_file)])
+        code, out, err = mutated_main(tmp_path, data, "validate")
+        assert code in (EXIT_OK, EXIT_INVALID)
         if code == EXIT_OK:
-            assert err.getvalue() == "" and out.getvalue().startswith("ok: ")
-        else:
-            assert code == EXIT_INVALID
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-            assert out.getvalue() == ""
+            assert err == "" and out.startswith("ok: ")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_run_exits_zero_two_or_three_with_one_line(self, tmp_path, monkeypatch, data):
+        # a small budget turns every large K, seed list or dimension into a
+        # rejection at parse; the output directory stays the test's own
+        monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", 2**18)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = mutated_main(tmp_path, data, "run", NUMBERS_FIRST,
+                                      fixed={("output_dir",)})
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_ALL_DIVERGED)
+        if code != EXIT_INVALID:
+            assert err == "" and out == ""
 
 
 class TestSpecParsing:
@@ -275,6 +304,38 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
         assert summary["bound_report"] is None
 
+    def test_overflowing_bound_runs_without_bound_report(self, tmp_path):
+        # L = 1e300: L^2 leaves the float range, while the run itself stays finite
+        spec_dict = quadratic_spec(tmp_path, seeds=[1])
+        spec_dict["problem"].update(A=[[1e300, 0.0], [0.0, 1.0]], b=[0.0, 0.0], sigma_sq=1.0)
+        spec_dict["algorithm"].update(eta=1e-301, init=1e-200, K=10, tau=2, mixing={
+            "n": 3, "entries": make_fully_connected(3).entries.reshape(-1).tolist()})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_dict))
+        assert main(["run", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+        assert summary["bound_report"] is None
+        assert summary["diverged_seeds"] == []
+
+    def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
+        huge = quadratic_spec(tmp_path)
+        huge["algorithm"]["K"] = 10**13  # a 728 TiB metric array for 2 seeds
+        samples = quadratic_spec(tmp_path)
+        samples["problem"] = {"type": "logistic", "n": 10**6, "d": 10**6, "seed": 0}
+        for name, payload in (("huge", huge), ("samples", samples)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            for command in ("validate", "run"):
+                assert main([command, str(path)]) == EXIT_INVALID
+                err = capsys.readouterr().err
+                assert err.startswith("error: the run needs about ") and err.count("\n") == 1
+        monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", 2**20)
+        out = tmp_path / "out"
+        assert main(["preset", "hybrid-compare", "--out", str(out), "--seeds", "3"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: the run needs about ") and err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "exp").exists()
+
 
 class TestMainEntry:
     def test_run_and_validate(self, tmp_path):
@@ -322,6 +383,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("argv", [
         ["preset", "hybrid-compare", "--out", "{out}", "--seeds", "1", "1"],
         ["preset", "hybrid-compare", "--out", "{out}", "--seeds", "-1"],
+        ["preset", "hybrid-compare", "--out", "{out}", "--seeds", str(2**64)],
+        ["run", "{huge_seed}"],  # its trace CSV name would be too long
         ["run", "{spec}"],
         ["validate", "{spec}"],
         ["bounds", "--tau", "0"],
@@ -346,6 +409,7 @@ class TestMainEntry:
         ["bounds", *BOUND_ARGS, "--f1-minus-finf", "nan"],
         ["bounds", *BOUND_ARGS, "--beta", "nan"],
         ["bounds", "--tau", "1" + "0" * 400],
+        ["bounds", *BOUND_ARGS, "--zeta", "0.9", "--tau", "1" + "0" * 308],  # an infinite bound
         ["bounds", "--m", "1" + "0" * 400, "--best-easgd-alpha"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
@@ -355,6 +419,7 @@ class TestMainEntry:
         dangling.symlink_to(tmp_path / "missing")
         specs = {
             "spec": quadratic_spec(tmp_path, seeds=[-1]),
+            "huge_seed": quadratic_spec(tmp_path, seeds=[1e240]),
             "nonfinite": quadratic_spec(tmp_path),
             "out_is_file": quadratic_spec(tmp_path, output_dir=str(a_file)),
             "out_in_file": quadratic_spec(tmp_path, output_dir=str(a_file / "exp")),

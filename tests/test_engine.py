@@ -1,5 +1,5 @@
-"""Engine semantics: configuration checks, run traces, and the trace CSV
-that `cli` writes from them.
+"""Engine semantics: configuration checks, run traces, blocked recording,
+and the trace CSV that `cli` writes from them.
 
 The special-case equivalence of `run_many` with the classical update rules
 is acceptance criterion 01 (tests/test_acceptance.py)."""
@@ -8,11 +8,37 @@ import csv
 
 import numpy as np
 import pytest
+from reference_updates import RecordingOracle, reference_run_many
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd.cli import TRACE_CSV_COLUMNS, write_trace_csv
 from coopsgd.objectives import make_diag_quadratic
+
+
+class PoisonedOracle:
+    """Passes every call through to `oracle`, except that the gradient of
+    seed `poison[k]` gets one infinite coordinate at sampler call k."""
+
+    def __init__(self, oracle, poison: dict[int, int]):
+        self._oracle = oracle
+        self._poison = poison
+
+    def batch_gradient_sampler(self, rng_table, horizon):
+        sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
+        calls = iter(range(1, horizon + 1))
+
+        def poisoned(Xw):
+            G = sample(Xw)
+            seed = self._poison.get(next(calls))
+            if seed is not None:
+                G[seed, 2, 0] = np.inf
+            return G
+
+        return poisoned
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
 
 
 class TestEffectiveLearningRate:
@@ -109,27 +135,8 @@ class TestRun:
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
                                   eta=0.05, steps=20)
 
-        class PoisonedOracle:
-            def __init__(self, oracle):
-                self._oracle = oracle
-
-            def batch_gradient_sampler(self, rng_table, horizon):
-                sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
-                calls = iter(range(1, horizon + 1))
-
-                def poisoned(Xw):
-                    G = sample(Xw)
-                    if next(calls) == 5:
-                        G[1, 2, 0] = np.inf
-                    return G
-
-                return poisoned
-
-            def __getattr__(self, name):
-                return getattr(self._oracle, name)
-
         clean = eng.run_many(cfg, q, [7, 8, 9], x0=1.0)
-        traces = eng.run_many(cfg, PoisonedOracle(q), [7, 8, 9], x0=1.0)
+        traces = eng.run_many(cfg, PoisonedOracle(q, {5: 1}), [7, 8, 9], x0=1.0)
         assert traces[1].diverged and traces[1].rows == 5
         assert np.isfinite(traces[1].metrics).all()
         assert np.array_equal(traces[1].metrics, clean[1].metrics[:, :5])
@@ -144,6 +151,65 @@ class TestRun:
         trace = eng.run_many(cfg, q, [0], x0=1.0)[0]
         assert trace.rows == 11
         assert trace.mean_grad_norm_sq == pytest.approx(trace.grad_norm_sq[:10].mean(), abs=0)
+
+
+class TestBlockedRecording:
+    """Recording in blocks of steps changes no result: `run_many` matches the
+    per-step reference bit for bit at one-step blocks, 7-step blocks (which
+    do not divide K) and one block longer than the run."""
+
+    @pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_gt_K"])
+    def block_steps(self, request, monkeypatch):
+        def set_block(config, oracle, seeds):
+            rows = request.param or config.steps + 1
+            row = eng.record_row_bytes(len(seeds), oracle.d, config.mixing.n)
+            monkeypatch.setattr(eng, "RECORD_BLOCK_BYTES", rows * row + row - 1)
+        return set_block
+
+    @staticmethod
+    def assert_same(config, oracle, seeds, x0=1.0, engine_oracle=None):
+        expected = reference_run_many(config, oracle, seeds, x0=x0)
+        got = eng.run_many(config, engine_oracle or oracle, seeds, x0=x0)
+        for a, b in zip(got, expected, strict=True):
+            assert a.rows == b.rows and a.diverged == b.diverged
+            assert np.array_equal(a.metrics, b.metrics)
+            assert a.recursion_defect_max == b.recursion_defect_max
+        return got
+
+    @pytest.mark.parametrize("rule, mixing, v, tau", [
+        ("post", mx.make_ring(5), 0, 3),
+        ("pre", mx.make_ring(5), 0, 2),
+        ("post", mx.make_easgd(4, 0.2), 1, 2),
+        ("pre", mx.make_easgd(4, 0.2), 1, 1),
+    ])
+    def test_rules_match_reference(self, block_steps, rule, mixing, v, tau):
+        q = make_diag_quadratic(6, 0.2, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=tau, mixing=mixing, v=v, eta=0.05, steps=60, rule=rule)
+        block_steps(cfg, q, [1, 2, 3])
+        self.assert_same(cfg, q, [1, 2, 3], x0=1.5)
+
+    def test_poisoned_seeds_match_reference(self, block_steps):
+        # with 7-step blocks, row 11 lies inside the block of rows 8..14 and
+        # row 8 is that block's first row
+        q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
+                                  eta=0.05, steps=20)
+        block_steps(cfg, q, [7, 8, 9, 10])
+        traces = self.assert_same(cfg, PoisonedOracle(q, {11: 1, 8: 2}), [7, 8, 9, 10])
+        assert [t.rows for t in traces] == [21, 11, 8, 21]
+
+    def test_all_diverged_early_stop_matches_reference(self, block_steps):
+        q = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_easgd(8, 0.23), v=1,
+                                  eta=0.1, steps=6000, rule="pre")
+        block_steps(cfg, q, [1, 2, 3])
+        recorder = RecordingOracle(q)
+        traces = self.assert_same(cfg, q, [1, 2, 3], engine_oracle=recorder)
+        assert all(t.diverged for t in traces)
+        # the run stops at the end of the block holding the last first bad row
+        block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
+        last = max(t.rows for t in traces)
+        assert len(recorder.worker_columns) == min(cfg.steps, -(-last // block) * block)
 
 
 class TestTraceCsv:
