@@ -9,11 +9,14 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 every seed diverged.
 
-This module is the only reader of spec JSON. Specs are strict: unknown
-fields anywhere are hard errors, because silently ignored configuration is
-the main reproducibility hazard, and every number must be a finite JSON
-number. The domain constructors keep their semantic checks (symmetry, PSD,
-row sums, K % tau), and their errors surface here as `SpecError`.
+This module is the only reader and writer of spec JSON. Specs are strict:
+unknown fields anywhere are hard errors, because silently ignored
+configuration is the main reproducibility hazard, and every number must be
+a finite JSON number. Each reader returns, with the object it builds, the
+canonical JSON of the values it validated, defaults filled in; a run's
+`summary.json` echoes it as `config_echo`, which re-parses to the same
+experiment. The domain constructors keep their semantic checks (symmetry,
+PSD, row sums, K % tau), and their errors surface here as `SpecError`.
 """
 
 from __future__ import annotations
@@ -40,11 +43,11 @@ from coopsgd.engine import (
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
 from coopsgd.objectives import (
-    NOISE_BUFFER_BYTES,
     GradientOracle,
     LogisticProblem,
     OracleError,
     QuadraticProblem,
+    noise_block_steps,
 )
 from coopsgd.theory import BoundInputs, TheoryError, theorem1_bound, zeta_threshold
 from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline
@@ -66,26 +69,16 @@ class SpecError(ValueError):
 
 @dataclass
 class ExperimentSpec:
-    """Parsed experiment: oracle, algorithm, delays, seeds, output location."""
+    """Parsed experiment: oracle, algorithm, delays, seeds, output location,
+    and `echo`, the canonical spec JSON that re-parses to the same experiment."""
 
-    problem: dict
-    algorithm: dict
-    delay: dict
+    echo: dict
     seeds: list[int]
     output_dir: str
     oracle: object
     config: AlgorithmConfig
     delay_model: DelayModel
     x0: np.ndarray | float
-
-    def to_dict(self) -> dict:
-        return {
-            "problem": dict(self.problem),
-            "algorithm": dict(self.algorithm),
-            "delay": dict(self.delay),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-        }
 
 
 def _object(payload, where: str, required: set[str], optional: set[str] = frozenset()) -> dict:
@@ -156,31 +149,28 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,
     n, m, K = config.mixing.n, config.m, config.steps
     batch = min(batch, samples)
     data = 8 * samples * (d + 1) if samples else 64 * d * d
-    noise_step = 8 * n_seeds * (d + 1) * m
-    noise = noise_step * min(K, max(1, NOISE_BUFFER_BYTES // noise_step))
+    noise = 8 * n_seeds * (d + 1) * m * noise_block_steps(n_seeds, d + 1, m, K)
     record = record_row_bytes(n_seeds, d, n) * record_block_rows(n_seeds, d, n, K)
     step = 8 * n_seeds * ((n + 1) * (10 * d + 8 * samples) + m * batch * (d + 4))
     per_row = 96 * n_seeds + 16 * m + 80 + 512
     return (K + 1) * per_row + data + noise + record + step
 
 
-def _check_memory(n_seeds: int, config: AlgorithmConfig | None, d: int, samples: int = 0,
+def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,
                   batch: int = 0) -> None:
-    if config is None:
-        return
     need = run_bytes(n_seeds, config, d, samples, batch)
     if need > MEMORY_BUDGET_BYTES:
         raise SpecError(f"the run needs about {need >> 20} MiB, over the memory budget "
                         f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
 
 
-def oracle_from_dict(payload, n_seeds: int = 1,
-                     config: AlgorithmConfig | None = None) -> GradientOracle:
-    """Build an oracle from the JSON form its `to_dict` writes.
+def oracle_from_dict(payload, n_seeds: int,
+                     config: AlgorithmConfig) -> tuple[GradientOracle, dict]:
+    """Build an oracle from a spec's "problem" object; returns it and its echo.
 
-    Given the `config` it will run under on `n_seeds` seeds, the run's
-    memory is first checked against MEMORY_BUDGET_BYTES, before the oracle
-    allocates anything (a logistic problem draws its samples when built).
+    The memory of a run of `config` on `n_seeds` seeds is first checked
+    against MEMORY_BUDGET_BYTES, before the oracle allocates anything (a
+    logistic problem draws its samples when built).
     """
     if not isinstance(payload, dict) or "type" not in payload:
         raise SpecError("'problem' must be a JSON object with a 'type' field")
@@ -190,7 +180,9 @@ def oracle_from_dict(payload, n_seeds: int = 1,
         sigma_sq = _number(p.get("sigma_sq", 0.0), "'sigma_sq'")
         beta = _number(p.get("beta", 0.0), "'beta'")
         _check_memory(n_seeds, config, b.size)
-        return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta)
+        return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta), {
+            "type": "quadratic", "A": A.tolist(), "b": b.tolist(), "sigma_sq": sigma_sq,
+            "beta": beta}
     if payload["type"] == "logistic":
         p = _object(payload, "logistic problem", {"type", "n", "d", "seed"}, {"l2", "batch"})
         samples, d = _int(p["n"], "logistic 'n'", 1), _int(p["d"], "logistic 'd'", 1)
@@ -198,13 +190,14 @@ def oracle_from_dict(payload, n_seeds: int = 1,
         l2 = _number(p.get("l2", 0.01), "'l2'")
         batch = _int(p.get("batch", 8), "logistic 'batch'", 1)
         _check_memory(n_seeds, config, d, samples, batch)
-        return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch)
+        return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch), {
+            "type": "logistic", "n": samples, "d": d, "seed": seed, "l2": l2, "batch": batch}
     raise SpecError(f"unknown problem type: {payload['type']!r}")
 
 
-def mixing_from_dict(payload) -> MixingMatrix:
-    """Rebuild a matrix from the {"n", "entries", "zeta"} form `MixingMatrix.to_dict`
-    writes; `zeta` is informational and recomputed."""
+def mixing_from_dict(payload) -> tuple[MixingMatrix, dict]:
+    """Build a matrix from a {"n", "entries", "zeta"} object; returns it and
+    its echo. `zeta` is informational: the echo holds the recomputed one."""
     p = _object(payload, "mixing", {"n", "entries"}, {"zeta"})
     n = _int(p["n"], "mixing 'n'", 1)
     flat = _numbers(p["entries"], "mixing 'entries'", 1)
@@ -212,20 +205,23 @@ def mixing_from_dict(payload) -> MixingMatrix:
         _number(p["zeta"], "mixing 'zeta'")
     if flat.size != n * n:
         raise SpecError(f"mixing 'entries' must hold n*n values for n={n}, got {flat.size}")
-    return as_mixing(flat.reshape(n, n))
+    mixing = as_mixing(flat.reshape(n, n))
+    return mixing, {"n": n, "entries": flat.tolist(), "zeta": mixing.zeta}
 
 
-def delay_from_dict(payload) -> DelayModel:
-    """Build a delay model from the JSON form `DelayModel.to_dict` writes."""
+def delay_from_dict(payload) -> tuple[DelayModel, dict]:
+    """Build a delay model from a spec's "delay" object; returns it and its echo."""
     p = _object(payload, "delay", {"compute"},
                 {"jitter", "latency", "per_neighbor", "nonblocking_aux"})
-    if not isinstance(p.get("nonblocking_aux", False), bool):
+    nonblocking_aux = p.get("nonblocking_aux", False)
+    if not isinstance(nonblocking_aux, bool):
         raise SpecError("'nonblocking_aux' must be true or false")
-    return DelayModel(compute_base=_number(p["compute"], "'compute'"),
-                      compute_jitter_mean=_number(p.get("jitter", 0.0), "'jitter'"),
-                      comm_latency=_number(p.get("latency", 0.0), "'latency'"),
-                      comm_per_neighbor=_number(p.get("per_neighbor", 0.0), "'per_neighbor'"),
-                      nonblocking_aux=p.get("nonblocking_aux", False))
+    echo = {key: _number(p.get(key, 0.0), f"'{key}'")
+            for key in ("compute", "jitter", "latency", "per_neighbor")}
+    echo["nonblocking_aux"] = nonblocking_aux
+    return DelayModel(compute_base=echo["compute"], compute_jitter_mean=echo["jitter"],
+                      comm_latency=echo["latency"], comm_per_neighbor=echo["per_neighbor"],
+                      nonblocking_aux=nonblocking_aux), echo
 
 
 # What each constructor's error says about the spec.
@@ -264,30 +260,27 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise SpecError(f"'output_dir' is not a directory: {output_dir!r}")
 
     try:
-        mixing = mixing_from_dict(algo["mixing"])
+        mixing, mixing_echo = mixing_from_dict(algo["mixing"])
         config = AlgorithmConfig(tau=_int(algo["tau"], "'tau'"), mixing=mixing,
                                  v=_int(algo.get("v", 0), "'v'"), eta=_number(algo["eta"], "'eta'"),
                                  steps=_int(algo["K"], "'K'"), rule=algo.get("rule", "post"))
-        oracle = oracle_from_dict(spec["problem"], len(seeds), config)
-        delay_model = delay_from_dict(spec["delay"])
+        oracle, problem_echo = oracle_from_dict(spec["problem"], len(seeds), config)
+        delay_model, delay_echo = delay_from_dict(spec["delay"])
     except tuple(_SECTIONS) as exc:
         raise SpecError(f"invalid {_SECTIONS[type(exc)]}: {exc}") from exc
     if isinstance(x0, np.ndarray) and x0.shape != (oracle.d,):
         raise SpecError(f"'init' vector must have dimension {oracle.d}")
 
-    canonical_algo = {
-        "tau": config.tau,
-        "v": config.v,
-        "eta": config.eta,
-        "K": config.steps,
-        "rule": config.rule,
-        "mixing": mixing.to_dict(),
-        "init": init,
+    echo = {
+        "problem": problem_echo,
+        "algorithm": {"tau": config.tau, "v": config.v, "eta": config.eta, "K": config.steps,
+                      "rule": config.rule, "mixing": mixing_echo, "init": init},
+        "delay": delay_echo,
+        "seeds": seeds,
+        "output_dir": output_dir,
     }
     return ExperimentSpec(
-        problem=oracle.to_dict(),
-        algorithm=canonical_algo,
-        delay=delay_model.to_dict(),
+        echo=echo,
         seeds=seeds,
         output_dir=output_dir,
         oracle=oracle,
@@ -396,7 +389,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         "recursion_defect_max": float(max(t.recursion_defect_max for t in traces)),
         "timeline": timeline0.to_dict(),
         "bound_report": _bound_report_dict(spec, traces),
-        "config_echo": spec.to_dict(),
+        "config_echo": spec.echo,
     }
     _atomic_write_json(out / "summary.json", summary)
     return EXIT_OK if completed else EXIT_ALL_DIVERGED
@@ -437,12 +430,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_preset(args: argparse.Namespace) -> int:
-    from coopsgd.presets import PRESETS, run_preset
+    from coopsgd.presets import run_preset
 
-    if args.name not in PRESETS:
-        print(f"error: unknown preset {args.name!r}; available: {sorted(PRESETS)}",
-              file=sys.stderr)
-        return EXIT_INVALID
     try:
         summary = run_preset(args.name, args.out, seeds=args.seeds)
     except SpecError as exc:

@@ -148,7 +148,7 @@ class RunTrace:
     def initial_loss(self) -> float:
         return float(self.loss[0])
 
-    def tail_slice(self, fraction: float = 0.2) -> slice:
+    def tail_slice(self, fraction: float) -> slice:
         """Row range covering the final `fraction` of the requested horizon."""
         start = int(np.ceil((1.0 - fraction) * self.steps_requested))
         return slice(min(start, self.rows), self.rows)
@@ -186,8 +186,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     Rows are recorded in blocks of as many steps as fit in
     RECORD_BLOCK_BYTES, and at least one: each step stores its evaluation in
     the block, and once per block the five metric reductions, the finiteness
-    test and the recursion-defect update run on the stacked rows. A one-step
-    block reduces the evaluation's own arrays, without a copy.
+    test and the recursion-defect update run on the stacked rows.
 
     `x0` may be a scalar (broadcast over coordinates) or a d-vector; every
     column starts at that common point. Non-finite state or metrics stop an
@@ -223,32 +222,26 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     block = record_block_rows(n_seeds, d, n, K)
     xbars = np.empty((block + 1, n_seeds, d))  # row 0: the mean before the block
     gbar = np.empty((block, n_seeds, d))
-    if block > 1:
-        vals_blk = np.empty((block, n_seeds, n + 1))
-        grads_blk = np.empty((block, n_seeds, d, n + 1))
-        spread_blk = np.empty((block, n_seeds, d, n))
+    vals_blk = np.empty((block, n_seeds, n + 1))
+    grads_blk = np.empty((block, n_seeds, d, n + 1))
+    spread_blk = np.empty((block, n_seeds, d, n))
     metrics = np.empty((5, n_seeds, K + 1))
 
-    def evaluate(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate the state as block row `b`; returns the block's values,
-        gradients and spreads X - xbar."""
+    def evaluate(b: int) -> None:
+        """Store the state's values, gradients and spreads X - xbar as block row `b`."""
         xbar = np.matmul(X, col_avg, out=xbars[b + 1])[:, :, None]
-        vals, grads = oracle.batch_objective_and_grads(np.concatenate([X, xbar], axis=2))
-        if block == 1:
-            return vals[None], grads[None], (X - xbar)[None]
-        vals_blk[b], grads_blk[b] = vals, grads
+        vals_blk[b], grads_blk[b] = oracle.batch_objective_and_grads(
+            np.concatenate([X, xbar], axis=2))
         np.subtract(X, xbar, out=spread_blk[b])
-        return vals_blk, grads_blk, spread_blk
 
-    def reduce_block(start: int, rows: int, vals: np.ndarray, grads: np.ndarray,
-               diff: np.ndarray) -> np.ndarray:
+    def reduce_block(start: int, rows: int) -> np.ndarray:
         """Fill metric columns start..start+rows-1 from the first `rows` block
         rows; returns them as a (5, rows, seeds) array.
 
         A non-finite entry of X makes X - xbar non-finite in its coordinate,
         so the network error flags a non-finite state without a scan of X.
         """
-        vals, grads, diff = vals[:rows], grads[:rows], diff[:rows]
+        vals, grads, diff = vals_blk[:rows], grads_blk[:rows], spread_blk[:rows]
         rec = np.empty((5, rows, n_seeds))
         rec[0] = vals[:, :, n]
         center = grads[:, :, :, n]
@@ -263,7 +256,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
 
     # overflow/invalid simply mark divergence, so numpy warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(reduce_block(0, 1, *evaluate(0))).all():
+        evaluate(0)
+        if not np.isfinite(reduce_block(0, 1)).all():
             raise ConfigError("objective is non-finite at the initial point")
         xbars[0] = xbars[1]
 
@@ -284,10 +278,9 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 else:
                     mixed = np.matmul(X, W) if sync else X
                     X = mixed - eta * G
-                stored = evaluate(b)
+                evaluate(b)
             rows = stop - start
-            rec = reduce_block(start, rows, *stored)
-            del stored  # a one-step block's arrays go before the next step allocates
+            rec = reduce_block(start, rows)
             if not math.isfinite(rec.sum()):  # a non-finite row, or a sum that overflowed
                 ok = np.isfinite(rec).all(axis=0)
                 dead = (first_bad > K) & ~ok.all(axis=0)

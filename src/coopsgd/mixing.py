@@ -50,11 +50,6 @@ class MixingMatrix:
     n: int
     zeta: float
 
-    def to_dict(self) -> dict:
-        """The {"n", "entries", "zeta"} form that `cli.mixing_from_dict` reads."""
-        return {"n": self.n, "entries": [float(x) for x in self.entries.reshape(-1)],
-                "zeta": self.zeta}
-
 
 def as_mixing(entries) -> MixingMatrix:
     """Wrap a raw square array, enforcing symmetry and unit row sums.

@@ -30,6 +30,13 @@ import numpy as np
 NOISE_BUFFER_BYTES = 4 * 2**20
 
 
+def noise_block_steps(n_seeds: int, width: int, m: int, steps: int) -> int:
+    """Steps per pre-drawn quadratic noise block of `width` draws per (seed,
+    worker) stream and step: as many as NOISE_BUFFER_BYTES holds, at least one
+    and at most `steps`."""
+    return min(steps, max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m)))
+
+
 class OracleError(ValueError):
     """Raised for malformed oracle inputs."""
 
@@ -141,8 +148,7 @@ class QuadraticProblem(GradientOracle):
         state = {"buf": None, "pos": 0, "left": horizon}
 
         def refill():
-            block = max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m))
-            count = min(block, max(state["left"], 1))
+            count = noise_block_steps(n_seeds, width, m, max(state["left"], 1))
             state["buf"] = None  # let the spent block go before the next is allocated
             buf = np.empty((count, n_seeds, width, m))
             for s, row in enumerate(rng_table):
@@ -166,15 +172,6 @@ class QuadraticProblem(GradientOracle):
             return G
 
         return sample
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "quadratic",
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "sigma_sq": self.sigma_sq,
-            "beta": self.beta,
-        }
 
 
 def make_diag_quadratic(d: int, lambda_min: float = 0.1, lambda_max: float = 1.0,
@@ -201,8 +198,7 @@ class LogisticProblem(GradientOracle):
     deterministic full-gradient descent run to gradient norm below 1e-10.
     """
 
-    def __init__(self, features, labels, l2_reg: float = 0.0, batch_size: int = 1,
-                 _spec: dict | None = None):
+    def __init__(self, features, labels, l2_reg: float = 0.0, batch_size: int = 1):
         X = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
         if X.ndim != 2:
@@ -220,7 +216,6 @@ class LogisticProblem(GradientOracle):
         self.n_samples, self.d = X.shape
         self.l2_reg = float(l2_reg)
         self.batch_size = int(batch_size)
-        self._spec = _spec
         gram = X.T @ X / (4.0 * self.n_samples)
         self.lipschitz = float(np.linalg.eigvalsh(gram)[-1]) + self.l2_reg
         self.beta = 0.0
@@ -228,18 +223,16 @@ class LogisticProblem(GradientOracle):
 
     @staticmethod
     def synthetic(n_samples: int, d: int, seed: int, l2_reg: float = 0.01,
-                  batch_size: int = 8, flip_fraction: float = 0.1) -> "LogisticProblem":
+                  batch_size: int = 8) -> "LogisticProblem":
         """Reproducible planted-separator data: normal features, 10% label flips."""
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n_samples, d))
         w_true = rng.standard_normal(d)
         y = np.sign(X @ w_true)
         y[y == 0] = 1.0
-        flips = rng.random(n_samples) < flip_fraction
+        flips = rng.random(n_samples) < 0.1
         y[flips] *= -1.0
-        spec = {"type": "logistic", "n": n_samples, "d": d, "seed": seed,
-                "l2": l2_reg, "batch": batch_size}
-        return LogisticProblem(X, y, l2_reg=l2_reg, batch_size=batch_size, _spec=spec)
+        return LogisticProblem(X, y, l2_reg=l2_reg, batch_size=batch_size)
 
     @cached_property
     def f_inf(self) -> float:
@@ -273,8 +266,3 @@ class LogisticProblem(GradientOracle):
             return g.transpose(0, 2, 1) / self.batch_size + self.l2_reg * Ww
 
         return sample
-
-    def to_dict(self) -> dict:
-        if self._spec is None:
-            raise OracleError("only synthetic logistic problems serialize to JSON")
-        return dict(self._spec)

@@ -60,7 +60,7 @@ def _algorithm(tau: int, mixing, v: int, eta: float, steps: int, rule: str = "po
         "eta": eta,
         "K": steps,
         "rule": rule,
-        "mixing": mixing.to_dict(),
+        "mixing": {"n": mixing.n, "entries": mixing.entries.reshape(-1).tolist()},
         "init": _INIT,
     }
 
@@ -92,7 +92,7 @@ def floor_sweep_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict]]:
                                FLOOR_M, 0, fraction=0.9)
     specs = []
     for zeta, label in FLOOR_ZETAS:
-        mixing = make_fully_connected(FLOOR_M) if zeta == 0.0 else make_dense_with_zeta(FLOOR_M, zeta)
+        mixing = make_dense_with_zeta(FLOOR_M, zeta)
         for tau in FLOOR_TAUS:
             name = f"tau{tau:02d}_zeta{label}"
             specs.append(_spec(out_dir, name, _algorithm(tau, mixing, 0, eta, FLOOR_STEPS), seeds))
@@ -244,10 +244,10 @@ def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    from coopsgd.cli import _atomic_write_json, parse_experiment_spec
+    from coopsgd.cli import SpecError, _atomic_write_json, parse_experiment_spec
 
     if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        raise SpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     seeds = list(seeds) if seeds else list(DEFAULT_SEEDS)
     cells = {cfg_name: parse_experiment_spec(payload)
              for cfg_name, payload in PRESETS[name](out_dir, seeds)}

@@ -50,15 +50,6 @@ class DelayModel:
                self.comm_latency, self.comm_per_neighbor) < 0:
             raise TimelineError("all delay parameters must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "compute": self.compute_base,
-            "jitter": self.compute_jitter_mean,
-            "latency": self.comm_latency,
-            "per_neighbor": self.comm_per_neighbor,
-            "nonblocking_aux": self.nonblocking_aux,
-        }
-
 
 def sync_cost(mixing: MixingMatrix, delay: DelayModel, v: int = 0) -> float:
     """Cost of one synchronization: latency + per-partner term.

@@ -161,10 +161,24 @@ class TestSpecProperty:
 
 
 class TestSpecParsing:
-    def test_round_trip_identical(self, tmp_path):
-        first = parse_experiment_spec(quadratic_spec(tmp_path))
-        second = parse_experiment_spec(first.to_dict())
-        assert first.to_dict() == second.to_dict()
+    @pytest.mark.parametrize("section, payload, echo", [
+        (None, None, None),
+        ("problem", {"type": "logistic", "n": 40, "d": 2, "seed": 3},
+         {"type": "logistic", "n": 40, "d": 2, "seed": 3, "l2": 0.01, "batch": 8}),
+        ("delay", {"compute": 0.5},
+         {"compute": 0.5, "jitter": 0.0, "latency": 0.0, "per_neighbor": 0.0,
+          "nonblocking_aux": False}),
+    ], ids=["quadratic", "logistic", "bare_delay"])
+    def test_round_trip_identical(self, tmp_path, section, payload, echo):
+        # the echo fills in every default, and re-parses to itself
+        spec = quadratic_spec(tmp_path)
+        if section:
+            spec[section] = payload
+        first = parse_experiment_spec(spec)
+        second = parse_experiment_spec(json.loads(json.dumps(first.echo)))
+        assert second.echo == first.echo
+        if section:
+            assert first.echo[section] == echo
 
     def test_unknown_top_level_field(self, tmp_path):
         with pytest.raises(SpecError, match="surprise"):
@@ -377,8 +391,10 @@ class TestMainEntry:
     def test_bounds_rejects_unit_zeta(self):
         assert main(["bounds", "--tau", "2", "--zeta", "1.0"]) == EXIT_INVALID
 
-    def test_unknown_preset(self, tmp_path):
+    def test_unknown_preset(self, tmp_path, capsys):
         assert main(["preset", "nonesuch", "--out", str(tmp_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == ("error: unknown preset 'nonesuch'; available: "
+                                           f"{sorted(presets.PRESETS)}\n")
 
     @pytest.mark.parametrize("argv", [
         ["preset", "hybrid-compare", "--out", "{out}", "--seeds", "1", "1"],

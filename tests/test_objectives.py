@@ -5,6 +5,8 @@ import pytest
 
 from coopsgd import objectives
 from coopsgd.cli import SpecError, oracle_from_dict
+from coopsgd.engine import AlgorithmConfig
+from coopsgd.mixing import make_fully_connected
 from coopsgd.objectives import (
     LogisticProblem,
     OracleError,
@@ -266,22 +268,41 @@ class TestLogistic:
 
 
 class TestSerialization:
+    """`oracle_from_dict` returns the oracle and its echo, which reads back to
+    the same oracle and the same echo."""
+
+    CONFIG = AlgorithmConfig(tau=1, mixing=make_fully_connected(2), v=0, eta=0.1, steps=10)
+
+    def read_twice(self, payload):
+        first, echo = oracle_from_dict(payload, 2, self.CONFIG)
+        again, echo_again = oracle_from_dict(echo, 2, self.CONFIG)
+        assert echo_again == echo
+        return first, echo, again
+
     def test_quadratic_round_trip(self):
-        q = QuadraticProblem(np.diag([1.0, 2.0]), np.array([0.5, -0.5]), sigma_sq=1.0)
-        again = oracle_from_dict(q.to_dict())
-        assert np.array_equal(again.A, q.A)
-        assert np.array_equal(again.b, q.b)
-        assert again.sigma_sq == q.sigma_sq
+        q, echo, again = self.read_twice({"type": "quadratic", "A": [[1, 0], [0, 2]],
+                                          "b": [0.5, -0.5], "sigma_sq": 1})
+        assert echo == {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.5, -0.5],
+                        "sigma_sq": 1.0, "beta": 0.0}
+        for p in (q, again):
+            assert np.array_equal(p.A, np.diag([1.0, 2.0]))
+            assert np.array_equal(p.b, [0.5, -0.5])
+            assert (p.sigma_sq, p.beta) == (1.0, 0.0)
 
     def test_logistic_round_trip_reproduces_data(self):
-        p = LogisticProblem.synthetic(60, 5, seed=11, l2_reg=0.02, batch_size=4)
-        again = oracle_from_dict(p.to_dict())
-        assert np.array_equal(again.X, p.X)
-        assert np.array_equal(again.y, p.y)
+        p, echo, again = self.read_twice({"type": "logistic", "n": 60, "d": 5, "seed": 11,
+                                          "l2": 0.02, "batch": 4})
+        assert echo == {"type": "logistic", "n": 60, "d": 5, "seed": 11, "l2": 0.02, "batch": 4}
+        expected = LogisticProblem.synthetic(60, 5, seed=11, l2_reg=0.02, batch_size=4)
+        for q in (p, again):
+            assert np.array_equal(q.X, expected.X)
+            assert np.array_equal(q.y, expected.y)
+            assert (q.l2_reg, q.batch_size) == (0.02, 4)
         assert again.f_inf == pytest.approx(p.f_inf, abs=1e-14)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(SpecError, match="bogus"):
-            oracle_from_dict({"type": "quadratic", "A": [[1.0]], "b": [0.0], "bogus": 1})
+            oracle_from_dict({"type": "quadratic", "A": [[1.0]], "b": [0.0], "bogus": 1},
+                             2, self.CONFIG)
         with pytest.raises(SpecError, match="mystery"):
-            oracle_from_dict({"type": "mystery"})
+            oracle_from_dict({"type": "mystery"}, 2, self.CONFIG)

@@ -116,8 +116,13 @@ class TestPeriodVsSparsity:
 
 class TestSerialization:
     def test_round_trip(self):
-        d = constant_delay(compute_jitter_mean=0.1, nonblocking_aux=True)
-        assert delay_from_dict(d.to_dict()) == d
+        first, echo = delay_from_dict({"compute": 0.5, "jitter": 0.1, "latency": 1,
+                                       "per_neighbor": 0.1, "nonblocking_aux": True})
+        again, echo_again = delay_from_dict(echo)
+        assert echo_again == echo
+        assert echo == {"compute": 0.5, "jitter": 0.1, "latency": 1.0, "per_neighbor": 0.1,
+                        "nonblocking_aux": True}
+        assert first == again == constant_delay(compute_jitter_mean=0.1, nonblocking_aux=True)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(SpecError, match="warp"):
