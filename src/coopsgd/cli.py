@@ -141,19 +141,27 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,
     seed), one timeline's draws (8 (2m + 10) bytes) and one trace CSV as
     Python text (at most 512 bytes). Once: the problem's data (a logistic
     problem's `samples` rows, or a quadratic's matrix with its copy in
-    `config_echo`, 64 bytes an entry), the quadratic noise block and the
-    engine's recording block (each at most its byte constant, and at least
-    one step), and one step's working arrays. The interpreter, numpy and
-    BLAS add a fixed amount on top.
+    `config_echo`, 64 bytes an entry); the random generator of each (seed,
+    worker) stream (under 1 KiB); the sampler's pre-drawn block, sized
+    as the sampler sizes it (a logistic problem's `batch` mini-batch indices
+    per stream and step, or a quadratic's at most d + 1 normals); the
+    engine's recording block (at most its byte constant, and at least one
+    step); and one step's working arrays, which for a logistic problem
+    include its evaluation workspace of three (seeds, samples, n + 1)
+    arrays. The interpreter, numpy and BLAS add a fixed amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
     batch = min(batch, samples)
-    data = 8 * samples * (d + 1) if samples else 64 * d * d
-    noise = 8 * n_seeds * (d + 1) * m * noise_block_steps(n_seeds, d + 1, m, K)
+    if samples:
+        data = 8 * samples * (d + 1)
+        drawn = 8 * n_seeds * m * batch * noise_block_steps(n_seeds, batch * d, m, K)
+    else:
+        data = 64 * d * d
+        drawn = 8 * n_seeds * m * (d + 1) * noise_block_steps(n_seeds, d + 1, m, K)
     record = record_row_bytes(n_seeds, d, n) * record_block_rows(n_seeds, d, n, K)
-    step = 8 * n_seeds * ((n + 1) * (10 * d + 8 * samples) + m * batch * (d + 4))
+    step = 8 * n_seeds * ((n + 1) * (10 * d + 3 * samples) + m * batch * (d + 4))
     per_row = 96 * n_seeds + 16 * m + 80 + 512
-    return (K + 1) * per_row + data + noise + record + step
+    return (K + 1) * per_row + data + 1024 * n_seeds * m + drawn + record + step
 
 
 def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,

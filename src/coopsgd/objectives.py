@@ -26,14 +26,15 @@ from functools import cached_property
 import numpy as np
 
 
-# Bytes of pre-drawn quadratic noise a sampler holds at once.
+# Bytes of pre-drawn randomness (quadratic noise, logistic mini-batch
+# indices) a sampler holds at once.
 NOISE_BUFFER_BYTES = 4 * 2**20
 
 
 def noise_block_steps(n_seeds: int, width: int, m: int, steps: int) -> int:
-    """Steps per pre-drawn quadratic noise block of `width` draws per (seed,
-    worker) stream and step: as many as NOISE_BUFFER_BYTES holds, at least one
-    and at most `steps`."""
+    """Steps per pre-drawn block of `width` 8-byte words per (seed, worker)
+    stream and step: as many as NOISE_BUFFER_BYTES holds, at least one and at
+    most `steps`."""
     return min(steps, max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m)))
 
 
@@ -192,10 +193,16 @@ class LogisticProblem(GradientOracle):
     X^T X / (4 N) + l2 I. sigma_sq is a certified Assumption-style bound
     (4 max_i ||x_i||^2 / batch with beta = 0), not an equality.
 
-    The sampler draws one `integers(0, N, size=batch)` per (seed, worker)
-    stream and step, in `rng_table` order, then gathers all mini-batches and
+    The sampler draws the mini-batch indices of each (seed, worker) stream
+    in blocks of steps, one `integers(0, N, size=(steps, batch))` per stream
+    and block, which consumes the stream exactly as one `integers(0, N,
+    size=batch)` per step would; each step then gathers all mini-batches and
     differentiates them in one pass. f_inf is computed on first use by
     deterministic full-gradient descent run to gradient norm below 1e-10.
+
+    `batch_objective_and_grads` runs in a workspace of three (seeds, N, cols)
+    arrays kept on the oracle and reallocated only when the stack's shape
+    changes; the values and gradients it returns are fresh arrays.
     """
 
     def __init__(self, features, labels, l2_reg: float = 0.0, batch_size: int = 1):
@@ -220,6 +227,7 @@ class LogisticProblem(GradientOracle):
         self.lipschitz = float(np.linalg.eigvalsh(gram)[-1]) + self.l2_reg
         self.beta = 0.0
         self.sigma_sq = 4.0 * float(np.max(np.einsum("ij,ij->i", X, X))) / self.batch_size
+        self._work = None  # margins, losses, coeff of the last evaluated shape
 
     @staticmethod
     def synthetic(n_samples: int, d: int, seed: int, l2_reg: float = 0.01,
@@ -246,23 +254,59 @@ class LogisticProblem(GradientOracle):
         return float(vals[0, 0])
 
     def batch_objective_and_grads(self, W):
-        margins = self.y[:, None] * np.matmul(self.X, W)  # (seeds, N, cols)
+        shape = (W.shape[0], self.n_samples, W.shape[2])
+        if self._work is None or self._work[0].shape != shape:
+            self._work = None  # let the old workspace go before the new one is allocated
+            self._work = tuple(np.empty(shape) for _ in range(3))
+        margins, losses, coeff = self._work
+        np.matmul(self.X, W, out=margins)
+        margins *= self.y[:, None]
         # log(1 + e^-m) without overflow; d/dm log(1+e^-m) = -sigmoid(-m)
-        losses = np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
+        np.abs(margins, out=losses)
+        np.negative(losses, out=losses)
+        np.exp(losses, out=losses)
+        np.log1p(losses, out=losses)
+        np.negative(margins, out=coeff)
+        np.maximum(coeff, 0.0, out=coeff)
+        losses += coeff
         reg = 0.5 * self.l2_reg * np.einsum("sij,sij->sj", W, W)
-        coeff = -self.y[:, None] / (1.0 + np.exp(margins))
+        # -y / (1 + e^m) as y / (-1 - e^m), which rounds the same without a negated copy of y
+        np.exp(margins, out=coeff)
+        np.subtract(-1.0, coeff, out=coeff)
+        np.divide(self.y[:, None], coeff, out=coeff)
         grads = np.matmul(self.X.T, coeff) / self.n_samples + self.l2_reg * W
         return losses.mean(axis=1) + reg, grads
 
     def batch_gradient_sampler(self, rng_table, horizon):
+        """Vectorized sampler; mini-batch indices are pre-drawn in blocks of steps.
+
+        A block holds as many steps as fit in NOISE_BUFFER_BYTES, counting
+        each index at the d floats it gathers, and at least one.
+        """
+        n_seeds, m = len(rng_table), len(rng_table[0])
+        batch = self.batch_size
+        state = {"idx": None, "pos": 0, "left": horizon}
+
+        def refill():
+            count = noise_block_steps(n_seeds, batch * self.d, m, max(state["left"], 1))
+            state["idx"] = None  # let the spent block go before the next is allocated
+            idx = np.empty((count, n_seeds, m, batch), dtype=np.int64)
+            for s, row in enumerate(rng_table):
+                for i, rng in enumerate(row):
+                    idx[:, s, i] = rng.integers(0, self.n_samples, size=(count, batch))
+            state["idx"], state["pos"] = idx, 0
+
         def sample(Ww: np.ndarray) -> np.ndarray:
-            idx = np.array([[rng.integers(0, self.n_samples, size=self.batch_size)
-                             for rng in row] for row in rng_table])  # (seeds, m, batch)
+            if state["idx"] is None or state["pos"] >= state["idx"].shape[0]:
+                refill()
+            idx = state["idx"][state["pos"]]  # (seeds, m, batch)
+            state["pos"] += 1
+            state["left"] -= 1
             xb, yb = self.X[idx], self.y[idx]  # (seeds, m, batch, d), (seeds, m, batch)
             w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)
             margins = yb * np.matmul(xb, w)[..., 0]
             coeff = -yb / (1.0 + np.exp(margins))
             g = np.matmul(xb.transpose(0, 1, 3, 2), coeff[..., None])[..., 0]
-            return g.transpose(0, 2, 1) / self.batch_size + self.l2_reg * Ww
+            return g.transpose(0, 2, 1) / batch + self.l2_reg * Ww
 
         return sample

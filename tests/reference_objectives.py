@@ -1,0 +1,37 @@
+"""Reference transcriptions of the logistic oracle's batched pair.
+
+`reference_logistic_objective_and_grads` evaluates the objective values and
+full gradients with one freshly allocated array per operation, the formula
+that `LogisticProblem.batch_objective_and_grads` evaluates in place in its
+workspace. `reference_logistic_sampler` draws one `integers(0, N,
+size=batch)` per (seed, worker) stream and step, where the package's sampler
+draws each stream's indices in blocks of steps. The tests require the
+package to match both bit for bit.
+"""
+
+import numpy as np
+
+
+def reference_logistic_objective_and_grads(problem, W: np.ndarray):
+    """Values (seeds, cols) and gradients (seeds, d, cols) of a (seeds, d, cols) stack."""
+    margins = problem.y[:, None] * np.matmul(problem.X, W)  # (seeds, N, cols)
+    losses = np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
+    reg = 0.5 * problem.l2_reg * np.einsum("sij,sij->sj", W, W)
+    coeff = -problem.y[:, None] / (1.0 + np.exp(margins))
+    grads = np.matmul(problem.X.T, coeff) / problem.n_samples + problem.l2_reg * W
+    return losses.mean(axis=1) + reg, grads
+
+
+def reference_logistic_sampler(problem, rng_table):
+    """Stochastic gradients of (seeds, d, m) worker columns, one draw per stream and step."""
+    def sample(Ww: np.ndarray) -> np.ndarray:
+        idx = np.array([[rng.integers(0, problem.n_samples, size=problem.batch_size)
+                         for rng in row] for row in rng_table])  # (seeds, m, batch)
+        xb, yb = problem.X[idx], problem.y[idx]
+        w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)
+        margins = yb * np.matmul(xb, w)[..., 0]
+        coeff = -yb / (1.0 + np.exp(margins))
+        g = np.matmul(xb.transpose(0, 1, 3, 2), coeff[..., None])[..., 0]
+        return g.transpose(0, 2, 1) / problem.batch_size + problem.l2_reg * Ww
+
+    return sample

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -330,6 +331,23 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
         assert summary["bound_report"] is None
         assert summary["diverged_seeds"] == []
+
+    def test_memory_estimate_counts_the_index_block(self, tmp_path):
+        # at d = 1 the logistic sampler's pre-drawn indices (batch per stream
+        # and step, 4.1 MB here) outweigh d + 1 normals per stream and step;
+        # an untraced first run pays for the modules numpy imports on first use
+        spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
+        spec_dict["problem"] = {"type": "logistic", "n": 8, "d": 1, "seed": 3, "batch": 8}
+        spec_dict["algorithm"].update(K=200, mixing={"n": 16, "entries": [1 / 16] * 256})
+        run_experiment(parse_experiment_spec(spec_dict))
+        tracemalloc.start()
+        try:
+            spec = parse_experiment_spec(spec_dict)
+            assert run_experiment(spec) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.run_bytes(20, spec.config, 1, 8, 8)
 
     def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
         huge = quadratic_spec(tmp_path)

@@ -1,5 +1,7 @@
 """Gradient oracles: exactness, noise contracts, certified constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from coopsgd.objectives import (
     QuadraticProblem,
     make_diag_quadratic,
 )
+from reference_objectives import reference_logistic_objective_and_grads, reference_logistic_sampler
 
 
 def worker_rng_table(seeds: list[int], m: int) -> list[list[np.random.Generator]]:
@@ -261,6 +264,54 @@ class TestLogistic:
                     assert close(vals[s, i], problem.objective_value(x))
                     assert close(grads[s, :, i], problem.full_gradient(x))
                     assert close(G[s, :, i], problem.stochastic_gradient(x, ref_rngs[s][i]))
+
+    def test_evaluation_matches_reference_bit_for_bit(self, problem):
+        # alternating shapes make the workspace reallocate between calls, and
+        # every earlier result must survive the later calls untouched
+        points = np.random.default_rng(10)
+        earlier = []
+        for shape in [(1, 10, 1), (3, 10, 5), (3, 10, 5), (1, 10, 1)]:
+            W = points.standard_normal(shape) * 3.0
+            vals, grads = problem.batch_objective_and_grads(W)
+            ref_vals, ref_grads = reference_logistic_objective_and_grads(problem, W)
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert grads.tobytes() == ref_grads.tobytes()
+            for (old_vals, old_grads), (kept_vals, kept_grads) in earlier:
+                assert np.array_equal(old_vals, kept_vals)
+                assert np.array_equal(old_grads, kept_grads)
+            earlier.append(((vals, grads), (vals.copy(), grads.copy())))
+
+    @pytest.mark.parametrize("block", [1, 7, 25])
+    def test_block_draws_match_per_step_draws(self, monkeypatch, block):
+        # 20 steps in blocks of 1, 7 (a short last block) or all at once;
+        # an odd batch, and each stream must end where per-step draws leave it
+        m, steps = 3, 20
+        p = LogisticProblem.synthetic(50, 4, seed=12, l2_reg=0.01, batch_size=5)
+        monkeypatch.setattr(objectives, "NOISE_BUFFER_BYTES", 8 * 2 * m * 5 * 4 * block)
+        rngs, ref_rngs = worker_rng_table([3, 4], m), worker_rng_table([3, 4], m)
+        sample = p.batch_gradient_sampler(rngs, steps)
+        ref_sample = reference_logistic_sampler(p, ref_rngs)
+        points = np.random.default_rng(11)
+        for _ in range(steps):
+            W = points.standard_normal((2, 4, m))
+            assert sample(W).tobytes() == ref_sample(W).tobytes()
+        for row, ref_row in zip(rngs, ref_rngs):
+            for rng, ref_rng in zip(row, ref_row):
+                assert np.array_equal(rng.integers(0, 50, size=9), ref_rng.integers(0, 50, size=9))
+
+    def test_evaluation_allocates_no_sample_sized_array(self):
+        # a (4, 20, 9) stack on 1000 samples: one (seeds, N, cols) array is
+        # 288,000 bytes, and a warm call runs in the workspace
+        p = LogisticProblem.synthetic(1000, 20, seed=13, l2_reg=0.01, batch_size=8)
+        W = np.random.default_rng(12).standard_normal((4, 20, 9))
+        p.batch_objective_and_grads(W)
+        tracemalloc.start()
+        try:
+            p.batch_objective_and_grads(W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4 * 1000 * 9
 
     def test_labels_validated(self):
         with pytest.raises(OracleError):
