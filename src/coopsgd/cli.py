@@ -37,18 +37,11 @@ from coopsgd.engine import (
     ConfigError,
     RunTrace,
     average_traces,
-    record_block_rows,
-    record_row_bytes,
     run_many,
+    run_many_bytes,
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
-from coopsgd.objectives import (
-    GradientOracle,
-    LogisticProblem,
-    OracleError,
-    QuadraticProblem,
-    noise_block_steps,
-)
+from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
 from coopsgd.theory import BoundInputs, TheoryError, theorem1_bound, zeta_threshold
 from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline
 
@@ -132,41 +125,24 @@ def _numbers(value, where: str, ndim: int) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,
-              batch: int = 0) -> int:
+def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> int:
     """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
 
-    Per recorded row: the (5, seeds, K+1) metric array and its seed mean
-    (80 bytes a seed), the seeds' wall clocks and their mean (16 bytes a
+    The engine's `run_many_bytes`, plus `problem_bytes` (the oracle's own
+    `run_bytes` and the echo's copy of its data), plus what `run_experiment`
+    holds per recorded row: the stacked metrics that `average_traces` reduces
+    (40 bytes a seed), the seeds' wall clocks and their mean (16 bytes a
     seed), one timeline's draws (8 (2m + 10) bytes) and one trace CSV as
-    Python text (at most 512 bytes). Once: the problem's data (a logistic
-    problem's `samples` rows, or a quadratic's matrix with its copy in
-    `config_echo`, 64 bytes an entry); the random generator of each (seed,
-    worker) stream (under 1 KiB); the sampler's pre-drawn block, sized
-    as the sampler sizes it (a logistic problem's `batch` mini-batch indices
-    per stream and step, or a quadratic's at most d + 1 normals); the
-    engine's recording block (at most its byte constant, and at least one
-    step); and one step's working arrays, which for a logistic problem
-    include its evaluation workspace of three (seeds, samples, n + 1)
-    arrays. The interpreter, numpy and BLAS add a fixed amount on top.
+    Python text (at most 512 bytes). The interpreter, numpy and BLAS add a
+    fixed amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
-    batch = min(batch, samples)
-    if samples:
-        data = 8 * samples * (d + 1)
-        drawn = 8 * n_seeds * m * batch * noise_block_steps(n_seeds, batch * d, m, K)
-    else:
-        data = 64 * d * d
-        drawn = 8 * n_seeds * m * (d + 1) * noise_block_steps(n_seeds, d + 1, m, K)
-    record = record_row_bytes(n_seeds, d, n) * record_block_rows(n_seeds, d, n, K)
-    step = 8 * n_seeds * ((n + 1) * (10 * d + 3 * samples) + m * batch * (d + 4))
-    per_row = 96 * n_seeds + 16 * m + 80 + 512
-    return (K + 1) * per_row + data + 1024 * n_seeds * m + drawn + record + step
+    per_row = 56 * n_seeds + 16 * m + 80 + 512
+    return run_many_bytes(n_seeds, d, n, m, K) + problem_bytes + (K + 1) * per_row
 
 
-def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, samples: int = 0,
-                  batch: int = 0) -> None:
-    need = run_bytes(n_seeds, config, d, samples, batch)
+def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> None:
+    need = run_bytes(n_seeds, config, d, problem_bytes)
     if need > MEMORY_BUDGET_BYTES:
         raise SpecError(f"the run needs about {need >> 20} MiB, over the memory budget "
                         f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
@@ -182,12 +158,15 @@ def oracle_from_dict(payload, n_seeds: int,
     """
     if not isinstance(payload, dict) or "type" not in payload:
         raise SpecError("'problem' must be a JSON object with a 'type' field")
+    shape = (n_seeds, config.mixing.n, config.m, config.steps)
     if payload["type"] == "quadratic":
         p = _object(payload, "quadratic problem", {"type", "A", "b"}, {"sigma_sq", "beta"})
         A, b = _numbers(p["A"], "'A'", 2), _numbers(p["b"], "'b'", 1)
         sigma_sq = _number(p.get("sigma_sq", 0.0), "'sigma_sq'")
         beta = _number(p.get("beta", 0.0), "'beta'")
-        _check_memory(n_seeds, config, b.size)
+        # the echo holds A as Python floats, at most 56 bytes an entry
+        _check_memory(n_seeds, config, b.size,
+                      QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape) + 56 * A.size)
         return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta), {
             "type": "quadratic", "A": A.tolist(), "b": b.tolist(), "sigma_sq": sigma_sq,
             "beta": beta}
@@ -197,7 +176,7 @@ def oracle_from_dict(payload, n_seeds: int,
         seed = _int(p["seed"], "logistic 'seed'", 0)
         l2 = _number(p.get("l2", 0.01), "'l2'")
         batch = _int(p.get("batch", 8), "logistic 'batch'", 1)
-        _check_memory(n_seeds, config, d, samples, batch)
+        _check_memory(n_seeds, config, d, LogisticProblem.run_bytes(samples, d, batch, *shape))
         return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch), {
             "type": "logistic", "n": samples, "d": d, "seed": seed, "l2": l2, "batch": batch}
     raise SpecError(f"unknown problem type: {payload['type']!r}")
@@ -333,10 +312,13 @@ def _bound_report_dict(spec: ExperimentSpec, traces: list[RunTrace]) -> dict | N
     zeta = spec.config.mixing.zeta
     if zeta >= 1.0:
         return None
-    f1 = float(np.mean([t.initial_loss for t in traces])) - spec.oracle.f_inf
+    f1 = float(np.mean([t.initial_loss for t in traces]))
+    gap = f1 - spec.oracle.f_inf  # inf when F is unbounded below, which BoundInputs rejects
+    if gap < -1e-9 * max(1.0, abs(f1)):  # F(x0) below f_inf by more than rounding
+        return None
     try:
         inputs = BoundInputs(
-            f1_minus_finf=max(f1, 0.0),
+            f1_minus_finf=max(gap, 0.0),
             lipschitz=spec.oracle.lipschitz,
             sigma_sq=spec.oracle.sigma_sq,
             m=spec.config.m,

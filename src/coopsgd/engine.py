@@ -170,6 +170,15 @@ def record_block_rows(n_seeds: int, d: int, n: int, steps: int) -> int:
     return min(steps, max(1, RECORD_BLOCK_BYTES // record_row_bytes(n_seeds, d, n)))
 
 
+def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int) -> int:
+    """Bytes `run_many` holds besides the oracle's, from above: the metric
+    array, each stream's generator (under 1 KiB), the recording block with
+    three temporaries of its means, and eight (seeds, d, n + 1) step arrays."""
+    rows = record_block_rows(n_seeds, d, n, steps)
+    return (40 * n_seeds * (steps + 1) + 1024 * n_seeds * m + 64 * n_seeds * d * (n + 1)
+            + rows * (record_row_bytes(n_seeds, d, n) + 24 * n_seeds * d))
+
+
 def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[RunTrace]:
     """Execute one configuration once per seed, as a single stacked system.
 

@@ -17,6 +17,10 @@ exactly sigma_sq (per-coordinate sigma_sq/d), making the contract hold with
 equality at beta = 0. A multiplicative mode (beta > 0) scales the full
 gradient by (1 + sqrt(beta) u) with scalar standard normal u; it exists only
 to exercise the general learning-rate condition.
+
+Both samplers pre-draw their randomness through one block reader,
+`_block_draws`, and each oracle class states the bytes it holds in a run
+(`run_bytes`), counting its block at the width its sampler passes the reader.
 """
 
 from __future__ import annotations
@@ -36,6 +40,29 @@ def noise_block_steps(n_seeds: int, width: int, m: int, steps: int) -> int:
     stream and step: as many as NOISE_BUFFER_BYTES holds, at least one and at
     most `steps`."""
     return min(steps, max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m)))
+
+
+def _block_draws(rng_table, horizon: int, width: int, size: int, draw, dtype=float):
+    """Yield each step's (seeds, size, m) draws from blocks of `noise_block_steps(seeds,
+    width, m, steps left)` steps, in which stream `rng_table[s][i]` fills its part with
+    one `draw(rng, (steps, size))`: the values one `draw(rng, size)` per step gives."""
+    n_seeds, m = len(rng_table), len(rng_table[0])
+    left = horizon
+    while True:
+        count = noise_block_steps(n_seeds, width, m, max(left, 1))
+        block = None  # let the spent block go before the next is allocated
+        block = np.empty((count, n_seeds, size, m), dtype)
+        for s, row in enumerate(rng_table):
+            for i, rng in enumerate(row):
+                block[:, s, :, i] = draw(rng, (count, size))
+        for k in range(count):
+            left -= 1
+            yield block[k]
+
+
+def _block_bytes(n_seeds: int, m: int, steps: int, width: int, size: int) -> int:
+    """Bytes of `_block_draws`' block, and of one stream's draw before it is copied in."""
+    return 8 * size * noise_block_steps(n_seeds, width, m, steps) * (n_seeds * m + 1) if size else 0
 
 
 class OracleError(ValueError):
@@ -93,7 +120,7 @@ class QuadraticProblem(GradientOracle):
     """F(x) = 0.5 x^T A x - b^T x with A symmetric positive semidefinite.
 
     L = lambda_max(A) exactly; f_inf = F(x*) at the least-squares stationary
-    point A x* = b, solved on first use.
+    point A x* = b, solved on first use, or -inf when b leaves the range of A.
     """
 
     def __init__(self, A, b, sigma_sq: float = 0.0, beta: float = 0.0):
@@ -119,9 +146,29 @@ class QuadraticProblem(GradientOracle):
         self.sigma_sq = float(sigma_sq)
         self._noise_scale = np.sqrt(self.sigma_sq / self.d)
 
+    @staticmethod
+    def _noise_width(d: int, sigma_sq: float, beta: float) -> int:
+        """Normals per stream and step: a factor's (beta > 0), then d additive ones."""
+        return int(beta > 0.0) + (d if sigma_sq > 0.0 else 0)
+
+    @staticmethod
+    def run_bytes(d: int, sigma_sq: float, beta: float, n_seeds: int, n: int, m: int,
+                  steps: int) -> int:
+        """Bytes held in a run on n columns, m of them workers, from above: the
+        matrix, the sampler's block and two (seeds, d, n + 1) arrays."""
+        width = QuadraticProblem._noise_width(d, sigma_sq, beta)
+        return (8 * d * d + _block_bytes(n_seeds, m, steps, width, width)
+                + 16 * n_seeds * d * (n + 1))
+
     @cached_property
     def f_inf(self) -> float:
+        """F at the least-squares point x*, or -inf when the residual A x* - b
+        exceeds rounding, 1e-9 (||A|| ||x*|| + ||b||): then b leaves the range
+        of A, and F is unbounded below along the part it leaves by."""
         x_star, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
+        residual = np.linalg.norm(self.A @ x_star - self.b)
+        if residual > 1e-9 * (self.lipschitz * np.linalg.norm(x_star) + np.linalg.norm(self.b)):
+            return -np.inf
         return float(0.5 * x_star @ (self.A @ x_star) - self.b @ x_star)
 
     def batch_objective_and_grads(self, X):
@@ -130,41 +177,20 @@ class QuadraticProblem(GradientOracle):
         return vals, ax - self.b[:, None]
 
     def batch_gradient_sampler(self, rng_table, horizon):
-        """Vectorized sampler; noise is pre-drawn in blocks of steps.
-
-        A block holds as many steps as fit in NOISE_BUFFER_BYTES, and at
-        least one. Per stream and step the draws are the multiplicative
-        factor's standard normal (beta > 0) followed by the d additive normals
-        (sigma_sq > 0), so block draws consume each (seed, worker) stream in
-        the same order, and produce the same values, as one draw per call
-        would.
-        """
-        width = self.d if self.sigma_sq > 0.0 else 0
+        """Vectorized sampler; per stream and step, `_block_draws` draws the
+        multiplicative factor's normal (beta > 0), then the d additive ones."""
+        width = self._noise_width(self.d, self.sigma_sq, self.beta)
         scale = self._noise_scale  # a scalar scale keeps numpy's fast path
         sqrt_beta = np.sqrt(self.beta)
         if self.beta > 0.0:
-            scale = np.concatenate([[1.0], np.full(width, scale)])
-            width += 1
-        n_seeds, m = len(rng_table), len(rng_table[0])
-        state = {"buf": None, "pos": 0, "left": horizon}
-
-        def refill():
-            count = noise_block_steps(n_seeds, width, m, max(state["left"], 1))
-            state["buf"] = None  # let the spent block go before the next is allocated
-            buf = np.empty((count, n_seeds, width, m))
-            for s, row in enumerate(rng_table):
-                for i, rng in enumerate(row):
-                    buf[:, s, :, i] = rng.normal(0.0, scale, size=(count, width))
-            state["buf"], state["pos"] = buf, 0
+            scale = np.concatenate([[1.0], np.full(width - 1, scale)])
+        draws = _block_draws(rng_table, horizon, width, width,
+                             lambda rng, shape: rng.normal(0.0, scale, size=shape))
 
         def sample(Xw: np.ndarray) -> np.ndarray:
             G = np.matmul(self.A, Xw) - self.b[:, None]
             if width:
-                if state["buf"] is None or state["pos"] >= state["buf"].shape[0]:
-                    refill()
-                noise = state["buf"][state["pos"]]
-                state["pos"] += 1
-                state["left"] -= 1
+                noise = next(draws)
                 if self.beta > 0.0:
                     G *= 1.0 + sqrt_beta * noise[:, :1]
                     noise = noise[:, 1:]
@@ -173,15 +199,6 @@ class QuadraticProblem(GradientOracle):
             return G
 
         return sample
-
-
-def make_diag_quadratic(d: int, lambda_min: float = 0.1, lambda_max: float = 1.0,
-                        sigma_sq: float = 0.0, beta: float = 0.0) -> QuadraticProblem:
-    """Diagonal quadratic with eigenvalues spread linearly over [lo, hi]."""
-    if d < 1:
-        raise OracleError("dimension must be positive")
-    spectrum = np.linspace(lambda_min, lambda_max, d) if d > 1 else np.array([lambda_max])
-    return QuadraticProblem(np.diag(spectrum), np.zeros(d), sigma_sq=sigma_sq, beta=beta)
 
 
 class LogisticProblem(GradientOracle):
@@ -193,11 +210,12 @@ class LogisticProblem(GradientOracle):
     X^T X / (4 N) + l2 I. sigma_sq is a certified Assumption-style bound
     (4 max_i ||x_i||^2 / batch with beta = 0), not an equality.
 
-    The sampler draws the mini-batch indices of each (seed, worker) stream
-    in blocks of steps, one `integers(0, N, size=(steps, batch))` per stream
-    and block, which consumes the stream exactly as one `integers(0, N,
-    size=batch)` per step would; each step then gathers all mini-batches and
-    differentiates them in one pass. f_inf is computed on first use by
+    The sampler reads each step's mini-batch indices from `_block_draws`,
+    one `integers(0, N, size=batch)` per stream and step, then gathers all
+    mini-batches and differentiates them in one pass. f_inf is a certified
+    lower bound on the infimum, computed on first use: 0 without
+    regularization, since the loss is nonnegative, and otherwise the
+    strong-convexity bound F(w) - ||grad F(w)||^2 / (2 l2) at the end of
     deterministic full-gradient descent run to gradient norm below 1e-10.
 
     `batch_objective_and_grads` runs in a workspace of three (seeds, N, cols)
@@ -242,16 +260,30 @@ class LogisticProblem(GradientOracle):
         y[flips] *= -1.0
         return LogisticProblem(X, y, l2_reg=l2_reg, batch_size=batch_size)
 
+    @staticmethod
+    def run_bytes(n_samples: int, d: int, batch_size: int, n_seeds: int, n: int, m: int,
+                  steps: int) -> int:
+        """Bytes held in a run, from above: the data, the sampler's block, the
+        evaluation workspace, a step's mini-batches with four temporaries and two
+        (seeds, d, n + 1) arrays. A batch over n_samples, which building rejects,
+        counts as n_samples."""
+        batch = min(batch_size, n_samples)
+        return (8 * n_samples * (d + 1) + _block_bytes(n_seeds, m, steps, batch * d, batch)
+                + 8 * n_seeds * ((n + 1) * (2 * d + 3 * n_samples) + m * batch * (d + 4)))
+
     @cached_property
     def f_inf(self) -> float:
+        if self.l2_reg == 0.0:
+            return 0.0
         w = np.zeros((1, self.d, 1))
         step = 1.0 / self.lipschitz
         for _ in range(500_000):
             vals, g = self.batch_objective_and_grads(w)
-            if np.linalg.norm(g) < 1e-10:
+            grad_norm = np.linalg.norm(g)
+            if grad_norm < 1e-10:
                 break
             w = w - step * g
-        return float(vals[0, 0])
+        return float(vals[0, 0] - grad_norm**2 / (2.0 * self.l2_reg))
 
     def batch_objective_and_grads(self, W):
         shape = (W.shape[0], self.n_samples, W.shape[2])
@@ -278,30 +310,14 @@ class LogisticProblem(GradientOracle):
         return losses.mean(axis=1) + reg, grads
 
     def batch_gradient_sampler(self, rng_table, horizon):
-        """Vectorized sampler; mini-batch indices are pre-drawn in blocks of steps.
-
-        A block holds as many steps as fit in NOISE_BUFFER_BYTES, counting
-        each index at the d floats it gathers, and at least one.
-        """
-        n_seeds, m = len(rng_table), len(rng_table[0])
+        """Vectorized sampler; `_block_draws` weighs each index at the d floats it gathers."""
         batch = self.batch_size
-        state = {"idx": None, "pos": 0, "left": horizon}
-
-        def refill():
-            count = noise_block_steps(n_seeds, batch * self.d, m, max(state["left"], 1))
-            state["idx"] = None  # let the spent block go before the next is allocated
-            idx = np.empty((count, n_seeds, m, batch), dtype=np.int64)
-            for s, row in enumerate(rng_table):
-                for i, rng in enumerate(row):
-                    idx[:, s, i] = rng.integers(0, self.n_samples, size=(count, batch))
-            state["idx"], state["pos"] = idx, 0
+        draws = _block_draws(rng_table, horizon, batch * self.d, batch,
+                             lambda rng, shape: rng.integers(0, self.n_samples, size=shape),
+                             np.int64)
 
         def sample(Ww: np.ndarray) -> np.ndarray:
-            if state["idx"] is None or state["pos"] >= state["idx"].shape[0]:
-                refill()
-            idx = state["idx"][state["pos"]]  # (seeds, m, batch)
-            state["pos"] += 1
-            state["left"] -= 1
+            idx = next(draws).transpose(0, 2, 1)  # (seeds, m, batch)
             xb, yb = self.X[idx], self.y[idx]  # (seeds, m, batch, d), (seeds, m, batch)
             w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)
             margins = yb * np.matmul(xb, w)[..., 0]

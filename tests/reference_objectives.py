@@ -1,4 +1,5 @@
-"""Reference transcriptions of the logistic oracle's batched pair.
+"""Reference transcriptions of the logistic oracle's batched pair, and the
+diagonal quadratic that most tests run.
 
 `reference_logistic_objective_and_grads` evaluates the objective values and
 full gradients with one freshly allocated array per operation, the formula
@@ -10,6 +11,8 @@ package to match both bit for bit.
 """
 
 import numpy as np
+
+from coopsgd.objectives import OracleError, QuadraticProblem
 
 
 def reference_logistic_objective_and_grads(problem, W: np.ndarray):
@@ -35,3 +38,12 @@ def reference_logistic_sampler(problem, rng_table):
         return g.transpose(0, 2, 1) / problem.batch_size + problem.l2_reg * Ww
 
     return sample
+
+
+def make_diag_quadratic(d: int, lambda_min: float = 0.1, lambda_max: float = 1.0,
+                        sigma_sq: float = 0.0, beta: float = 0.0) -> QuadraticProblem:
+    """Diagonal quadratic with eigenvalues spread linearly over [lo, hi]."""
+    if d < 1:
+        raise OracleError("dimension must be positive")
+    spectrum = np.linspace(lambda_min, lambda_max, d) if d > 1 else np.array([lambda_max])
+    return QuadraticProblem(np.diag(spectrum), np.zeros(d), sigma_sq=sigma_sq, beta=beta)

@@ -4,19 +4,27 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own pass/fail report.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd import theory as th
-from coopsgd.objectives import make_diag_quadratic
 from coopsgd.presets import run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
 import reference_bounds as ref_bounds
 import reference_updates as ref
-from reference_mixing import is_valid, power_deviation_norm
+from reference_mixing import (
+    generalized_elastic_zeta,
+    is_valid,
+    make_hierarchical,
+    power_deviation_norm,
+    random_doubly_stochastic,
+)
+from reference_objectives import make_diag_quadratic
 
 SEEDS = list(range(101, 121))  # 20 evaluation seeds
 
@@ -74,7 +82,7 @@ def test_criterion_02_optimal_elasticity_closed_form():
         grid = np.linspace(0.0, 2.0 / (m + 1), 202)[1:-1]
         closed = np.empty(len(grid))
         for i, alpha in enumerate(grid):
-            closed[i] = mx.generalized_elastic_zeta(1.0, m, float(alpha))  # zeta of I_m
+            closed[i] = generalized_elastic_zeta(1.0, m, float(alpha))  # zeta of I_m
             numeric_a = mx.make_easgd(m, float(alpha)).zeta
             assert abs(closed[i] - numeric_a) < 1e-9
         spacing = grid[1] - grid[0]
@@ -94,10 +102,10 @@ def test_criterion_03_bordered_matrix_spectrum():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(3, 13))
-        base = mx.random_doubly_stochastic(n, rng)
+        base = random_doubly_stochastic(n, rng)
         for _ in range(20):
             alpha = float(rng.uniform(0.0, 1.0))
-            closed = mx.generalized_elastic_zeta(base.zeta, n, alpha)
+            closed = generalized_elastic_zeta(base.zeta, n, alpha)
             numeric = mx.make_generalized_elastic(base, alpha).zeta
             worst = max(worst, abs(closed - numeric))
             assert abs(closed - numeric) < 1e-8
@@ -120,8 +128,8 @@ def test_criterion_04_power_deviation_identity():
     mats += [mx.make_easgd(m, mx.best_easgd_alpha(m)[0]) for m in (2, 5, 8)]
     mats += [mx.make_generalized_elastic(mx.make_ring(6), 0.2),
              mx.make_dense_with_zeta(7, 0.75),
-             mx.make_hierarchical([3, 3], 0.15, mx.make_fully_connected(2))]
-    mats += [mx.random_doubly_stochastic(int(rng.integers(3, 13)), rng) for _ in range(10)]
+             make_hierarchical([3, 3], 0.15, mx.make_fully_connected(2))]
+    mats += [random_doubly_stochastic(int(rng.integers(3, 13)), rng) for _ in range(10)]
     worst = 0.0
     for w in mats:
         assert is_valid(w)
@@ -193,8 +201,9 @@ def test_criterion_06_convergence_bound_envelope():
 
 @pytest.fixture(scope="module")
 def floor_sweep_summary(tmp_path_factory):
+    """The preset's summary, and the directory holding each cell's outputs."""
     out = tmp_path_factory.mktemp("floor_sweep")
-    return run_preset("floor-sweep", str(out))
+    return run_preset("floor-sweep", str(out)), out
 
 
 @pytest.fixture(scope="module")
@@ -204,14 +213,24 @@ def easgd_sweep_summary(tmp_path_factory):
 
 
 def test_criterion_07_error_floor_monotonicity(floor_sweep_summary):
-    s = floor_sweep_summary
+    s, out = floor_sweep_summary
     assert s["nondecreasing_in_tau"]
     assert s["nondecreasing_in_zeta"]
     assert s["extremes_strictly_ordered"]
     floors = s["floors"]
     lo, hi = floors["tau01_zeta000"], floors["tau32_zeta080"]
     assert hi > 1.3 * lo  # strict with real margin, not a tie
-    report(7, f"12 measured floors ordered in tau and zeta; extremes {lo:.2e} -> {hi:.2e}")
+    # every bound a cell publishes holds for the measurement it is published with
+    certified = []
+    for path in sorted(out.glob("*/summary.json")):
+        cell = json.loads(path.read_text())
+        bound = cell["bound_report"]
+        if bound is not None and bound["lr_ok"]:
+            assert cell["mean_grad_norm_sq"] <= bound["bound"]
+            certified.append(bound["bound"] / cell["mean_grad_norm_sq"])
+    assert len(certified) == len(floors)
+    report(7, f"12 measured floors ordered in tau and zeta; extremes {lo:.2e} -> {hi:.2e}; "
+              f"published bounds hold at bound/measured {min(certified):.3f}-{max(certified):.3f}")
 
 
 def test_criterion_08_elasticity_sweep(easgd_sweep_summary):

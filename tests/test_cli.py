@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from coopsgd.cli import (
     run_experiment,
 )
 from coopsgd.mixing import make_easgd, make_fully_connected
+from coopsgd.objectives import LogisticProblem
 
 
 def quadratic_spec(tmp_path, **overrides) -> dict:
@@ -332,6 +334,32 @@ class TestRunExperiment:
         assert summary["bound_report"] is None
         assert summary["diverged_seeds"] == []
 
+    def test_unbounded_objective_runs_without_bound_report(self, tmp_path):
+        # b leaves the range of A = diag(1, 0), so F falls without bound along
+        # the second axis, and no bound on the gradient norm holds
+        spec_dict = quadratic_spec(tmp_path)
+        spec_dict["problem"].update(A=[[1.0, 0.0], [0.0, 0.0]], b=[0.0, 1.0], sigma_sq=0.1)
+        spec_dict["algorithm"].update(eta=0.1, K=100, mixing={"n": 2, "entries": [0.5] * 4})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_dict))
+        assert main(["run", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+        assert summary["bound_report"] is None
+        assert summary["mean_grad_norm_sq"] > 1.0
+
+    @pytest.mark.parametrize("excess, published", [(1e-12, True), (1e-6, False)])
+    def test_initial_gap_below_zero_only_by_rounding(self, tmp_path, excess, published):
+        # an f_inf above F(x0) is no infimum: the gap clamps to 0 only when
+        # it lies below zero by rounding
+        spec = parse_experiment_spec(quadratic_spec(tmp_path))
+        f0 = spec.oracle.objective_value(np.full(2, 2.0))
+        spec.oracle.f_inf = f0 * (1.0 + excess)
+        assert run_experiment(spec) == EXIT_OK
+        report = json.loads((tmp_path / "exp" / "summary.json").read_text())["bound_report"]
+        assert (report is not None) == published
+        if published:
+            assert report["opt_term"] == 0.0
+
     def test_memory_estimate_counts_the_index_block(self, tmp_path):
         # at d = 1 the logistic sampler's pre-drawn indices (batch per stream
         # and step, 4.1 MB here) outweigh d + 1 normals per stream and step;
@@ -347,7 +375,8 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= cli.run_bytes(20, spec.config, 1, 8, 8)
+        assert peak <= cli.run_bytes(20, spec.config, 1,
+                                     LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200))
 
     def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
         huge = quadratic_spec(tmp_path)

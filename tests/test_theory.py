@@ -6,9 +6,9 @@ import pytest
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd import theory as th
-from coopsgd.objectives import make_diag_quadratic
 
 import reference_bounds as ref
+from reference_objectives import make_diag_quadratic
 
 
 def inputs(**overrides) -> th.BoundInputs:
