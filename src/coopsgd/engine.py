@@ -17,12 +17,12 @@ rules; `run_many` tracks the worst per-step defect of that recursion as a
 self-check. `run_many` is the only implementation of the update rule. The
 engine does no file I/O; `coopsgd.cli` writes the traces.
 
-Metrics are recorded with one oracle evaluation per recorded row, and
-reduced in blocks of rows: the metric reductions, the finiteness test that
-finds dead seeds, and the recursion-defect update run once per block on
-the stacked rows, whose size RECORD_BLOCK_BYTES bounds. Dead seeds are
-found at the end of their block; the rows a run emits do not depend on the
-block size.
+Metrics are recorded with one oracle evaluation per recorded row, whose
+worker gradients the next step's sampler reuses, and reduced in blocks of
+rows: the metric reductions, the finiteness test that finds dead seeds,
+and the recursion-defect update run once per block on the stacked rows,
+whose size RECORD_BLOCK_BYTES bounds. Dead seeds are found at the end of
+their block; the rows a run emits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -186,11 +186,13 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     which keeps the per-step cost nearly independent of the seed count.
     Worker i of seed s draws from the i-th child of SeedSequence(seeds[s]),
     so streams are independent across both seeds and workers, and adding
-    workers never perturbs existing streams. Gradients come from
-    `oracle.batch_gradient_sampler(rng_table, K)`, called once per step with
-    the (seeds, d, m) worker columns, and metrics from
+    workers never perturbs existing streams. Metrics come from
     `oracle.batch_objective_and_grads`, called once per recorded row on the
-    (seeds, d, m+v+1) stack of the columns and their mean.
+    (seeds, d, m+v+1) stack of the columns and their mean, and gradients
+    from `oracle.batch_gradient_sampler(rng_table, K)`, called once per step
+    with the (seeds, d, m) worker columns and their full gradients: the
+    first m gradient columns of the block row that holds the state's
+    evaluation. Each state's full gradient is thus computed once.
 
     Rows are recorded in blocks of as many steps as fit in
     RECORD_BLOCK_BYTES, and at least one: each step stores its evaluation in
@@ -202,7 +204,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     individual seed early: its trace is truncated at the last finite row and
     flagged divergent, while the remaining seeds keep running. A seed is
     found dead at the end of the block it fails in, runs on to that point
-    and is then parked; the rows it emits are the same at every block size.
+    and is then parked at zero with zero gradients; the rows it emits are the
+    same at every block size.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
@@ -274,11 +277,12 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         first_bad = np.full(n_seeds, K + 1)
         defect_max = np.zeros(n_seeds)
         G = np.zeros((n_seeds, d, n))
+        last = grads_blk[0, :, :, :m]  # the worker gradients of the last evaluation
         start = 1
         while start <= K:
             stop = min(start + block, K + 1)
             for b, k in enumerate(range(start, stop)):
-                G[:, :, :m] = sample(X[:, :, :m])
+                G[:, :, :m] = sample(X[:, :, :m], last)
                 np.matmul(G[:, :, :m], worker_avg, out=gbar[b])
                 sync = k % tau == 0
                 if config.rule == "post":
@@ -288,6 +292,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                     mixed = np.matmul(X, W) if sync else X
                     X = mixed - eta * G
                 evaluate(b)
+                last = grads_blk[b, :, :, :m]
             rows = stop - start
             rec = reduce_block(start, rows)
             if not math.isfinite(rec.sum()):  # a non-finite row, or a sum that overflowed
@@ -295,6 +300,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 dead = (first_bad > K) & ~ok.all(axis=0)
                 first_bad[dead] = start + ok[:, dead].argmin(axis=0)
                 X[dead] = 0.0  # park dead seeds; their rows are never emitted
+                last[dead] = 0.0
                 n_alive = np.count_nonzero(first_bad > K)
             predicted = xbars[:rows] - eta_t * gbar[:rows]
             step_defect = np.abs(xbars[1:rows + 1] - predicted).max(axis=2)

@@ -11,6 +11,8 @@ inputs instead of estimated ones.
 Each objective implements only the seed-batched pair that the engine runs
 (see `GradientOracle`); the single-vector forms are views on a (1, d, 1)
 stack, so tests and engine share one implementation of each objective.
+The sampler receives the full gradients that the evaluation computed at the
+same state, so a quadratic step makes no product with A of its own.
 
 The quadratic oracle adds isotropic Gaussian noise with total variance
 exactly sigma_sq (per-coordinate sigma_sq/d), making the contract hold with
@@ -84,11 +86,14 @@ class GradientOracle:
     Subclasses implement the seed-batched pair: `batch_objective_and_grads`
     maps a (seeds, d, cols) stack to objective values (seeds, cols) and full
     gradients (seeds, d, cols), and `batch_gradient_sampler(rng_table,
-    horizon)` returns a callable that maps the (seeds, d, m) worker columns to
-    stochastic gradients for up to `horizon` calls, drawing from
-    `rng_table[s][i]` for seed s and worker i. The single-vector forms
-    `objective_value`, `full_gradient` and `stochastic_gradient` validate one
-    point and evaluate that pair on it.
+    horizon)` returns a callable `sample(Xw, grads)` that maps the (seeds, d,
+    m) worker columns `Xw` and their full gradients `grads`, as
+    `batch_objective_and_grads` returned them, to a fresh array of stochastic
+    gradients, for up to `horizon` calls, drawing from `rng_table[s][i]` for
+    seed s and worker i. A sampler may ignore `grads` (the logistic one
+    differentiates its mini-batch at `Xw`) but never writes to it. The
+    single-vector forms `objective_value`, `full_gradient` and
+    `stochastic_gradient` validate one point and evaluate that pair on it.
     """
 
     d: int
@@ -112,8 +117,9 @@ class GradientOracle:
         return self.batch_objective_and_grads(x[None, :, None])[1][0, :, 0]
 
     def stochastic_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = _check_point(x, self.d)
-        return self.batch_gradient_sampler([[rng]], 1)(x[None, :, None])[0, :, 0]
+        X = _check_point(x, self.d)[None, :, None]
+        grads = self.batch_objective_and_grads(X)[1]
+        return self.batch_gradient_sampler([[rng]], 1)(X, grads)[0, :, 0]
 
 
 class QuadraticProblem(GradientOracle):
@@ -155,7 +161,9 @@ class QuadraticProblem(GradientOracle):
     def run_bytes(d: int, sigma_sq: float, beta: float, n_seeds: int, n: int, m: int,
                   steps: int) -> int:
         """Bytes held in a run on n columns, m of them workers, from above: the
-        matrix, the sampler's block and two (seeds, d, n + 1) arrays."""
+        matrix, the sampler's block, and the evaluation's product and gradient,
+        two (seeds, d, n + 1) arrays. The sampler's one (seeds, d, m) result is
+        made while no evaluation runs, so it fits in their place."""
         width = QuadraticProblem._noise_width(d, sigma_sq, beta)
         return (8 * d * d + _block_bytes(n_seeds, m, steps, width, width)
                 + 16 * n_seeds * d * (n + 1))
@@ -177,8 +185,9 @@ class QuadraticProblem(GradientOracle):
         return vals, ax - self.b[:, None]
 
     def batch_gradient_sampler(self, rng_table, horizon):
-        """Vectorized sampler; per stream and step, `_block_draws` draws the
-        multiplicative factor's normal (beta > 0), then the d additive ones."""
+        """Vectorized sampler that applies noise to the given full gradients;
+        per stream and step, `_block_draws` draws the multiplicative factor's
+        normal (beta > 0), then the d additive ones."""
         width = self._noise_width(self.d, self.sigma_sq, self.beta)
         scale = self._noise_scale  # a scalar scale keeps numpy's fast path
         sqrt_beta = np.sqrt(self.beta)
@@ -187,15 +196,15 @@ class QuadraticProblem(GradientOracle):
         draws = _block_draws(rng_table, horizon, width, width,
                              lambda rng, shape: rng.normal(0.0, scale, size=shape))
 
-        def sample(Xw: np.ndarray) -> np.ndarray:
-            G = np.matmul(self.A, Xw) - self.b[:, None]
-            if width:
-                noise = next(draws)
-                if self.beta > 0.0:
-                    G *= 1.0 + sqrt_beta * noise[:, :1]
-                    noise = noise[:, 1:]
-                if self.sigma_sq > 0.0:
-                    G += noise
+        def sample(Xw: np.ndarray, grads: np.ndarray) -> np.ndarray:
+            if not width:
+                return grads.copy()
+            noise = next(draws)
+            if self.beta == 0.0:
+                return grads + noise
+            G = grads * (1.0 + sqrt_beta * noise[:, :1])
+            if self.sigma_sq > 0.0:
+                G += noise[:, 1:]
             return G
 
         return sample
@@ -310,13 +319,15 @@ class LogisticProblem(GradientOracle):
         return losses.mean(axis=1) + reg, grads
 
     def batch_gradient_sampler(self, rng_table, horizon):
-        """Vectorized sampler; `_block_draws` weighs each index at the d floats it gathers."""
+        """Vectorized sampler that differentiates its mini-batch at the worker
+        columns and ignores their full gradients; `_block_draws` weighs each
+        index at the d floats it gathers."""
         batch = self.batch_size
         draws = _block_draws(rng_table, horizon, batch * self.d, batch,
                              lambda rng, shape: rng.integers(0, self.n_samples, size=shape),
                              np.int64)
 
-        def sample(Ww: np.ndarray) -> np.ndarray:
+        def sample(Ww: np.ndarray, grads: np.ndarray) -> np.ndarray:
             idx = next(draws).transpose(0, 2, 1)  # (seeds, m, batch)
             xb, yb = self.X[idx], self.y[idx]  # (seeds, m, batch, d), (seeds, m, batch)
             w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)

@@ -1,5 +1,5 @@
-"""Reference transcriptions of the logistic oracle's batched pair, and the
-diagonal quadratic that most tests run.
+"""Reference transcriptions of the logistic oracle's batched pair, the
+diagonal quadratic that most tests run, and a dense rotated one.
 
 `reference_logistic_objective_and_grads` evaluates the objective values and
 full gradients with one freshly allocated array per operation, the formula
@@ -26,8 +26,9 @@ def reference_logistic_objective_and_grads(problem, W: np.ndarray):
 
 
 def reference_logistic_sampler(problem, rng_table):
-    """Stochastic gradients of (seeds, d, m) worker columns, one draw per stream and step."""
-    def sample(Ww: np.ndarray) -> np.ndarray:
+    """Stochastic gradients of (seeds, d, m) worker columns, one draw per stream
+    and step; like the package's sampler, it ignores the full gradients."""
+    def sample(Ww: np.ndarray, grads: np.ndarray) -> np.ndarray:
         idx = np.array([[rng.integers(0, problem.n_samples, size=problem.batch_size)
                          for rng in row] for row in rng_table])  # (seeds, m, batch)
         xb, yb = problem.X[idx], problem.y[idx]
@@ -47,3 +48,13 @@ def make_diag_quadratic(d: int, lambda_min: float = 0.1, lambda_max: float = 1.0
         raise OracleError("dimension must be positive")
     spectrum = np.linspace(lambda_min, lambda_max, d) if d > 1 else np.array([lambda_max])
     return QuadraticProblem(np.diag(spectrum), np.zeros(d), sigma_sq=sigma_sq, beta=beta)
+
+
+def make_rotated_quadratic(d: int, lambda_min: float, lambda_max: float, seed: int,
+                           sigma_sq: float = 0.0) -> QuadraticProblem:
+    """Dense quadratic Q diag(spectrum) Q^T, with the spectrum of
+    `make_diag_quadratic` and the rotation Q drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = basis @ np.diag(np.linspace(lambda_min, lambda_max, d)) @ basis.T
+    return QuadraticProblem(0.5 * (a + a.T), np.zeros(d), sigma_sq=sigma_sq)

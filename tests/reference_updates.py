@@ -6,7 +6,8 @@ published per-worker form directly, without the matrix formulation that
 oracle wrapper that records the worker columns its sampler receives, and
 advances a reference trajectory on the same per-worker noise streams.
 `reference_run_many` is `run_many` with its metrics recorded one step at a
-time, the reference for the engine's blocked recording.
+time, the reference for the engine's blocked recording; like `run_many`, it
+hands the sampler the worker gradients of the row it recorded last.
 """
 
 import numpy as np
@@ -80,18 +81,27 @@ def reference_dpsgd_step(X: np.ndarray, eta: float, G: np.ndarray,
 
 class RecordingOracle:
     """Passes every call through to `oracle`; keeps a copy of the (seeds, d, m)
-    worker columns handed to the sampler at each step."""
+    worker columns and gradients handed to the sampler at each step, and of
+    the stack and gradients of each evaluation."""
 
     def __init__(self, oracle):
         self._oracle = oracle
         self.worker_columns = []
+        self.sampled_grads = []
+        self.evaluations = []
+
+    def batch_objective_and_grads(self, X):
+        vals, grads = self._oracle.batch_objective_and_grads(X)
+        self.evaluations.append((X.copy(), grads.copy()))
+        return vals, grads
 
     def batch_gradient_sampler(self, rng_table, horizon):
         sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
 
-        def recording_sample(Xw):
+        def recording_sample(Xw, grads):
             self.worker_columns.append(Xw.copy())
-            return sample(Xw)
+            self.sampled_grads.append(grads.copy())
+            return sample(Xw, grads)
 
         return recording_sample
 
@@ -140,9 +150,10 @@ def engine_vs_reference(oracle, w, v: int, tau: int, rule: str, reference,
 def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.RunTrace]:
     """`run_many` with every metric, divergence and defect check made per step.
 
-    Each step evaluates its row, reduces it to the five metrics, parks the
-    seeds whose row is non-finite and stops once none is left, then updates
-    the recursion defect of the seeds still alive.
+    Each step samples at the worker gradients of the last recorded row,
+    evaluates its own row, reduces it to the five metrics, parks the seeds
+    whose row is non-finite at zero with zero gradients and stops once none
+    is left, then updates the recursion defect of the seeds still alive.
     """
     n, m, d, K = config.mixing.n, config.m, oracle.d, config.steps
     x0 = np.asarray(x0, dtype=float)
@@ -169,28 +180,29 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
         w_grad_sq[:, row] = np.einsum("sij,sij->s", gw, gw) / m
         diff = X - xbar[:, :, None]
         net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
-        return xbar, np.isfinite(metrics[:, :, row]).all(axis=0)
+        return xbar, gw, np.isfinite(metrics[:, :, row]).all(axis=0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar_prev, ok0 = record(0)
+        xbar_prev, gw, ok0 = record(0)
         assert ok0.all()
         alive = np.ones(n_seeds, dtype=bool)
         first_bad = np.full(n_seeds, K + 1)
         defect_max = np.zeros(n_seeds)
         G = np.zeros((n_seeds, d, n))
         for k in range(1, K + 1):
-            G[:, :, :m] = sample(X[:, :, :m])
+            G[:, :, :m] = sample(X[:, :, :m], gw)
             sync = k % config.tau == 0
             if config.rule == "post":
                 X = X - eta * G
                 X = np.matmul(X, W) if sync else X
             else:
                 X = (np.matmul(X, W) if sync else X) - eta * G
-            xbar, ok = record(k)
+            xbar, gw, ok = record(k)
             newly_dead = alive & ~ok
             if newly_dead.any():
                 first_bad[newly_dead] = k
                 X[newly_dead] = 0.0
+                gw[newly_dead] = 0.0
                 alive &= ok
                 if not alive.any():
                     break

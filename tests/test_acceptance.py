@@ -12,6 +12,7 @@ import pytest
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd import theory as th
+from coopsgd.cli import parse_experiment_spec, run_experiment
 from coopsgd.presets import run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
@@ -24,7 +25,7 @@ from reference_mixing import (
     power_deviation_norm,
     random_doubly_stochastic,
 )
-from reference_objectives import make_diag_quadratic
+from reference_objectives import make_diag_quadratic, make_rotated_quadratic
 
 SEEDS = list(range(101, 121))  # 20 evaluation seeds
 
@@ -44,20 +45,25 @@ def worker_rngs(seed: int, m: int):
 def test_criterion_01_special_case_equivalence():
     # eigenvalues in [0.5, 1] keep every mode well contracted, so floating
     # point drift between the two arithmetics cannot accumulate
-    oracle = make_diag_quadratic(10, 0.5, 1.0, sigma_sq=1.0)
+    diagonal = make_diag_quadratic(10, 0.5, 1.0, sigma_sq=1.0)
+    # with a dense A and few workers, BLAS may round the product on the
+    # worker columns differently from the product on the engine's whole stack
+    dense = make_rotated_quadratic(10, 0.5, 1.0, seed=29, sigma_sq=1.0)
     ring = mx.make_ring(8)
+    fullsync = lambda x, eta, g, k: ref.reference_fullsync_step(x, eta, g)
+    pasgd = lambda x, eta, g, k: ref.reference_pasgd_step(x, eta, g, k, 5)
     cases = {
-        "fully synchronous": (mx.make_fully_connected(4), 0, 1, "post",
-                              lambda x, eta, g, k: ref.reference_fullsync_step(x, eta, g)),
-        "periodic averaging tau=5": (mx.make_fully_connected(4), 0, 5, "post",
-                                     lambda x, eta, g, k: ref.reference_pasgd_step(x, eta, g, k, 5)),
-        "gossip ring(8)": (ring, 0, 1, "pre",
+        "fully synchronous": (diagonal, mx.make_fully_connected(4), 0, 1, "post", fullsync),
+        "periodic averaging tau=5": (diagonal, mx.make_fully_connected(4), 0, 5, "post", pasgd),
+        "gossip ring(8)": (diagonal, ring, 0, 1, "pre",
                            lambda x, eta, g, k: ref.reference_dpsgd_step(x, eta, g, ring.entries)),
-        "elastic anchor": (mx.make_easgd(8, 0.2), 1, 1, "pre",
+        "elastic anchor": (diagonal, mx.make_easgd(8, 0.2), 1, 1, "pre",
                            lambda x, eta, g, k: ref.reference_easgd_step(x, eta, g, 0.2)),
+        "dense A, one worker": (dense, mx.make_fully_connected(1), 0, 1, "post", fullsync),
+        "dense A, tau=5 on 4 workers": (dense, mx.make_fully_connected(4), 0, 5, "post", pasgd),
     }
     worst = {}
-    for name, (w, v, tau, rule, reference) in cases.items():
+    for name, (oracle, w, v, tau, rule, reference) in cases.items():
         cols, net_err = ref.engine_vs_reference(oracle, w, v, tau, rule, reference,
                                                 steps=1000, eta=0.05, seed=29, x0=2.0)
         assert cols < 1e-12, f"{name}: worker-column deviation {cols:.3e}"
@@ -165,8 +171,13 @@ def test_criterion_05_averaged_model_recursion():
 # 6. General convergence bound envelopes the measured gradient norms
 # -------------------------------------------------------------------------
 
-def test_criterion_06_convergence_bound_envelope():
+def test_criterion_06_convergence_bound_envelope(tmp_path):
+    # each case runs as a spec through the path that publishes bounds, and
+    # the measurement and its bound are read from the summary it writes;
+    # every case has the same seeds, so each run replaces the last one's files
     oracle = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
+    problem = {"type": "quadratic", "A": oracle.A.tolist(), "b": oracle.b.tolist(),
+               "sigma_sq": oracle.sigma_sq}
     # horizons stay divisible by tau, so the tau=15 cell uses 20010 steps
     cases = [
         ("tau=1 zeta=0",   1, mx.make_fully_connected(8), 0, 20000),
@@ -180,19 +191,22 @@ def test_criterion_06_convergence_bound_envelope():
         m = w.n - v
         eta_tilde = th.max_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, m, v, fraction=0.9)
         eta = eta_tilde * (m + v) / m
-        cfg = eng.AlgorithmConfig(tau=tau, mixing=w, v=v, eta=eta, steps=steps)
-        traces = eng.run_many(cfg, oracle, SEEDS, x0=2.0)
-        assert not any(t.diverged for t in traces)
-        measured = float(np.mean([t.mean_grad_norm_sq for t in traces]))
-        inputs = th.BoundInputs(
-            f1_minus_finf=traces[0].initial_loss - oracle.f_inf,
-            lipschitz=oracle.lipschitz, sigma_sq=oracle.sigma_sq,
-            m=m, v=v, tau=tau, zeta=w.zeta, eta=eta, steps=steps)
-        rep = th.theorem1_bound(inputs)
-        assert rep.lr_ok
-        assert measured <= rep.bound, f"{name}: {measured} > {rep.bound}"
-        margins.append(f"{name} {rep.bound / measured:.1f}x")
-    report(6, f"20-seed means sit inside the bound ({', '.join(margins)})")
+        spec = parse_experiment_spec({
+            "problem": problem,
+            "algorithm": {"tau": tau, "eta": eta, "K": steps, "v": v, "init": 2.0,
+                          "mixing": {"n": w.n, "entries": w.entries.ravel().tolist()}},
+            "delay": {"compute": 1.0},
+            "seeds": SEEDS,
+            "output_dir": str(tmp_path),
+        })
+        assert run_experiment(spec) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["diverged_seeds"] == []
+        measured, rep = summary["mean_grad_norm_sq"], summary["bound_report"]
+        assert rep["lr_ok"]
+        assert measured <= rep["bound"], f"{name}: {measured} > {rep['bound']}"
+        margins.append(f"{name} {rep['bound'] / measured:.1f}x")
+    report(6, f"20-seed means sit inside the published bound ({', '.join(margins)})")
 
 
 # -------------------------------------------------------------------------
@@ -303,9 +317,10 @@ def test_criterion_10_noise_variance_monte_carlo():
     def mean_sq_deviation(seed: int, m: int) -> float:
         sample = oracle.batch_gradient_sampler([worker_rngs(seed, m)], trials)
         x_cols = np.tile(x[None, :, None], (1, 1, m))
+        g_cols = oracle.batch_objective_and_grads(x_cols)[1]
         acc = 0.0
         for _ in range(trials):
-            dev = sample(x_cols)[0].mean(axis=1) - g_full
+            dev = sample(x_cols, g_cols)[0].mean(axis=1) - g_full
             acc += dev @ dev
         return acc / trials
 

@@ -9,7 +9,7 @@ import csv
 import numpy as np
 import pytest
 from peak_memory import FIXED_BYTES, traced_peak
-from reference_objectives import make_diag_quadratic
+from reference_objectives import make_diag_quadratic, make_rotated_quadratic
 from reference_updates import RecordingOracle, reference_run_many
 
 from coopsgd import engine as eng
@@ -30,8 +30,8 @@ class PoisonedOracle:
         sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
         calls = iter(range(1, horizon + 1))
 
-        def poisoned(Xw):
-            G = sample(Xw)
+        def poisoned(Xw, grads):
+            G = sample(Xw, grads)
             seed = self._poison.get(next(calls))
             if seed is not None:
                 G[seed, 2, 0] = np.inf
@@ -199,6 +199,42 @@ class TestBlockedRecording:
         block_steps(cfg, q, [7, 8, 9, 10])
         traces = self.assert_same(cfg, PoisonedOracle(q, {11: 1, 8: 2}), [7, 8, 9, 10])
         assert [t.rows for t in traces] == [21, 11, 8, 21]
+
+    @pytest.mark.parametrize("v", [0, 1])
+    @pytest.mark.parametrize("rule", ["post", "pre"])
+    def test_each_state_gradient_is_computed_once(self, block_steps, rule, v):
+        # one evaluation per state, and sampler call k receives the worker
+        # columns and gradients of the evaluation of state k - 1, bit for bit
+        q = make_rotated_quadratic(6, 0.2, 1.0, seed=4, sigma_sq=1.0)
+        mixing = mx.make_easgd(4, 0.2) if v else mx.make_ring(4)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mixing, v=v, eta=0.05, steps=20, rule=rule)
+        block_steps(cfg, q, [1, 2, 3])
+        recorder = RecordingOracle(q)
+        eng.run_many(cfg, recorder, [1, 2, 3], x0=1.5)
+        assert len(recorder.evaluations) == cfg.steps + 1
+        assert len(recorder.sampled_grads) == cfg.steps
+        m = cfg.m
+        for k, (Xw, grads) in enumerate(zip(recorder.worker_columns, recorder.sampled_grads), 1):
+            state, evaluated = recorder.evaluations[k - 1]
+            assert Xw.tobytes() == state[:, :, :m].tobytes()
+            assert grads.tobytes() == evaluated[:, :, :m].tobytes()
+
+    def test_parked_seed_never_steps_with_a_nonfinite_gradient(self, block_steps):
+        # seed 1 turns non-finite at step 5 and runs on to the end of its
+        # block; from then on the sampler sees it at zero with zero gradients
+        q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
+                                  eta=0.05, steps=20)
+        block_steps(cfg, q, [7, 8, 9])
+        recorder = RecordingOracle(PoisonedOracle(q, {5: 1}))
+        eng.run_many(cfg, recorder, [7, 8, 9], x0=1.0)
+        block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
+        parked = min(cfg.steps, -(-5 // block) * block)  # the step whose block finds it dead
+        sampled = [grads[1] for grads in recorder.sampled_grads]
+        assert all(not np.isfinite(g).all() for g in sampled[5:parked])
+        assert all(np.isfinite(g).all() for g in sampled[parked:])
+        if parked < cfg.steps:
+            assert not sampled[parked].any()
 
     def test_all_diverged_early_stop_matches_reference(self, block_steps):
         q = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)

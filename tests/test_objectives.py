@@ -28,8 +28,9 @@ def draws(oracle, x: np.ndarray, rng: np.random.Generator, trials: int):
     """`trials` stochastic gradients at x from one sampler on one stream."""
     sample = oracle.batch_gradient_sampler([[rng]], trials)
     x_col = x[None, :, None]
+    grads = oracle.batch_objective_and_grads(x_col)[1]
     for _ in range(trials):
-        yield sample(x_col)[0, :, 0]
+        yield sample(x_col, grads)[0, :, 0]
 
 
 def central_difference_gradient(oracle, x: np.ndarray) -> np.ndarray:
@@ -120,8 +121,8 @@ class TestQuadratic:
         points = np.random.default_rng(0)
         for _ in range(steps):
             X = points.standard_normal((3, d, m))
-            G = sample(X)
             vals, grads = q.batch_objective_and_grads(X)
+            G = sample(X, grads)  # must leave grads as evaluated
             for s in range(3):
                 for i in range(m):
                     g = q.full_gradient(X[s, :, i])
@@ -154,11 +155,12 @@ class TestQuadraticNoise:
         x = np.linspace(-1, 1, 10)
         g_full = q.full_gradient(x)
         x_cols = np.tile(x[None, :, None], (1, 1, 4))
+        g_cols = q.batch_objective_and_grads(x_cols)[1]
         trials = 100_000
         sample = q.batch_gradient_sampler([rngs], trials)
         acc = 0.0
         for _ in range(trials):
-            g_bar = sample(x_cols)[0].mean(axis=1)
+            g_bar = sample(x_cols, g_cols)[0].mean(axis=1)
             dev = g_bar - g_full
             acc += dev @ dev
         assert acc / trials == pytest.approx(0.25, rel=0.05)
@@ -279,8 +281,8 @@ class TestLogistic:
 
         for _ in range(steps):
             X = points.standard_normal((3, 10, m))
-            G = sample(X)
             vals, grads = problem.batch_objective_and_grads(X)
+            G = sample(X, grads)
             for s in range(3):
                 for i in range(m):
                     x = X[s, :, i]
@@ -317,7 +319,8 @@ class TestLogistic:
         points = np.random.default_rng(11)
         for _ in range(steps):
             W = points.standard_normal((2, 4, m))
-            assert sample(W).tobytes() == ref_sample(W).tobytes()
+            grads = p.batch_objective_and_grads(W)[1]
+            assert sample(W, grads).tobytes() == ref_sample(W, grads).tobytes()
         for row, ref_row in zip(rngs, ref_rngs):
             for rng, ref_rng in zip(row, ref_row):
                 assert np.array_equal(rng.integers(0, 50, size=9), ref_rng.integers(0, 50, size=9))
@@ -343,20 +346,21 @@ class TestLogistic:
 
 class TestByteEstimates:
     """Each oracle's `run_bytes` covers the peak of its part of a run: being
-    built, sampling the workers' gradients for the whole horizon and
-    evaluating the (seeds, d, n + 1) stack at every step."""
+    built, and at every step evaluating the (seeds, d, n + 1) stack and
+    sampling the workers' gradients from that evaluation."""
 
     @staticmethod
     def peak(build, seeds: int, d: int, n: int, m: int, steps: int) -> int:
         table = worker_rng_table(list(range(seeds)), m)  # generators are the engine's to count
         X = np.random.default_rng(0).standard_normal((seeds, d, n + 1))
+        held = np.empty_like(X)  # the engine's block row, which the engine's estimate counts
 
         def run():
             oracle = build()
             sample = oracle.batch_gradient_sampler(table, steps)
             for _ in range(steps):
-                sample(X[:, :, :m])
-                oracle.batch_objective_and_grads(X)
+                held[...] = oracle.batch_objective_and_grads(X)[1]
+                sample(X[:, :, :m], held[:, :, :m])
 
         return traced_peak(run)
 
