@@ -21,8 +21,14 @@ gradient by (1 + sqrt(beta) u) with scalar standard normal u; it exists only
 to exercise the general learning-rate condition.
 
 Both samplers pre-draw their randomness through one block reader,
-`_block_draws`, and each oracle class states the bytes it holds in a run
-(`run_bytes`), counting its block at the width its sampler passes the reader.
+`_block_draws`, in which each (seed, worker) stream fills its own contiguous
+slice in place; the quadratic one scales standard normals there, which gives
+the values of `normal(0, scale)` except the sign of a zero draw. Each oracle
+class states the bytes it holds in a run (`run_bytes`), counting its block at
+the width its sampler passes the reader.
+
+The logistic oracle works on label-signed features, so that no kernel pass
+multiplies by the labels, and its evaluation runs in a workspace it keeps.
 """
 
 from __future__ import annotations
@@ -44,27 +50,32 @@ def noise_block_steps(n_seeds: int, width: int, m: int, steps: int) -> int:
     return min(steps, max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m)))
 
 
-def _block_draws(rng_table, horizon: int, width: int, size: int, draw, dtype=float):
-    """Yield each step's (seeds, size, m) draws from blocks of `noise_block_steps(seeds,
-    width, m, steps left)` steps, in which stream `rng_table[s][i]` fills its part with
-    one `draw(rng, (steps, size))`: the values one `draw(rng, size)` per step gives."""
+def _block_draws(rng_table, horizon: int, width: int, size: int, fill, dtype=float):
+    """Yield each step's (seeds, m, size) draws from blocks of `noise_block_steps(seeds,
+    width, m, steps left)` steps. Stream `rng_table[s][i]` fills its contiguous (steps,
+    size) slice of the (seeds, m, steps, size) block in place with one `fill(rng, out)`,
+    which must leave there the values one draw of `size` per step gives; step k reads
+    the strided view `block[:, :, k]`."""
     n_seeds, m = len(rng_table), len(rng_table[0])
     left = horizon
     while True:
         count = noise_block_steps(n_seeds, width, m, max(left, 1))
         block = None  # let the spent block go before the next is allocated
-        block = np.empty((count, n_seeds, size, m), dtype)
+        block = np.empty((n_seeds, m, count, size), dtype)
         for s, row in enumerate(rng_table):
             for i, rng in enumerate(row):
-                block[:, s, :, i] = draw(rng, (count, size))
+                fill(rng, block[s, i])
         for k in range(count):
             left -= 1
-            yield block[k]
+            yield block[:, :, k]
 
 
-def _block_bytes(n_seeds: int, m: int, steps: int, width: int, size: int) -> int:
-    """Bytes of `_block_draws`' block, and of one stream's draw before it is copied in."""
-    return 8 * size * noise_block_steps(n_seeds, width, m, steps) * (n_seeds * m + 1) if size else 0
+def _block_bytes(n_seeds: int, m: int, steps: int, width: int, size: int, copied: bool) -> int:
+    """Bytes of `_block_draws`' block, and, where a fill draws into a temporary it
+    then copies in (`copied`), of one stream's draw."""
+    if not size:
+        return 0
+    return 8 * size * noise_block_steps(n_seeds, width, m, steps) * (n_seeds * m + copied)
 
 
 class OracleError(ValueError):
@@ -165,7 +176,7 @@ class QuadraticProblem(GradientOracle):
         two (seeds, d, n + 1) arrays. The sampler's one (seeds, d, m) result is
         made while no evaluation runs, so it fits in their place."""
         width = QuadraticProblem._noise_width(d, sigma_sq, beta)
-        return (8 * d * d + _block_bytes(n_seeds, m, steps, width, width)
+        return (8 * d * d + _block_bytes(n_seeds, m, steps, width, width, False)
                 + 16 * n_seeds * d * (n + 1))
 
     @cached_property
@@ -187,19 +198,25 @@ class QuadraticProblem(GradientOracle):
     def batch_gradient_sampler(self, rng_table, horizon):
         """Vectorized sampler that applies noise to the given full gradients;
         per stream and step, `_block_draws` draws the multiplicative factor's
-        normal (beta > 0), then the d additive ones."""
+        normal (beta > 0), then the d additive ones. Each stream's slice is
+        filled by `standard_normal` and scaled in place, which gives the values
+        of `normal(0, scale)` except the sign of a zero draw."""
         width = self._noise_width(self.d, self.sigma_sq, self.beta)
-        scale = self._noise_scale  # a scalar scale keeps numpy's fast path
+        scale = self._noise_scale
         sqrt_beta = np.sqrt(self.beta)
         if self.beta > 0.0:
             scale = np.concatenate([[1.0], np.full(width - 1, scale)])
-        draws = _block_draws(rng_table, horizon, width, width,
-                             lambda rng, shape: rng.normal(0.0, scale, size=shape))
+
+        def fill(rng, out):
+            rng.standard_normal(out=out)
+            out *= scale
+
+        draws = _block_draws(rng_table, horizon, width, width, fill)
 
         def sample(Xw: np.ndarray, grads: np.ndarray) -> np.ndarray:
             if not width:
                 return grads.copy()
-            noise = next(draws)
+            noise = next(draws).transpose(0, 2, 1)  # (seeds, width, m)
             if self.beta == 0.0:
                 return grads + noise
             G = grads * (1.0 + sqrt_beta * noise[:, :1])
@@ -218,6 +235,12 @@ class LogisticProblem(GradientOracle):
     construction. L is the exact maximum eigenvalue of the curvature bound
     X^T X / (4 N) + l2 I. sigma_sq is a certified Assumption-style bound
     (4 max_i ||x_i||^2 / batch with beta = 0), not an equality.
+
+    Both kernels work on the label-signed features z_i = y_i x_i (`Z`, built
+    on first use), which is exact because every label is +1 or -1: the
+    margins are Z w, the loss's derivative in a margin m is -1 / (1 + e^m),
+    and the gradient is Z^T of those coefficients, so no pass multiplies by
+    the labels and the sampler gathers no labels.
 
     The sampler reads each step's mini-batch indices from `_block_draws`,
     one `integers(0, N, size=batch)` per stream and step, then gathers all
@@ -272,13 +295,20 @@ class LogisticProblem(GradientOracle):
     @staticmethod
     def run_bytes(n_samples: int, d: int, batch_size: int, n_seeds: int, n: int, m: int,
                   steps: int) -> int:
-        """Bytes held in a run, from above: the data, the sampler's block, the
-        evaluation workspace, a step's mini-batches with four temporaries and two
-        (seeds, d, n + 1) arrays. A batch over n_samples, which building rejects,
-        counts as n_samples."""
+        """Bytes held in a run, from above: the data with its label-signed
+        copy, the sampler's block (whose `integers` fill draws into a
+        temporary), the evaluation workspace, a step's mini-batches with four
+        temporaries and two (seeds, d, n + 1) arrays. A batch over n_samples,
+        which building rejects, counts as n_samples."""
         batch = min(batch_size, n_samples)
-        return (8 * n_samples * (d + 1) + _block_bytes(n_seeds, m, steps, batch * d, batch)
+        return (8 * n_samples * (2 * d + 1)
+                + _block_bytes(n_seeds, m, steps, batch * d, batch, True)
                 + 8 * n_seeds * ((n + 1) * (2 * d + 3 * n_samples) + m * batch * (d + 4)))
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """The label-signed features y_i x_i as an (N, d) array."""
+        return self.y[:, None] * self.X
 
     @cached_property
     def f_inf(self) -> float:
@@ -300,40 +330,42 @@ class LogisticProblem(GradientOracle):
             self._work = None  # let the old workspace go before the new one is allocated
             self._work = tuple(np.empty(shape) for _ in range(3))
         margins, losses, coeff = self._work
-        np.matmul(self.X, W, out=margins)
-        margins *= self.y[:, None]
-        # log(1 + e^-m) without overflow; d/dm log(1+e^-m) = -sigmoid(-m)
+        np.matmul(self.Z, W, out=margins)
+        # log(1 + e^-m) without overflow, as log1p(e^-|m|) - min(m, 0)
         np.abs(margins, out=losses)
         np.negative(losses, out=losses)
         np.exp(losses, out=losses)
         np.log1p(losses, out=losses)
-        np.negative(margins, out=coeff)
-        np.maximum(coeff, 0.0, out=coeff)
-        losses += coeff
-        reg = 0.5 * self.l2_reg * np.einsum("sij,sij->sj", W, W)
-        # -y / (1 + e^m) as y / (-1 - e^m), which rounds the same without a negated copy of y
+        np.minimum(margins, 0.0, out=coeff)
+        losses -= coeff
+        if W.shape[2] == 1:  # a contiguous sample axis, which numpy sums pairwise
+            vals = losses.mean(axis=1)
+        else:  # a strided one: the same sums, without the buffered loop of mean
+            vals = np.einsum("sij->sj", losses) / self.n_samples
+        vals += 0.5 * self.l2_reg * np.einsum("sij,sij->sj", W, W)
+        # d/dm log(1 + e^-m) = -1 / (1 + e^m)
         np.exp(margins, out=coeff)
-        np.subtract(-1.0, coeff, out=coeff)
-        np.divide(self.y[:, None], coeff, out=coeff)
-        grads = np.matmul(self.X.T, coeff) / self.n_samples + self.l2_reg * W
-        return losses.mean(axis=1) + reg, grads
+        coeff += 1.0
+        np.divide(-1.0, coeff, out=coeff)
+        grads = np.matmul(self.Z.T, coeff) / self.n_samples + self.l2_reg * W
+        return vals, grads
 
     def batch_gradient_sampler(self, rng_table, horizon):
         """Vectorized sampler that differentiates its mini-batch at the worker
         columns and ignores their full gradients; `_block_draws` weighs each
         index at the d floats it gathers."""
         batch = self.batch_size
-        draws = _block_draws(rng_table, horizon, batch * self.d, batch,
-                             lambda rng, shape: rng.integers(0, self.n_samples, size=shape),
-                             np.int64)
+
+        def fill(rng, out):
+            out[...] = rng.integers(0, self.n_samples, size=out.shape)
+
+        draws = _block_draws(rng_table, horizon, batch * self.d, batch, fill, np.int64)
 
         def sample(Ww: np.ndarray, grads: np.ndarray) -> np.ndarray:
-            idx = next(draws).transpose(0, 2, 1)  # (seeds, m, batch)
-            xb, yb = self.X[idx], self.y[idx]  # (seeds, m, batch, d), (seeds, m, batch)
+            zb = self.Z[next(draws)]  # (seeds, m, batch, d)
             w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)
-            margins = yb * np.matmul(xb, w)[..., 0]
-            coeff = -yb / (1.0 + np.exp(margins))
-            g = np.matmul(xb.transpose(0, 1, 3, 2), coeff[..., None])[..., 0]
+            coeff = -1.0 / (1.0 + np.exp(np.matmul(zb, w)))
+            g = np.matmul(zb.transpose(0, 1, 3, 2), coeff)[..., 0]
             return g.transpose(0, 2, 1) / batch + self.l2_reg * Ww
 
         return sample

@@ -2,9 +2,8 @@
 
 import tracemalloc
 
-# What numpy allocates whatever the array sizes: a buffered loop (a reduction
-# over a strided axis, a draw with a broadcast scale) takes a buffer of up to
-# 8192 doubles. The estimates count arrays, and leave this and the
+# What numpy allocates whatever the array sizes: a buffered loop (such as a
+# reduction over a strided axis) takes a buffer of up to 8192 doubles. The estimates count arrays, and leave this and the
 # interpreter's own objects to the fixed amount the memory budget keeps on top.
 FIXED_BYTES = 8 * 8192
 
