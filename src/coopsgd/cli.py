@@ -7,7 +7,9 @@ Subcommands:
     bounds [flags]                  print closed-form bound quantities
     validate <spec.json>            check a spec's form, run nothing
 
-Exit codes: 0 success, 2 invalid input, 3 every seed diverged.
+Exit codes: 0 success, 2 invalid input, 3 every seed diverged. `main` is the
+only place that maps invalid input to exit 2: the subcommands raise, and it
+prints the error as one line.
 
 This module is the only reader and writer of spec JSON. Specs are strict:
 unknown fields anywhere are hard errors, because silently ignored
@@ -57,7 +59,7 @@ TRACE_CSV_COLUMNS = ["k", "loss", "grad_norm_sq", "network_error", "wall_clock_s
 
 
 class SpecError(ValueError):
-    """Raised when an experiment spec fails validation."""
+    """Raised when an experiment spec or other command-line input fails validation."""
 
 
 @dataclass
@@ -339,8 +341,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     The output directory is created only once the seeds have run, so a spec
     that `run_many` rejects leaves nothing behind. Trace CSVs left in it by an
-    earlier run that this run does not write are deleted. Returns the process
-    exit code: 0 normally, 3 if every seed diverged.
+    earlier run that this run does not write are deleted, and so are their
+    temporaries, which an interrupted run leaves. Returns the process exit
+    code: 0 normally, 3 if every seed diverged.
     """
     traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
     out = Path(spec.output_dir)
@@ -363,19 +366,23 @@ def run_experiment(spec: ExperimentSpec) -> int:
         written.add(out / "trace_mean.csv")
         write_trace_csv(average_traces(completed), np.mean(completed_clocks, axis=0),
                         out / "trace_mean.csv")
-    for stale in {*out.glob("trace_seed*.csv"), *out.glob("trace_mean.csv")} - written:
-        stale.unlink()
+    stale = {*out.glob("trace_seed*.csv"), *out.glob("trace_seed*.csv.tmp"),
+             *out.glob("trace_mean.csv"), *out.glob("trace_mean.csv.tmp")} - written
+    for path in stale:
+        path.unlink()
+
+    def seed_mean(value) -> float | None:
+        """Mean of `value(trace)` over the completed seeds; null when none completed."""
+        return float(np.mean([value(t) for t in completed])) if completed else None
 
     summary = {
-        "mean_grad_norm_sq": float(np.mean([t.mean_grad_norm_sq for t in completed])) if completed else None,
-        "final_loss": float(np.mean([t.final_loss for t in completed])) if completed else None,
+        "mean_grad_norm_sq": seed_mean(lambda t: t.mean_grad_norm_sq),
+        "final_loss": seed_mean(lambda t: t.final_loss),
         "diverged": len(completed) == 0,
         "diverged_seeds": [s for s, t in zip(spec.seeds, traces) if t.diverged],
         "averaged_over_seeds": completed_seeds,
-        "tail_worker_grad_norm_sq": (float(np.mean([_tail_mean(t, t.worker_grad_norm_sq_mean)
-                                                    for t in completed])) if completed else None),
-        "tail_worker_loss": (float(np.mean([_tail_mean(t, t.worker_loss_mean)
-                                            for t in completed])) if completed else None),
+        "tail_worker_grad_norm_sq": seed_mean(lambda t: _tail_mean(t, t.worker_grad_norm_sq_mean)),
+        "tail_worker_loss": seed_mean(lambda t: _tail_mean(t, t.worker_loss_mean)),
         "recursion_defect_max": float(max(t.recursion_defect_max for t in traces)),
         "timeline": timeline0.to_dict(),
         "bound_report": _bound_report_dict(spec, traces),
@@ -401,19 +408,11 @@ def _load_spec_file(path: str) -> ExperimentSpec:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        return run_experiment(_load_spec_file(args.spec))
-    except (SpecError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    return run_experiment(_load_spec_file(args.spec))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec_file(args.spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    spec = _load_spec_file(args.spec)
     print(f"ok: {len(spec.seeds)} seed(s), K={spec.config.steps}, "
           f"tau={spec.config.tau}, zeta={spec.config.mixing.zeta:.6g}")
     return EXIT_OK
@@ -422,11 +421,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_preset(args: argparse.Namespace) -> int:
     from coopsgd.presets import run_preset
 
-    try:
-        summary = run_preset(args.name, args.out, seeds=args.seeds)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    summary = run_preset(args.name, args.out, seeds=args.seeds)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -434,41 +429,34 @@ def cmd_preset(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     output: dict = {}
     if args.zeta is not None and args.zeta >= 1.0:
-        print("error: bounds require zeta < 1", file=sys.stderr)
-        return EXIT_INVALID
+        raise SpecError("bounds require zeta < 1")
     if args.best_easgd_alpha and args.m is None:
-        print("error: --best-easgd-alpha requires --m", file=sys.stderr)
-        return EXIT_INVALID
+        raise SpecError("--best-easgd-alpha requires --m")
     core = (args.f1_minus_finf, args.lipschitz, args.sigma_sq, args.m,
             args.tau, args.zeta, args.eta, args.K)
-    try:
-        if args.tau is not None:
-            output["zeta_threshold"] = zeta_threshold(args.tau)
-        if args.best_easgd_alpha:
-            alpha, zeta = best_easgd_alpha(args.m)
-            output["best_easgd_alpha"] = {"alpha": alpha, "zeta": zeta}
-        if all(x is not None for x in core):
-            inputs = BoundInputs(
-                f1_minus_finf=args.f1_minus_finf,
-                lipschitz=args.lipschitz,
-                sigma_sq=args.sigma_sq,
-                m=args.m,
-                v=args.v,
-                tau=args.tau,
-                zeta=args.zeta,
-                eta=args.eta,
-                steps=args.K,
-                beta=args.beta,
-            )
-            output["bound_report"] = theorem1_bound(inputs).to_dict()
-    except (MixingError, TheoryError, OverflowError) as exc:  # overflow: ints beyond float range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.tau is not None:
+        output["zeta_threshold"] = zeta_threshold(args.tau)
+    if args.best_easgd_alpha:
+        alpha, zeta = best_easgd_alpha(args.m)
+        output["best_easgd_alpha"] = {"alpha": alpha, "zeta": zeta}
+    if all(x is not None for x in core):
+        inputs = BoundInputs(
+            f1_minus_finf=args.f1_minus_finf,
+            lipschitz=args.lipschitz,
+            sigma_sq=args.sigma_sq,
+            m=args.m,
+            v=args.v,
+            tau=args.tau,
+            zeta=args.zeta,
+            eta=args.eta,
+            steps=args.K,
+            beta=args.beta,
+        )
+        output["bound_report"] = theorem1_bound(inputs).to_dict()
     if not output:
-        print("error: nothing to compute; pass --tau, --best-easgd-alpha, or the full "
-              "bound inputs (--f1-minus-finf --lipschitz --sigma-sq --m --tau --zeta "
-              "--eta --K)", file=sys.stderr)
-        return EXIT_INVALID
+        raise SpecError("nothing to compute; pass --tau, --best-easgd-alpha, or the full "
+                        "bound inputs (--f1-minus-finf --lipschitz --sigma-sq --m --tau --zeta "
+                        "--eta --K)")
     print(json.dumps(output, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -516,7 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # OverflowError: an integer flag beyond the float range
+    try:
+        return args.func(args)
+    except (SpecError, ConfigError, MixingError, TheoryError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

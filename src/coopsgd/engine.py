@@ -8,8 +8,8 @@ One iteration applies
     pre rule:   X <- X W_k - eta G            (alternative form)
 
 where W_k is the mixing matrix on synchronization steps (k divisible by tau)
-and the identity otherwise, and G carries the workers' stochastic gradients
-with explicit zero columns at auxiliary positions.
+and the identity otherwise, and G holds the stochastic gradients of the
+workers alone: auxiliaries take no gradient step.
 
 Because every mixing matrix has unit row sums, the all-column average
 follows plain SGD with the effective learning rate m*eta/(m+v) under both
@@ -173,9 +173,11 @@ def record_block_rows(n_seeds: int, d: int, n: int, steps: int) -> int:
 def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int) -> int:
     """Bytes `run_many` holds besides the oracle's, from above: the metric
     array, each stream's generator (under 1 KiB), the recording block with
-    three temporaries of its means, and eight (seeds, d, n + 1) step arrays."""
+    three temporaries of its means, and three (seeds, d, n + 1) step arrays
+    (the state, the step's gradients, and the mixed state, the scaled
+    gradients or the stack of the columns and their mean that is evaluated)."""
     rows = record_block_rows(n_seeds, d, n, steps)
-    return (40 * n_seeds * (steps + 1) + 1024 * n_seeds * m + 64 * n_seeds * d * (n + 1)
+    return (40 * n_seeds * (steps + 1) + 1024 * n_seeds * m + 24 * n_seeds * d * (n + 1)
             + rows * (record_row_bytes(n_seeds, d, n) + 24 * n_seeds * d))
 
 
@@ -276,21 +278,19 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         n_alive = n_seeds  # seeds without a non-finite row so far
         first_bad = np.full(n_seeds, K + 1)
         defect_max = np.zeros(n_seeds)
-        G = np.zeros((n_seeds, d, n))
         last = grads_blk[0, :, :, :m]  # the worker gradients of the last evaluation
         start = 1
         while start <= K:
             stop = min(start + block, K + 1)
             for b, k in enumerate(range(start, stop)):
-                G[:, :, :m] = sample(X[:, :, :m], last)
-                np.matmul(G[:, :, :m], worker_avg, out=gbar[b])
+                g = sample(X[:, :, :m], last)
+                np.matmul(g, worker_avg, out=gbar[b])
                 sync = k % tau == 0
-                if config.rule == "post":
-                    stepped = X - eta * G
-                    X = np.matmul(stepped, W) if sync else stepped
-                else:
-                    mixed = np.matmul(X, W) if sync else X
-                    X = mixed - eta * G
+                if sync and config.rule == "pre":
+                    X = np.matmul(X, W)
+                X[:, :, :m] -= eta * g  # auxiliaries take no gradient step
+                if sync and config.rule == "post":
+                    X = np.matmul(X, W)
                 evaluate(b)
                 last = grads_blk[b, :, :, :m]
             rows = stop - start

@@ -28,7 +28,7 @@ points, so they have no formulas of their own here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -139,15 +139,7 @@ class BoundReport:
     network_term: float
 
     def to_dict(self) -> dict:
-        return {
-            "lr_lhs": self.lr_lhs,
-            "lr_ok": self.lr_ok,
-            "bound": self.bound,
-            "floor": self.floor,
-            "opt_term": self.opt_term,
-            "stat_term": self.stat_term,
-            "network_term": self.network_term,
-        }
+        return asdict(self)
 
 
 def theorem1_bound(inputs: BoundInputs) -> BoundReport:

@@ -310,6 +310,23 @@ class TestRunExperiment:
         assert run_experiment(parse_experiment_spec(diverging)) == EXIT_ALL_DIVERGED
         assert sorted(f.name for f in out.iterdir()) == ["summary.json", "trace_seed4.csv"]
 
+    def test_rerun_sweeps_interrupted_temporaries(self, tmp_path):
+        # an interrupted run leaves `<trace>.csv.tmp` behind; a bare `.tmp` may be
+        # the user's own file and stays
+        out = tmp_path / "exp"
+        out.mkdir()
+        for name in ("trace_seed9.csv.tmp", "notes.tmp"):
+            (out / name).write_text("partial")
+        assert run_experiment(parse_experiment_spec(quadratic_spec(tmp_path, seeds=[1]))) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "notes.tmp", "summary.json", "trace_mean.csv", "trace_seed1.csv"]
+        (out / "trace_mean.csv.tmp").write_text("partial")
+        diverging = quadratic_spec(tmp_path, seeds=[4])
+        diverging["algorithm"].update(eta=3.0, K=5000, tau=1)
+        assert run_experiment(parse_experiment_spec(diverging)) == EXIT_ALL_DIVERGED
+        assert sorted(f.name for f in out.iterdir()) == [
+            "notes.tmp", "summary.json", "trace_seed4.csv"]
+
     def test_invalid_mixing_runs_without_bound_report(self, tmp_path):
         w = make_easgd(2, 0.8)  # zeta > 1: outside every bound's regime
         spec_dict = quadratic_spec(tmp_path)
@@ -435,9 +452,6 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["bound_report"]["network_term"] == 0.0
 
-    def test_bounds_rejects_unit_zeta(self):
-        assert main(["bounds", "--tau", "2", "--zeta", "1.0"]) == EXIT_INVALID
-
     def test_unknown_preset(self, tmp_path, capsys):
         assert main(["preset", "nonesuch", "--out", str(tmp_path)]) == EXIT_INVALID
         assert capsys.readouterr().err == ("error: unknown preset 'nonesuch'; available: "
@@ -474,6 +488,9 @@ class TestMainEntry:
         ["bounds", "--tau", "1" + "0" * 400],
         ["bounds", *BOUND_ARGS, "--zeta", "0.9", "--tau", "1" + "0" * 308],  # an infinite bound
         ["bounds", "--m", "1" + "0" * 400, "--best-easgd-alpha"],
+        ["bounds"],  # nothing to compute
+        ["bounds", "--best-easgd-alpha"],  # no --m
+        ["bounds", "--tau", "2", "--zeta", "1.0"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         a_file = tmp_path / "a_file"

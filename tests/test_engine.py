@@ -255,16 +255,19 @@ class TestByteEstimate:
         (20, 10, mx.make_easgd(8, 0.2), 1, 2000, "post"),  # the metric array dominates
         (4, 256, mx.make_easgd(16, 0.1), 1, 20, "pre"),    # the step arrays dominate
         (3, 50, mx.make_fully_connected(2), 0, 500, "post"),  # the recording block dominates
+        (4, 256, mx.make_easgd(16, 0.1), 1, 20, "post"),   # the step arrays dominate
     ])
     def test_estimate_covers_the_peak(self, n_seeds, d, mixing, v, steps, rule):
         # a noiseless quadratic draws no block, so its part of the peak is the
-        # evaluation's and sampling's arrays, which its own estimate counts
+        # evaluation's and sampling's arrays, which its own estimate counts; its
+        # d x d matrix is built before the traced call and is left out, so that
+        # at d = 256 the matrix's 512 KiB cannot hide a missing step array
         q = make_diag_quadratic(d, 0.1, 1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mixing, v=v, eta=0.01, steps=steps, rule=rule)
         peak = traced_peak(lambda: eng.run_many(cfg, q, list(range(n_seeds))))
         shape = (n_seeds, mixing.n, cfg.m, steps)
         estimate = eng.run_many_bytes(n_seeds, d, *shape[1:]) + QuadraticProblem.run_bytes(
-            d, 0.0, 0.0, *shape)
+            d, 0.0, 0.0, *shape) - q.A.nbytes
         assert peak <= estimate + FIXED_BYTES
 
 
