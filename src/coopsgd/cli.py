@@ -461,8 +461,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error as `main` ends every invalid input: exit 2 with one
+    `error:` line, without argparse's usage block. Subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coopsgd",
         description="Simulator and bound calculator for averaging-based distributed SGD",
     )

@@ -23,6 +23,18 @@ rows: the metric reductions, the finiteness test that finds dead seeds,
 and the recursion-defect update run once per block on the stacked rows,
 whose size RECORD_BLOCK_BYTES bounds. Dead seeds are found at the end of
 their block; the rows a run emits do not depend on the block size.
+
+The oracle evaluates a d-major stack: `run_many` fills one (d, seeds, m+v+1)
+buffer, allocated once, with the columns and their mean, and passes its
+(seeds, d, m+v+1) transposed view, on which the oracle's product over all
+seeds is one GEMM (see `coopsgd.objectives.GradientOracle`). The mixing
+product X W is likewise one GEMM on the free (seeds * d, m+v) reshape of the
+state; BLAS picks its kernel by shape, so at some shapes (d = 1, or 17
+columns) this rounds unlike one product per seed in the last bits. The
+column mean and the workers' mean gradient stay one matrix-vector product
+per seed: over all seeds at once, BLAS rounds the rows past the last
+multiple of its row block differently, which would change the bits of every
+run whose d is not such a multiple, the presets' d = 10 among them.
 """
 
 from __future__ import annotations
@@ -173,11 +185,11 @@ def record_block_rows(n_seeds: int, d: int, n: int, steps: int) -> int:
 def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int) -> int:
     """Bytes `run_many` holds besides the oracle's, from above: the metric
     array, each stream's generator (under 1 KiB), the recording block with
-    three temporaries of its means, and three (seeds, d, n + 1) step arrays
-    (the state, the step's gradients, and the mixed state, the scaled
-    gradients or the stack of the columns and their mean that is evaluated)."""
+    three temporaries of its means, the evaluated stack of the columns and
+    their mean, and three (seeds, d, n + 1) step arrays (the state, the
+    step's gradients, and the mixed state or the scaled gradients)."""
     rows = record_block_rows(n_seeds, d, n, steps)
-    return (40 * n_seeds * (steps + 1) + 1024 * n_seeds * m + 24 * n_seeds * d * (n + 1)
+    return (40 * n_seeds * (steps + 1) + 1024 * n_seeds * m + 32 * n_seeds * d * (n + 1)
             + rows * (record_row_bytes(n_seeds, d, n) + 24 * n_seeds * d))
 
 
@@ -190,7 +202,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     so streams are independent across both seeds and workers, and adding
     workers never perturbs existing streams. Metrics come from
     `oracle.batch_objective_and_grads`, called once per recorded row on the
-    (seeds, d, m+v+1) stack of the columns and their mean, and gradients
+    (seeds, d, m+v+1) stack of the columns and their mean (a view of one
+    d-major buffer that every evaluation refills), and gradients
     from `oracle.batch_gradient_sampler(rng_table, K)`, called once per step
     with the (seeds, d, m) worker columns and their full gradients: the
     first m gradient columns of the block row that holds the state's
@@ -233,6 +246,10 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     worker_avg = np.full(m, 1.0 / m)
     col_avg = np.full(n, 1.0 / n)
 
+    # the (seeds, d, n + 1) view of the evaluated stack of the columns and their
+    # mean, which is d-major so that each product over all seeds is one GEMM
+    evaluated = np.empty((d, n_seeds, n + 1)).transpose(1, 0, 2)
+
     block = record_block_rows(n_seeds, d, n, K)
     xbars = np.empty((block + 1, n_seeds, d))  # row 0: the mean before the block
     gbar = np.empty((block, n_seeds, d))
@@ -241,12 +258,17 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     spread_blk = np.empty((block, n_seeds, d, n))
     metrics = np.empty((5, n_seeds, K + 1))
 
+    def mix(X: np.ndarray) -> np.ndarray:
+        """X W as one (seeds * d, n) @ (n, n) GEMM on the free reshape of X."""
+        return (X.reshape(n_seeds * d, n) @ W).reshape(n_seeds, d, n)
+
     def evaluate(b: int) -> None:
         """Store the state's values, gradients and spreads X - xbar as block row `b`."""
-        xbar = np.matmul(X, col_avg, out=xbars[b + 1])[:, :, None]
-        vals_blk[b], grads_blk[b] = oracle.batch_objective_and_grads(
-            np.concatenate([X, xbar], axis=2))
-        np.subtract(X, xbar, out=spread_blk[b])
+        xbar = np.matmul(X, col_avg, out=xbars[b + 1])
+        evaluated[:, :, :n] = X
+        evaluated[:, :, n] = xbar
+        vals_blk[b], grads_blk[b] = oracle.batch_objective_and_grads(evaluated)
+        np.subtract(X, xbar[:, :, None], out=spread_blk[b])
 
     def reduce_block(start: int, rows: int) -> np.ndarray:
         """Fill metric columns start..start+rows-1 from the first `rows` block
@@ -287,10 +309,10 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 np.matmul(g, worker_avg, out=gbar[b])
                 sync = k % tau == 0
                 if sync and config.rule == "pre":
-                    X = np.matmul(X, W)
+                    X = mix(X)
                 X[:, :, :m] -= eta * g  # auxiliaries take no gradient step
                 if sync and config.rule == "post":
-                    X = np.matmul(X, W)
+                    X = mix(X)
                 evaluate(b)
                 last = grads_blk[b, :, :, :m]
             rows = stop - start

@@ -28,7 +28,8 @@ class states the bytes it holds in a run (`run_bytes`), counting its block at
 the width its sampler passes the reader.
 
 The logistic oracle works on label-signed features, so that no kernel pass
-multiplies by the labels, and its evaluation runs in a workspace it keeps.
+multiplies by the labels, and its evaluation runs in an N-major workspace it
+keeps.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def _block_bytes(n_seeds: int, m: int, steps: int, width: int, size: int, copied
     return 8 * size * noise_block_steps(n_seeds, width, m, steps) * (n_seeds * m + copied)
 
 
+def _gemm_over_seeds(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """M Y[:, s] for every seed s of a (k, seeds, cols) Y, as one (r, k) @ (k,
+    seeds * cols) GEMM, returned as a (seeds, r, cols) view. The reshape is
+    free when Y's last two axes are contiguous together and copies Y otherwise."""
+    k, n_seeds, cols = Y.shape
+    return (M @ Y.reshape(k, n_seeds * cols)).reshape(-1, n_seeds, cols).transpose(1, 0, 2)
+
+
 class OracleError(ValueError):
     """Raised for malformed oracle inputs."""
 
@@ -105,6 +114,18 @@ class GradientOracle:
     differentiates its mini-batch at `Xw`) but never writes to it. The
     single-vector forms `objective_value`, `full_gradient` and
     `stochastic_gradient` validate one point and evaluate that pair on it.
+
+    A stack may have any strides: `run_many` passes the (seeds, d, cols)
+    transposed view of a d-major (d, seeds, cols) buffer it reuses, so an
+    evaluation returns fresh arrays and keeps no reference to its input. On
+    that layout a product over all seeds is one GEMM on a free reshape: the
+    quadratic's A X as (d, d) @ (d, seeds * cols), which copies any other
+    layout first, and the logistic gradient's Z^T coeff as (d, N) @ (N,
+    seeds * cols) on its N-major workspace. The logistic margins Z W stay one
+    GEMM per seed, written into that workspace through BLAS's ldc: as one
+    (N, d) @ (d, seeds * cols) GEMM, BLAS picks another kernel and rounds
+    them differently. Products of other shapes, or a dense A at other
+    dimensions, may round in the last bits unlike one product per seed.
     """
 
     d: int
@@ -173,8 +194,10 @@ class QuadraticProblem(GradientOracle):
                   steps: int) -> int:
         """Bytes held in a run on n columns, m of them workers, from above: the
         matrix, the sampler's block, and the evaluation's product and gradient,
-        two (seeds, d, n + 1) arrays. The sampler's one (seeds, d, m) result is
-        made while no evaluation runs, so it fits in their place."""
+        two (seeds, d, n + 1) arrays. A stack that is not d-major is first
+        copied into d-major order, and that copy is freed once the product is
+        made, before the gradient is; the sampler's one (seeds, d, m) result is
+        made while no evaluation runs. Both fit in the place of these two."""
         width = QuadraticProblem._noise_width(d, sigma_sq, beta)
         return (8 * d * d + _block_bytes(n_seeds, m, steps, width, width, False)
                 + 16 * n_seeds * d * (n + 1))
@@ -191,7 +214,7 @@ class QuadraticProblem(GradientOracle):
         return float(0.5 * x_star @ (self.A @ x_star) - self.b @ x_star)
 
     def batch_objective_and_grads(self, X):
-        ax = np.matmul(self.A, X)
+        ax = _gemm_over_seeds(self.A, X.transpose(1, 0, 2))
         vals = 0.5 * np.einsum("sij,sij->sj", X, ax) - np.einsum("i,sij->sj", self.b, X)
         return vals, ax - self.b[:, None]
 
@@ -250,9 +273,12 @@ class LogisticProblem(GradientOracle):
     strong-convexity bound F(w) - ||grad F(w)||^2 / (2 l2) at the end of
     deterministic full-gradient descent run to gradient norm below 1e-10.
 
-    `batch_objective_and_grads` runs in a workspace of three (seeds, N, cols)
-    arrays kept on the oracle and reallocated only when the stack's shape
-    changes; the values and gradients it returns are fresh arrays.
+    `batch_objective_and_grads` runs in a workspace of three N-major (N,
+    seeds, cols) arrays kept on the oracle and reallocated only when the
+    stack's shape changes; the values and gradients it returns are fresh
+    arrays. The sample mean of the losses adds the samples in order, as numpy
+    reduces a strided axis, except on one column, where each seed's sample
+    axis is summed pairwise, as numpy reduces a contiguous one.
     """
 
     def __init__(self, features, labels, l2_reg: float = 0.0, batch_size: int = 1):
@@ -297,7 +323,8 @@ class LogisticProblem(GradientOracle):
                   steps: int) -> int:
         """Bytes held in a run, from above: the data with its label-signed
         copy, the sampler's block (whose `integers` fill draws into a
-        temporary), the evaluation workspace, a step's mini-batches with four
+        temporary), the evaluation's N-major workspace of three (N, seeds,
+        n + 1) arrays, a step's mini-batches with four
         temporaries and two (seeds, d, n + 1) arrays. A batch over n_samples,
         which building rejects, counts as n_samples."""
         batch = min(batch_size, n_samples)
@@ -325,12 +352,14 @@ class LogisticProblem(GradientOracle):
         return float(vals[0, 0] - grad_norm**2 / (2.0 * self.l2_reg))
 
     def batch_objective_and_grads(self, W):
-        shape = (W.shape[0], self.n_samples, W.shape[2])
+        n_seeds, _, cols = W.shape
+        shape = (self.n_samples, n_seeds, cols)
         if self._work is None or self._work[0].shape != shape:
             self._work = None  # let the old workspace go before the new one is allocated
             self._work = tuple(np.empty(shape) for _ in range(3))
         margins, losses, coeff = self._work
-        np.matmul(self.Z, W, out=margins)
+        # one (N, d) @ (d, cols) GEMM per seed, written in place through BLAS's ldc
+        np.matmul(self.Z, W, out=margins.transpose(1, 0, 2))
         # log(1 + e^-m) without overflow, as log1p(e^-|m|) - min(m, 0)
         np.abs(margins, out=losses)
         np.negative(losses, out=losses)
@@ -338,16 +367,17 @@ class LogisticProblem(GradientOracle):
         np.log1p(losses, out=losses)
         np.minimum(margins, 0.0, out=coeff)
         losses -= coeff
-        if W.shape[2] == 1:  # a contiguous sample axis, which numpy sums pairwise
-            vals = losses.mean(axis=1)
-        else:  # a strided one: the same sums, without the buffered loop of mean
-            vals = np.einsum("sij->sj", losses) / self.n_samples
+        if cols == 1:  # each seed's sample axis alone, which numpy sums pairwise
+            vals = np.stack([losses[:, s].sum(axis=0) for s in range(n_seeds)])
+        else:  # the samples in order, one row of (seeds, cols) sums at a time
+            vals = losses.sum(axis=0)
+        vals /= self.n_samples
         vals += 0.5 * self.l2_reg * np.einsum("sij,sij->sj", W, W)
         # d/dm log(1 + e^-m) = -1 / (1 + e^m)
         np.exp(margins, out=coeff)
         coeff += 1.0
         np.divide(-1.0, coeff, out=coeff)
-        grads = np.matmul(self.Z.T, coeff) / self.n_samples + self.l2_reg * W
+        grads = _gemm_over_seeds(self.Z.T, coeff) / self.n_samples + self.l2_reg * W
         return vals, grads
 
     def batch_gradient_sampler(self, rng_table, horizon):

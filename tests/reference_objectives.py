@@ -1,5 +1,9 @@
-"""Reference transcriptions of the logistic oracle's batched pair, the
-diagonal quadratic that most tests run, and a dense rotated one.
+"""Reference transcriptions of the oracles' batched evaluations, the logistic
+sampler, the diagonal quadratic that most tests run, and a dense rotated one.
+
+`reference_quadratic_objective_and_grads` makes one product A X[s] per seed
+on a C-ordered copy of the stack, where `QuadraticProblem` makes one GEMM
+over all seeds on the d-major layout; `d_major` gives a stack that layout.
 
 `reference_logistic_objective_and_grads` evaluates the objective values and
 full gradients with one freshly allocated array per operation, the formula
@@ -13,6 +17,20 @@ package to match both bit for bit.
 import numpy as np
 
 from coopsgd.objectives import OracleError, QuadraticProblem
+
+
+def d_major(X: np.ndarray) -> np.ndarray:
+    """The (seeds, d, cols) view of a (d, seeds, cols) copy of X, the layout
+    `run_many` evaluates."""
+    return np.ascontiguousarray(X.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def reference_quadratic_objective_and_grads(problem, X: np.ndarray):
+    """Values (seeds, cols) and gradients (seeds, d, cols) of a (seeds, d, cols) stack."""
+    X = np.ascontiguousarray(X)
+    ax = np.matmul(problem.A, X)
+    vals = 0.5 * np.einsum("sij,sij->sj", X, ax) - np.einsum("i,sij->sj", problem.b, X)
+    return vals, ax - problem.b[:, None]
 
 
 def reference_logistic_objective_and_grads(problem, W: np.ndarray):

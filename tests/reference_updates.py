@@ -154,6 +154,9 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     evaluates its own row, reduces it to the five metrics, parks the seeds
     whose row is non-finite at zero with zero gradients and stops once none
     is left, then updates the recursion defect of the seeds still alive.
+    It mixes with one product X[s] W per seed and evaluates a C-ordered stack,
+    where `run_many` makes one GEMM over all seeds and evaluates a d-major
+    view; at the shapes the tests run, the two round alike.
     """
     n, m, d, K = config.mixing.n, config.m, oracle.d, config.steps
     x0 = np.asarray(x0, dtype=float)

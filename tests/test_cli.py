@@ -537,6 +537,8 @@ class TestMainEntry:
         (["bounds", "--tau", "3"], EXIT_OK),
         (["preset", "hybrid-compare", "--out", "{a_file}"], EXIT_INVALID),
         (["preset", "hybrid-compare", "--seeds", "3", "--out", "{out}"], EXIT_OK),
+        (["bounds", "--tau", "x"], EXIT_INVALID),  # argparse's usage errors
+        ([], EXIT_INVALID),
     ])
     def test_module_entry_point(self, tmp_path, argv, code):
         # `python -m coopsgd.cli` warns if importing the package loaded `cli`
@@ -551,7 +553,7 @@ class TestMainEntry:
                                  *(a.format(a_file=a_file, out=out) for a in argv)],
                                 capture_output=True, text=True, env=env)
         assert result.returncode == code
-        if argv[0] == "preset" and code == EXIT_OK:  # one progress line per cell, nothing else
+        if argv[:1] == ["preset"] and code == EXIT_OK:  # one progress line per cell, nothing else
             lines = result.stderr.splitlines()
             assert sorted(line.split(":")[0] for line in lines) == [
                 "hybrid-compare/dpsgd", "hybrid-compare/hybrid", "hybrid-compare/pasgd50"]

@@ -119,6 +119,26 @@ class TestRun:
                      "worker_loss_mean", "worker_grad_norm_sq_mean"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    def test_oracle_evaluates_one_reused_d_major_stack(self):
+        # every evaluation receives the (seeds, d, n + 1) view of the same
+        # d-major buffer, on which the quadratic's product is one GEMM
+        q = make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(4, 0.2), v=1, eta=0.05, steps=10)
+        stacks = []
+
+        class StackProbe:
+            d, batch_gradient_sampler = q.d, q.batch_gradient_sampler
+
+            def batch_objective_and_grads(self, X):
+                stacks.append((X.shape, X.transpose(1, 0, 2).flags.c_contiguous,
+                               X.__array_interface__["data"][0]))
+                return q.batch_objective_and_grads(X)
+
+        eng.run_many(cfg, StackProbe(), [1, 2, 3])
+        assert len(stacks) == cfg.steps + 1
+        assert {(shape, d_major) for shape, d_major, _ in stacks} == {((3, 5, 6), True)}
+        assert len({address for *_, address in stacks}) == 1
+
     def test_batch_divergence_is_per_seed(self):
         # a step too large for the top curvature mode diverges regardless of seed,
         # so instead mix one stable and one unstable configuration seed-wise via

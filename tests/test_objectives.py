@@ -12,9 +12,12 @@ from coopsgd.mixing import make_fully_connected
 from coopsgd.objectives import LogisticProblem, OracleError, QuadraticProblem
 from peak_memory import FIXED_BYTES, traced_peak
 from reference_objectives import (
+    d_major,
     make_diag_quadratic,
+    make_rotated_quadratic,
     reference_logistic_objective_and_grads,
     reference_logistic_sampler,
+    reference_quadratic_objective_and_grads,
 )
 
 
@@ -138,6 +141,25 @@ class TestQuadratic:
         for row, ref_row in zip(rngs, ref_rngs):
             for rng, ref_rng in zip(row, ref_row):
                 assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("dense, shape", [
+        (True, (4, 256, 18)),  # the wide-elastic stack: 4 seeds, 16 workers, anchor, mean
+        (False, (20, 10, 8)),  # a preset's stack: 20 seeds at d = 10
+        (True, (1, 256, 1)),   # one column, as the single-vector forms pass
+        (False, (1, 10, 1)),
+    ])
+    def test_evaluation_matches_per_seed_products_bit_for_bit(self, dense, shape):
+        # one GEMM over all seeds rounds like one product per seed, on a
+        # C-ordered stack (copied to d-major order) and on the engine's d-major view
+        d = shape[1]
+        base = make_rotated_quadratic(d, 0.1, 1.0, seed=5) if dense else make_diag_quadratic(d)
+        q = QuadraticProblem(base.A, np.random.default_rng(6).standard_normal(d))
+        X = np.random.default_rng(7).standard_normal(shape)
+        ref_vals, ref_grads = reference_quadratic_objective_and_grads(q, X)
+        for stack in (X, d_major(X)):
+            vals, grads = q.batch_objective_and_grads(stack)
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert np.ascontiguousarray(grads).tobytes() == ref_grads.tobytes()
 
 
 class TestQuadraticNoise:
@@ -296,15 +318,17 @@ class TestLogistic:
 
     def test_evaluation_matches_reference_bit_for_bit(self, problem):
         # alternating shapes make the workspace reallocate between calls, and
-        # every earlier result must survive the later calls untouched
+        # every earlier result must survive the later calls untouched; the
+        # second stack of each shape is the engine's d-major view
         points = np.random.default_rng(10)
         earlier = []
-        for shape in [(1, 10, 1), (3, 10, 5), (3, 10, 5), (1, 10, 1)]:
+        for shape, layout in [((1, 10, 1), np.asarray), ((3, 10, 5), np.asarray),
+                              ((3, 10, 5), d_major), ((1, 10, 1), d_major)]:
             W = points.standard_normal(shape) * 3.0
-            vals, grads = problem.batch_objective_and_grads(W)
+            vals, grads = problem.batch_objective_and_grads(layout(W))
             ref_vals, ref_grads = reference_logistic_objective_and_grads(problem, W)
             assert vals.tobytes() == ref_vals.tobytes()
-            assert grads.tobytes() == ref_grads.tobytes()
+            assert np.ascontiguousarray(grads).tobytes() == ref_grads.tobytes()
             for (old_vals, old_grads), (kept_vals, kept_grads) in earlier:
                 assert np.array_equal(old_vals, kept_vals)
                 assert np.array_equal(old_grads, kept_grads)
@@ -313,16 +337,18 @@ class TestLogistic:
     @pytest.mark.parametrize("l2", [0.0, 0.01])
     def test_evaluation_matches_reference_at_workload_shape(self, l2):
         # the logistic-gossip engine stack (4 seeds, d = 20, 8 workers and
-        # their mean) on 1000 samples, where the sample mean runs over a
-        # strided axis, and a single column, where that axis is contiguous
+        # their mean) on 1000 samples, where the sample mean adds the samples
+        # in order, and a single column, whose sample axis the reference sums
+        # pairwise; each as a C-ordered array and as the engine's d-major view
         p = LogisticProblem.synthetic(1000, 20, seed=13, l2_reg=l2, batch_size=8)
         points = np.random.default_rng(14)
         for shape in [(4, 20, 9), (1, 20, 1)]:
             W = points.standard_normal(shape)
-            vals, grads = p.batch_objective_and_grads(W)
             ref_vals, ref_grads = reference_logistic_objective_and_grads(p, W)
-            assert vals.tobytes() == ref_vals.tobytes()
-            assert grads.tobytes() == ref_grads.tobytes()
+            for stack in (W, d_major(W)):
+                vals, grads = p.batch_objective_and_grads(stack)
+                assert vals.tobytes() == ref_vals.tobytes()
+                assert np.ascontiguousarray(grads).tobytes() == ref_grads.tobytes()
 
     def test_sampler_matches_reference_at_workload_shape(self):
         # 4 seeds, 8 workers, batch 8 on (1000, 20) data: a block of
