@@ -65,7 +65,8 @@ class SpecError(ValueError):
 @dataclass
 class ExperimentSpec:
     """Parsed experiment: oracle, algorithm, delays, seeds, output location,
-    and `echo`, the canonical spec JSON that re-parses to the same experiment."""
+    `echo`, the canonical spec JSON that re-parses to the same experiment,
+    and `memory_bytes`, the run's byte estimate (see `run_bytes`)."""
 
     echo: dict
     seeds: list[int]
@@ -74,6 +75,7 @@ class ExperimentSpec:
     config: AlgorithmConfig
     delay_model: DelayModel
     x0: np.ndarray | float
+    memory_bytes: int
 
 
 def _object(payload, where: str, required: set[str], optional: set[str] = frozenset()) -> dict:
@@ -132,31 +134,34 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
 
     The engine's `run_many_bytes`, plus `problem_bytes` (the oracle's own
     `run_bytes` and the echo's copy of its data), plus what `run_experiment`
-    holds per recorded row: the stacked metrics that `average_traces` reduces
-    (40 bytes a seed), the seeds' wall clocks and their mean (16 bytes a
-    seed), one timeline's draws (8 (2m + 10) bytes) and one trace CSV as
-    Python text (at most 512 bytes). The interpreter, numpy and BLAS add a
-    fixed amount on top.
+    holds per recorded row, whatever the seed count: the seed mean of the
+    metrics that `average_traces` sums into (40 bytes), the running sum of
+    the wall clocks and their mean (16 bytes), one timeline's draws
+    (8 (2m + 10) bytes) and one trace CSV as Python text (at most 512
+    bytes). The interpreter, numpy and BLAS add a fixed amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
-    per_row = 56 * n_seeds + 16 * m + 80 + 512
+    per_row = 56 + 16 * m + 80 + 512
     return run_many_bytes(n_seeds, d, n, m, K) + problem_bytes + (K + 1) * per_row
 
 
-def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> None:
+def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> int:
+    """The run's `run_bytes`, which must fit in MEMORY_BUDGET_BYTES."""
     need = run_bytes(n_seeds, config, d, problem_bytes)
     if need > MEMORY_BUDGET_BYTES:
         raise SpecError(f"the run needs about {need >> 20} MiB, over the memory budget "
                         f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
+    return need
 
 
 def oracle_from_dict(payload, n_seeds: int,
-                     config: AlgorithmConfig) -> tuple[GradientOracle, dict]:
-    """Build an oracle from a spec's "problem" object; returns it and its echo.
+                     config: AlgorithmConfig) -> tuple[GradientOracle, dict, int]:
+    """Build an oracle from a spec's "problem" object; returns it, its echo
+    and the byte estimate of a run of `config` on `n_seeds` seeds.
 
-    The memory of a run of `config` on `n_seeds` seeds is first checked
-    against MEMORY_BUDGET_BYTES, before the oracle allocates anything (a
-    logistic problem draws its samples when built).
+    That estimate is first checked against MEMORY_BUDGET_BYTES, before the
+    oracle allocates anything (a logistic problem draws its samples when
+    built).
     """
     if not isinstance(payload, dict) or "type" not in payload:
         raise SpecError("'problem' must be a JSON object with a 'type' field")
@@ -167,20 +172,23 @@ def oracle_from_dict(payload, n_seeds: int,
         sigma_sq = _number(p.get("sigma_sq", 0.0), "'sigma_sq'")
         beta = _number(p.get("beta", 0.0), "'beta'")
         # the echo holds A as Python floats, at most 56 bytes an entry
-        _check_memory(n_seeds, config, b.size,
-                      QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape) + 56 * A.size)
+        need = _check_memory(n_seeds, config, b.size,
+                             QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape)
+                             + 56 * A.size)
         return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta), {
             "type": "quadratic", "A": A.tolist(), "b": b.tolist(), "sigma_sq": sigma_sq,
-            "beta": beta}
+            "beta": beta}, need
     if payload["type"] == "logistic":
         p = _object(payload, "logistic problem", {"type", "n", "d", "seed"}, {"l2", "batch"})
         samples, d = _int(p["n"], "logistic 'n'", 1), _int(p["d"], "logistic 'd'", 1)
         seed = _int(p["seed"], "logistic 'seed'", 0)
         l2 = _number(p.get("l2", 0.01), "'l2'")
         batch = _int(p.get("batch", 8), "logistic 'batch'", 1)
-        _check_memory(n_seeds, config, d, LogisticProblem.run_bytes(samples, d, batch, *shape))
+        need = _check_memory(n_seeds, config, d,
+                             LogisticProblem.run_bytes(samples, d, batch, *shape))
         return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch), {
-            "type": "logistic", "n": samples, "d": d, "seed": seed, "l2": l2, "batch": batch}
+            "type": "logistic", "n": samples, "d": d, "seed": seed, "l2": l2,
+            "batch": batch}, need
     raise SpecError(f"unknown problem type: {payload['type']!r}")
 
 
@@ -253,7 +261,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         config = AlgorithmConfig(tau=_int(algo["tau"], "'tau'"), mixing=mixing,
                                  v=_int(algo.get("v", 0), "'v'"), eta=_number(algo["eta"], "'eta'"),
                                  steps=_int(algo["K"], "'K'"), rule=algo.get("rule", "post"))
-        oracle, problem_echo = oracle_from_dict(spec["problem"], len(seeds), config)
+        oracle, problem_echo, memory_bytes = oracle_from_dict(spec["problem"], len(seeds), config)
         delay_model, delay_echo = delay_from_dict(spec["delay"])
     except tuple(_SECTIONS) as exc:
         raise SpecError(f"invalid {_SECTIONS[type(exc)]}: {exc}") from exc
@@ -276,6 +284,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         config=config,
         delay_model=delay_model,
         x0=x0,
+        memory_bytes=memory_bytes,
     )
 
 
@@ -349,14 +358,14 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     timeline0 = None
-    completed_clocks = []
+    clock_sum = 0.0  # the completed seeds' clocks, added in seed order from zero like the metrics
     for seed, trace in zip(spec.seeds, traces):
         timeline = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
                                      spec.delay_model, seed=seed, v=spec.config.v)
         if timeline0 is None:
             timeline0 = timeline
         if not trace.diverged:
-            completed_clocks.append(timeline.cumulative)
+            clock_sum += timeline.cumulative  # a new array on the first add, then in place
         write_trace_csv(trace, timeline.cumulative[:trace.rows], out / f"trace_seed{seed}.csv")
 
     completed = [t for t in traces if not t.diverged]
@@ -364,7 +373,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     written = {out / f"trace_seed{seed}.csv" for seed in spec.seeds}
     if completed:
         written.add(out / "trace_mean.csv")
-        write_trace_csv(average_traces(completed), np.mean(completed_clocks, axis=0),
+        write_trace_csv(average_traces(completed), clock_sum / len(completed),
                         out / "trace_mean.csv")
     stale = {*out.glob("trace_seed*.csv"), *out.glob("trace_seed*.csv.tmp"),
              *out.glob("trace_mean.csv"), *out.glob("trace_mean.csv.tmp")} - written

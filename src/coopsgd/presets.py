@@ -237,14 +237,16 @@ def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
     """Run every configuration of a preset and write its combined summary.
 
     Every cell is parsed before any runs, so an invalid one raises `SpecError`
-    and leaves nothing behind. The cells then run in up to one spawned process
-    per CPU, and one line per finished cell goes to stderr.
+    and leaves nothing behind. The cells then run in spawned processes, at
+    most one per CPU and at most as many as `cli.MEMORY_BUDGET_BYTES` holds
+    at the largest cell's estimate, so the cells running at once stay within
+    the budget. One line per finished cell goes to stderr.
     """
     # imported here, so that importing `presets` costs no memory for the pool
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    from coopsgd.cli import SpecError, _atomic_write_json, parse_experiment_spec
+    from coopsgd.cli import MEMORY_BUDGET_BYTES, SpecError, _atomic_write_json, parse_experiment_spec
 
     if name not in PRESETS:
         raise SpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
@@ -252,9 +254,11 @@ def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
     cells = {cfg_name: parse_experiment_spec(payload)
              for cfg_name, payload in PRESETS[name](out_dir, seeds)}
     results: dict[str, dict] = dict.fromkeys(cells)
+    # each cell fit in the budget at parse, so at least one process runs
+    largest = max(spec.memory_bytes for spec in cells.values())
+    workers = min(len(cells), _cpu_count(), MEMORY_BUDGET_BYTES // largest)
     # spawn, never fork: forking after the BLAS threads have started is unsafe
-    with ProcessPoolExecutor(min(len(cells), _cpu_count()),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = {pool.submit(_run_cell, spec): cfg_name for cfg_name, spec in cells.items()}
         for future in as_completed(futures):
             cfg_name = futures[future]

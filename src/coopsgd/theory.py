@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from coopsgd.engine import RunTrace, effective_lr
+from coopsgd.engine import effective_lr
 
 
 class TheoryError(ValueError):
@@ -202,37 +202,3 @@ def zeta_threshold(tau: int) -> float:
     if tau < 1:
         raise TheoryError("tau must be >= 1")
     return float(np.sqrt(1.0 - 2.0 / (tau + 1.0)))
-
-
-@dataclass(frozen=True)
-class Lemma3Report:
-    """Measured-dispersion form of the error bound, against one trace."""
-
-    rhs: float
-    measured: float
-    holds: bool
-    applicable: bool
-
-
-def empirical_decomposition_bound(trace: RunTrace, inputs: BoundInputs) -> Lemma3Report:
-    """Check the bound with the network term measured, not bounded.
-
-    rhs = 2 (F1-Finf)/(eta_tilde K) + eta_tilde L sigma_sq / m
-        + (L^2 / K) sum_k ||X_k (I - J)||_F^2 / m
-
-    where the sum runs over the same gradient-evaluation states as the
-    measured mean squared gradient norm. Expectations should be approximated
-    by a seed-averaged trace. Requires eta_tilde L (1 + beta/m) <= 1;
-    otherwise the report is flagged not applicable.
-    """
-    if trace.diverged or trace.rows != inputs.steps + 1:
-        raise TheoryError("need a complete trace matching the configured horizon")
-    et, lip, m = inputs.eta_tilde, inputs.lipschitz, inputs.m
-    applicable = et * lip * (1.0 + inputs.beta / m) <= 1.0
-    k = inputs.steps
-    rhs = (2.0 * inputs.f1_minus_finf / (et * k)
-           + et * lip * inputs.sigma_sq / m
-           + lip ** 2 / k * float(trace.network_error[:k].sum()) / m)
-    measured = trace.mean_grad_norm_sq
-    return Lemma3Report(rhs=float(rhs), measured=float(measured),
-                        holds=bool(measured <= rhs), applicable=bool(applicable))

@@ -62,17 +62,11 @@ def sync_cost(mixing: MixingMatrix, delay: DelayModel, v: int = 0) -> float:
     if not 0 <= v < mixing.n:
         raise TimelineError(f"v={v} leaves no workers in a {mixing.n}-node matrix")
     m = mixing.n - v
-    entries = mixing.entries
-    max_degree = 0
-    for i in range(m):
-        partners = 0
-        for j in range(mixing.n):
-            if j == i or entries[i, j] == 0.0:
-                continue
-            if j >= m and delay.nonblocking_aux:
-                continue
-            partners += 1
-        max_degree = max(max_degree, partners)
+    partners = mixing.entries[:m] != 0
+    np.fill_diagonal(partners, False)
+    if delay.nonblocking_aux:
+        partners = partners[:, :m]
+    max_degree = int(partners.sum(axis=1).max())
     return delay.comm_latency + delay.comm_per_neighbor * max_degree
 
 

@@ -8,11 +8,17 @@ package keeps only `theory.theorem1_bound`; criterion 09 checks it against
 these transcriptions. Related analyses of the same special cases: Stich,
 arXiv:1805.09767 (local SGD); Lian et al., arXiv:1705.09056 (decentralized
 SGD); Zhang et al., arXiv:1412.6651 (elastic averaging).
+
+`empirical_decomposition_bound` is Lemma 3's form of the general bound, with
+the network term measured on a trace instead of bounded.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from coopsgd.engine import RunTrace
+from coopsgd.theory import BoundInputs, TheoryError
 
 
 def pasgd_bound(f1_minus_finf: float, lipschitz: float, sigma_sq: float,
@@ -86,3 +92,37 @@ def corollary1_bound(f1_minus_finf: float, lipschitz: float, sigma_sq: float,
     k_min_tight = int(np.ceil((m + v) ** 2 * m * blowup_sq))
     return FiniteHorizonReport(eta=float(eta), bound=float(bound),
                                k_min=k_min, k_min_tight=k_min_tight)
+
+
+@dataclass(frozen=True)
+class Lemma3Report:
+    """Measured-dispersion form of the error bound, against one trace."""
+
+    rhs: float
+    measured: float
+    holds: bool
+    applicable: bool
+
+
+def empirical_decomposition_bound(trace: RunTrace, inputs: BoundInputs) -> Lemma3Report:
+    """Check the bound with the network term measured, not bounded.
+
+    rhs = 2 (F1-Finf)/(eta_tilde K) + eta_tilde L sigma_sq / m
+        + (L^2 / K) sum_k ||X_k (I - J)||_F^2 / m
+
+    where the sum runs over the same gradient-evaluation states as the
+    measured mean squared gradient norm. Expectations should be approximated
+    by a seed-averaged trace. Requires eta_tilde L (1 + beta/m) <= 1;
+    otherwise the report is flagged not applicable.
+    """
+    if trace.diverged or trace.rows != inputs.steps + 1:
+        raise TheoryError("need a complete trace matching the configured horizon")
+    et, lip, m = inputs.eta_tilde, inputs.lipschitz, inputs.m
+    applicable = et * lip * (1.0 + inputs.beta / m) <= 1.0
+    k = inputs.steps
+    rhs = (2.0 * inputs.f1_minus_finf / (et * k)
+           + et * lip * inputs.sigma_sq / m
+           + lip ** 2 / k * float(trace.network_error[:k].sum()) / m)
+    measured = trace.mean_grad_norm_sq
+    return Lemma3Report(rhs=float(rhs), measured=float(measured),
+                        holds=bool(measured <= rhs), applicable=bool(applicable))

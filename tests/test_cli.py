@@ -1,5 +1,6 @@
 """CLI: spec validation, experiment outputs, exit codes, reproducibility."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -27,7 +28,9 @@ from coopsgd.cli import (
     main,
     parse_experiment_spec,
     run_experiment,
+    write_trace_csv,
 )
+from coopsgd.engine import RunTrace
 from coopsgd.mixing import make_easgd, make_fully_connected
 from coopsgd.objectives import LogisticProblem
 
@@ -47,6 +50,19 @@ def quadratic_spec(tmp_path, **overrides) -> dict:
     }
     spec.update(overrides)
     return spec
+
+
+def traced_run_peak(spec_dict) -> tuple[int, cli.ExperimentSpec]:
+    """Peak traced bytes of parsing and running `spec_dict`, and its parsed
+    spec. An untraced first run pays for the modules numpy imports on first use."""
+    run_experiment(parse_experiment_spec(spec_dict))
+    tracemalloc.start()
+    try:
+        spec = parse_experiment_spec(spec_dict)
+        assert run_experiment(spec) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1], spec
+    finally:
+        tracemalloc.stop()
 
 
 def replace_at(spec, path: tuple, value):
@@ -286,6 +302,22 @@ class TestRunExperiment:
         assert clocks[0] == 0.0
         assert all(b > a for a, b in zip(clocks, clocks[1:]))
 
+    def test_seed_mean_csv_is_the_mean_of_the_seed_csvs(self, tmp_path):
+        # the seed mean is summed without a stack; its file must still hold the
+        # bits of np.mean over the stacked per-seed columns, clocks included,
+        # which jitter makes differ from seed to seed
+        spec_dict = quadratic_spec(tmp_path, seeds=[11, 12, 13, 14, 15])
+        spec_dict["delay"]["jitter"] = 0.3
+        assert run_experiment(parse_experiment_spec(spec_dict)) == EXIT_OK
+        out = tmp_path / "exp"
+        stack = [[[float(x) for x in row.split(",")]
+                  for row in (out / f"trace_seed{seed}.csv").read_text().splitlines()[1:]]
+                 for seed in spec_dict["seeds"]]
+        mean = np.mean(stack, axis=0)
+        expected = tmp_path / "expected.csv"
+        write_trace_csv(RunTrace(mean[:, 1:4].T, 50, 0.0), mean[:, 4], expected)
+        assert (out / "trace_mean.csv").read_bytes() == expected.read_bytes()
+
     def test_all_diverged_exit_code(self, tmp_path):
         # a step far beyond 2/L diverges deterministically
         spec_dict = quadratic_spec(tmp_path)
@@ -384,16 +416,19 @@ class TestRunExperiment:
         spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
         spec_dict["problem"] = {"type": "logistic", "n": 8, "d": 1, "seed": 3, "batch": 8}
         spec_dict["algorithm"].update(K=200, mixing={"n": 16, "entries": [1 / 16] * 256})
-        run_experiment(parse_experiment_spec(spec_dict))
-        tracemalloc.start()
-        try:
-            spec = parse_experiment_spec(spec_dict)
-            assert run_experiment(spec) == EXIT_OK
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, spec = traced_run_peak(spec_dict)
         assert peak <= cli.run_bytes(20, spec.config, 1,
                                      LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200))
+
+    def test_memory_estimate_counts_one_seed_mean(self, tmp_path):
+        # a noiseless quadratic draws no noise block, so at d = 2 and K = 5000
+        # the metric rows dominate: a stack of the 20 seeds' metrics and clocks
+        # (4.8 MB) would not fit in the estimate
+        spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
+        spec_dict["problem"]["sigma_sq"] = 0.0
+        spec_dict["algorithm"]["K"] = 5000
+        peak, spec = traced_run_peak(spec_dict)
+        assert peak <= spec.memory_bytes
 
     def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
         huge = quadratic_spec(tmp_path)
@@ -612,6 +647,36 @@ class TestRunPreset:
             for summary in summaries:
                 del summary["config_echo"]["output_dir"]
             assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("name, seeds, cpus, budget, workers", [
+        # the default budget holds every default cell, so each CPU takes one
+        ("floor-sweep", None, 12, None, 12),
+        ("easgd-alpha-sweep", None, 12, None, 4),
+        ("hybrid-compare", None, 12, None, 3),
+        ("hybrid-compare", None, 2, None, 2),
+        # a budget for two of the largest cell runs two, and a byte less runs one
+        ("hybrid-compare", [3], 12, lambda largest: 2 * largest, 2),
+        ("hybrid-compare", [3], 12, lambda largest: 2 * largest - 1, 1),
+    ])
+    def test_pool_fits_the_memory_budget(self, tmp_path, monkeypatch, name, seeds, cpus,
+                                         budget, workers):
+        class PoolStarted(Exception):
+            pass
+
+        def recording_pool(max_workers, mp_context):
+            sizes.append(max_workers)
+            raise PoolStarted
+
+        sizes = []
+        if budget is not None:
+            largest = max(parse_experiment_spec(payload).memory_bytes
+                          for _, payload in presets.PRESETS[name](str(tmp_path), seeds))
+            monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", budget(largest))
+        monkeypatch.setattr(presets, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        with pytest.raises(PoolStarted):
+            presets.run_preset(name, str(tmp_path / "out"), seeds=seeds)
+        assert sizes == [workers]
 
     def test_invalid_last_cell_runs_no_cell(self, tmp_path, monkeypatch):
         def specs_with_bad_last_cell(out_dir, seeds):

@@ -452,14 +452,14 @@ class TestByteEstimates:
 
 
 class TestSerialization:
-    """`oracle_from_dict` returns the oracle and its echo, which reads back to
-    the same oracle and the same echo."""
+    """`oracle_from_dict` returns the oracle, its echo, which reads back to
+    the same oracle and the same echo, and the run's byte estimate."""
 
     CONFIG = AlgorithmConfig(tau=1, mixing=make_fully_connected(2), v=0, eta=0.1, steps=10)
 
     def read_twice(self, payload):
-        first, echo = oracle_from_dict(payload, 2, self.CONFIG)
-        again, echo_again = oracle_from_dict(echo, 2, self.CONFIG)
+        first, echo, _ = oracle_from_dict(payload, 2, self.CONFIG)
+        again, echo_again, _ = oracle_from_dict(echo, 2, self.CONFIG)
         assert echo_again == echo
         return first, echo, again
 

@@ -193,7 +193,7 @@ class TestEmpiricalDecomposition:
         trace = eng.run_many(cfg, q, [0], x0=2.0)[0]
         bi = th.BoundInputs(trace.initial_loss - q.f_inf, q.lipschitz, 0.0,
                             m=4, v=0, tau=1, zeta=0.0, eta=0.5, steps=200)
-        rep = th.empirical_decomposition_bound(trace, bi)
+        rep = ref.empirical_decomposition_bound(trace, bi)
         assert rep.applicable
         assert rep.rhs == pytest.approx(2 * bi.f1_minus_finf / (0.5 * 200), rel=1e-12)
         assert rep.holds
@@ -207,7 +207,7 @@ class TestEmpiricalDecomposition:
         avg = eng.average_traces(traces)
         bi = th.BoundInputs(avg.initial_loss - q.f_inf, q.lipschitz, 1.0,
                             m=4, v=0, tau=4, zeta=w.zeta, eta=eta, steps=2000)
-        rep = th.empirical_decomposition_bound(avg, bi)
+        rep = ref.empirical_decomposition_bound(avg, bi)
         assert rep.applicable
         assert rep.holds
 
@@ -218,5 +218,5 @@ class TestEmpiricalDecomposition:
         trace = eng.run_many(cfg, q, [0], x0=1.0)[0]
         bi = th.BoundInputs(trace.initial_loss - q.f_inf, q.lipschitz, 0.0,
                             m=2, v=0, tau=1, zeta=0.0, eta=1.5, steps=10)
-        rep = th.empirical_decomposition_bound(trace, bi)
+        rep = ref.empirical_decomposition_bound(trace, bi)
         assert not rep.applicable
