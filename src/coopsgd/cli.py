@@ -271,7 +271,8 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     echo = {
         "problem": problem_echo,
         "algorithm": {"tau": config.tau, "v": config.v, "eta": config.eta, "K": config.steps,
-                      "rule": config.rule, "mixing": mixing_echo, "init": init},
+                      "rule": config.rule, "mixing": mixing_echo,
+                      "init": x0.tolist() if isinstance(x0, np.ndarray) else x0},
         "delay": delay_echo,
         "seeds": seeds,
         "output_dir": output_dir,

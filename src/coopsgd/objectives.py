@@ -29,7 +29,8 @@ the width its sampler passes the reader.
 
 The logistic oracle works on label-signed features, so that no kernel pass
 multiplies by the labels, and its evaluation runs in an N-major workspace it
-keeps.
+keeps. Its ridge weight and batch size have no defaults here: the spec
+reader in `coopsgd.cli` is the one place that fills in an omitted value.
 """
 
 from __future__ import annotations
@@ -276,12 +277,13 @@ class LogisticProblem(GradientOracle):
     `batch_objective_and_grads` runs in a workspace of three N-major (N,
     seeds, cols) arrays kept on the oracle and reallocated only when the
     stack's shape changes; the values and gradients it returns are fresh
-    arrays. The sample mean of the losses adds the samples in order, as numpy
-    reduces a strided axis, except on one column, where each seed's sample
-    axis is summed pairwise, as numpy reduces a contiguous one.
+    arrays. The sample mean of the losses is one sum over the workspace's
+    sample axis: numpy adds the samples in order, one (seeds, cols) row at a
+    time, and on a single (1, d, 1) point, where that axis is contiguous,
+    pairwise.
     """
 
-    def __init__(self, features, labels, l2_reg: float = 0.0, batch_size: int = 1):
+    def __init__(self, features, labels, l2_reg: float, batch_size: int):
         X = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
         if X.ndim != 2:
@@ -306,8 +308,8 @@ class LogisticProblem(GradientOracle):
         self._work = None  # margins, losses, coeff of the last evaluated shape
 
     @staticmethod
-    def synthetic(n_samples: int, d: int, seed: int, l2_reg: float = 0.01,
-                  batch_size: int = 8) -> "LogisticProblem":
+    def synthetic(n_samples: int, d: int, seed: int, l2_reg: float,
+                  batch_size: int) -> "LogisticProblem":
         """Reproducible planted-separator data: normal features, 10% label flips."""
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n_samples, d))
@@ -367,10 +369,7 @@ class LogisticProblem(GradientOracle):
         np.log1p(losses, out=losses)
         np.minimum(margins, 0.0, out=coeff)
         losses -= coeff
-        if cols == 1:  # each seed's sample axis alone, which numpy sums pairwise
-            vals = np.stack([losses[:, s].sum(axis=0) for s in range(n_seeds)])
-        else:  # the samples in order, one row of (seeds, cols) sums at a time
-            vals = losses.sum(axis=0)
+        vals = losses.sum(axis=0)
         vals /= self.n_samples
         vals += 0.5 * self.l2_reg * np.einsum("sij,sij->sj", W, W)
         # d/dm log(1 + e^-m) = -1 / (1 + e^m)

@@ -42,13 +42,13 @@ _DELAY = {"compute": 0.5, "jitter": 0.0, "latency": 1.0, "per_neighbor": 0.25,
           "nonblocking_aux": False}
 
 
-def _quadratic_problem(sigma_sq: float = 1.0) -> dict:
+def _quadratic_problem() -> dict:
     spectrum = np.linspace(_SPECTRUM_LO, _SPECTRUM_HI, _DIM)
     return {
         "type": "quadratic",
         "A": np.diag(spectrum).tolist(),
         "b": [0.0] * _DIM,
-        "sigma_sq": sigma_sq,
+        "sigma_sq": 1.0,
         "beta": 0.0,
     }
 
@@ -88,8 +88,8 @@ def floor_sweep_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict]]:
     (tau=32, zeta=0.8), so all twelve runs sit inside the analyzable regime
     and their floors are comparable.
     """
-    eta = max_stable_eta_tilde(_SPECTRUM_HI, max(FLOOR_TAUS), max(z for z, _ in FLOOR_ZETAS),
-                               FLOOR_M, 0, fraction=0.9)
+    eta = 0.9 * max_stable_eta_tilde(_SPECTRUM_HI, max(FLOOR_TAUS),
+                                     max(z for z, _ in FLOOR_ZETAS), FLOOR_M, 0)
     specs = []
     for zeta, label in FLOOR_ZETAS:
         mixing = make_dense_with_zeta(FLOOR_M, zeta)
@@ -136,7 +136,7 @@ def hybrid_compare_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict
     floor stays near the tau=50 periodic one; which of those two floors ends
     up lower is parameter-dependent and reported as data, not asserted.
     """
-    eta = max_stable_eta_tilde(_SPECTRUM_HI, HYBRID_TAU, HYBRID_ZETA, HYBRID_M, 0, fraction=0.9)
+    eta = 0.9 * max_stable_eta_tilde(_SPECTRUM_HI, HYBRID_TAU, HYBRID_ZETA, HYBRID_M, 0)
     sparse = make_dense_with_zeta(HYBRID_M, HYBRID_ZETA)
     full = make_fully_connected(HYBRID_M)
     return [
@@ -236,8 +236,9 @@ def _cpu_count() -> int:
 def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
     """Run every configuration of a preset and write its combined summary.
 
-    Every cell is parsed before any runs, so an invalid one raises `SpecError`
-    and leaves nothing behind. The cells then run in spawned processes, at
+    `seeds=None` runs DEFAULT_SEEDS; any list, an empty one too, is parsed
+    as given. Every cell is parsed before any runs, so an invalid one raises
+    `SpecError` and leaves nothing behind. The cells then run in spawned processes, at
     most one per CPU and at most as many as `cli.MEMORY_BUDGET_BYTES` holds
     at the largest cell's estimate, so the cells running at once stay within
     the budget. One line per finished cell goes to stderr.
@@ -250,7 +251,7 @@ def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
 
     if name not in PRESETS:
         raise SpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    seeds = list(seeds) if seeds else list(DEFAULT_SEEDS)
+    seeds = list(DEFAULT_SEEDS) if seeds is None else list(seeds)
     cells = {cfg_name: parse_experiment_spec(payload)
              for cfg_name, payload in PRESETS[name](out_dir, seeds)}
     results: dict[str, dict] = dict.fromkeys(cells)

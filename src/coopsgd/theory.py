@@ -17,7 +17,8 @@ averaged gradient noise, and a network term from inter-worker disagreement:
           + eta_tilde^2 L^2 sigma_sq C(tau, zeta) (1 + v/m)^2   [network]
 
 with C(tau, zeta) = (1 + zeta^2)/(1 - zeta^2) * tau - 1. The error floor is
-the K -> infinity limit, i.e. stat + network.
+the K -> infinity limit, i.e. stat + network. Every formula needs zeta in
+[0, 1); on the bound path `lr_condition` is the one place that checks it.
 
 Periodic averaging (zeta = 0), decentralized SGD (tau = 1), elastic
 averaging (tau = 1, v = 1) and the horizon-tuned step
@@ -84,12 +85,6 @@ def _require_subunit_zeta(zeta: float) -> None:
         raise TheoryError(f"bounds require zeta in [0, 1), got {zeta}")
 
 
-def network_coefficient(tau: int, zeta: float) -> float:
-    """C(tau, zeta) = (1 + zeta^2) / (1 - zeta^2) * tau - 1."""
-    _require_subunit_zeta(zeta)
-    return (1.0 + zeta ** 2) / (1.0 - zeta ** 2) * tau - 1.0
-
-
 def lr_condition(inputs: BoundInputs) -> tuple[float, bool]:
     """Left-hand side of the step-size condition and whether it holds.
 
@@ -145,18 +140,18 @@ class BoundReport:
 def theorem1_bound(inputs: BoundInputs) -> BoundReport:
     """General bound on the K-step average squared gradient norm.
 
-    Raises TheoryError when a term, or the learning-rate condition, leaves
-    the float range, so every report holds finite numbers only.
+    Raises TheoryError when zeta is outside [0, 1), or when a term, or the
+    learning-rate condition, leaves the float range, so every report holds
+    finite numbers only.
     """
-    _require_subunit_zeta(inputs.zeta)
-    et, lip, m = inputs.eta_tilde, inputs.lipschitz, inputs.m
+    et, lip, m, zeta = inputs.eta_tilde, inputs.lipschitz, inputs.m, inputs.zeta
     try:
+        lhs, ok = lr_condition(inputs)  # first: it rejects zeta outside [0, 1)
         opt = 2.0 * inputs.f1_minus_finf / (et * inputs.steps)
         stat = et * lip * inputs.sigma_sq / m
         network = (et ** 2 * lip ** 2 * inputs.sigma_sq
-                   * network_coefficient(inputs.tau, inputs.zeta)
+                   * ((1.0 + zeta ** 2) / (1.0 - zeta ** 2) * inputs.tau - 1.0)
                    * (1.0 + inputs.v / m) ** 2)
-        lhs, ok = lr_condition(inputs)
     except OverflowError as exc:  # float ** float raises instead of returning inf
         raise TheoryError(f"the bound overflows: {exc}") from exc
     report = BoundReport(
@@ -173,23 +168,20 @@ def theorem1_bound(inputs: BoundInputs) -> BoundReport:
     return report
 
 
-def max_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v: int,
-                         fraction: float = 1.0) -> float:
+def max_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v: int) -> float:
     """Largest eta_tilde satisfying the beta = 0 step-size condition.
 
     Solves eta_tilde L + 5 eta_tilde^2 L^2 [(1+v/m) tau/(1-zeta)]^2 = 1 and
-    returns `fraction` of the positive root. Handy for sweeps that want a
-    comparable step inside the analyzable regime.
+    returns the positive root. Sweeps that want a comparable step inside the
+    analyzable regime take a fixed share of it (the presets take 0.9).
     """
     _require_subunit_zeta(zeta)
     if lipschitz <= 0 or tau < 1 or m < 1 or v < 0:
         raise TheoryError("need L > 0, tau >= 1, m >= 1, v >= 0")
-    if not 0.0 < fraction <= 1.0:
-        raise TheoryError("fraction must be in (0, 1]")
     blowup = (1.0 + v / m) * tau / (1.0 - zeta)
     quad = 5.0 * lipschitz ** 2 * blowup ** 2
     root = (-lipschitz + np.sqrt(lipschitz ** 2 + 4.0 * quad)) / (2.0 * quad)
-    return float(fraction * root)
+    return float(root)
 
 
 def zeta_threshold(tau: int) -> float:

@@ -12,11 +12,12 @@ import pytest
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd import theory as th
-from coopsgd.cli import parse_experiment_spec, run_experiment
-from coopsgd.presets import run_preset
+from coopsgd.cli import TAIL_FRACTION, parse_experiment_spec, run_experiment
+from coopsgd.presets import FLOOR_TAUS, FLOOR_ZETAS, run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
 import reference_bounds as ref_bounds
+import reference_expectations as ref_exp
 import reference_updates as ref
 from reference_mixing import (
     generalized_elastic_zeta,
@@ -189,7 +190,7 @@ def test_criterion_06_convergence_bound_envelope(tmp_path):
     margins = []
     for name, tau, w, v, steps in cases:
         m = w.n - v
-        eta_tilde = th.max_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, m, v, fraction=0.9)
+        eta_tilde = 0.9 * th.max_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, m, v)
         eta = eta_tilde * (m + v) / m
         spec = parse_experiment_spec({
             "problem": problem,
@@ -379,3 +380,59 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
     for rel in csvs:
         assert (first / rel).read_bytes() == (second / rel).read_bytes()
     report(12, f"{len(csvs)} CSV files byte-identical across re-runs")
+
+
+# -------------------------------------------------------------------------
+# 13. Exact expected network error on the floor-sweep cells
+# -------------------------------------------------------------------------
+
+def network_error_column(path, first_row: int = 0) -> np.ndarray:
+    """The `network_error` column of a trace CSV from row `first_row` on."""
+    return np.loadtxt(path, delimiter=",", skiprows=1 + first_row, usecols=3)
+
+
+def test_criterion_13_exact_network_error(floor_sweep_summary):
+    # reads the outputs of criterion 07's run; no new simulation
+    _, out = floor_sweep_summary
+    ratios, margins = [], []
+    for zeta, label in FLOOR_ZETAS:
+        for tau in FLOOR_TAUS:
+            name = f"tau{tau:02d}_zeta{label}"
+            cell = json.loads((out / name / "summary.json").read_text())
+            problem, algo = cell["config_echo"]["problem"], cell["config_echo"]["algorithm"]
+            A, m, steps = np.array(problem["A"]), algo["mixing"]["n"], algo["K"]
+            spectrum = np.diag(A)
+            # the exact recursion's assumptions hold in this cell
+            assert np.array_equal(A, np.diag(spectrum)) and not any(problem["b"])
+            assert problem["beta"] == 0.0 and algo["rule"] == "post" and algo["v"] == 0
+            assert algo["tau"] == tau
+            assert np.array_equal(np.reshape(algo["mixing"]["entries"], (m, m)),
+                                  mx.make_dense_with_zeta(m, zeta).entries)
+            exact = ref_exp.post_network_error(spectrum, problem["sigma_sq"], m, tau, zeta,
+                                               algo["eta"], steps)
+
+            # the tail seed mean lies within 5% of its exact expectation
+            tail = int(np.ceil((1.0 - TAIL_FRACTION) * steps))
+            expected = exact[tail:].mean()
+            if expected > 0.0:
+                measured = network_error_column(out / name / "trace_mean.csv", tail).mean()
+                per_seed = [network_error_column(out / name / f"trace_seed{seed}.csv", tail).mean()
+                            for seed in cell["averaged_over_seeds"]]
+                stderr = np.std(per_seed, ddof=1) / np.sqrt(len(per_seed)) / expected
+                ratio = measured / expected
+                assert abs(ratio - 1.0) <= 0.05, f"{name}: ratio {ratio:.4f} (se {stderr:.4f})"
+                ratios.append(f"{name} {ratio:.4f}+-{stderr:.4f}")
+
+            # the exact dispersion term sits at or below the published network term
+            bound = cell["bound_report"]
+            if bound["lr_ok"]:
+                lipschitz = spectrum.max()
+                dispersion = lipschitz ** 2 / steps * exact[:steps].sum() / m
+                assert dispersion <= bound["network_term"], (
+                    f"{name}: dispersion {dispersion:.4e} > {bound['network_term']:.4e}")
+                if dispersion > 0.0:
+                    margins.append(bound["network_term"] / dispersion)
+    assert len(ratios) == 11 and len(margins) == 11  # only tau=1 at zeta 0 keeps no spread
+    report(13, f"tail network error / exact expectation (20-seed standard error): "
+               f"{', '.join(ratios)}; network_term / exact dispersion "
+               f"{min(margins):.2f}-{max(margins):.2f}")

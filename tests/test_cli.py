@@ -180,24 +180,31 @@ class TestSpecProperty:
 
 
 class TestSpecParsing:
-    @pytest.mark.parametrize("section, payload, echo", [
-        (None, None, None),
-        ("problem", {"type": "logistic", "n": 40, "d": 2, "seed": 3},
+    @pytest.mark.parametrize("path, payload, echo", [
+        ((), None, None),
+        (("problem",), {"type": "logistic", "n": 40, "d": 2, "seed": 3},
          {"type": "logistic", "n": 40, "d": 2, "seed": 3, "l2": 0.01, "batch": 8}),
-        ("delay", {"compute": 0.5},
+        (("delay",), {"compute": 0.5},
          {"compute": 0.5, "jitter": 0.0, "latency": 0.0, "per_neighbor": 0.0,
           "nonblocking_aux": False}),
-    ], ids=["quadratic", "logistic", "bare_delay"])
-    def test_round_trip_identical(self, tmp_path, section, payload, echo):
-        # the echo fills in every default, and re-parses to itself
+        (("algorithm", "init"), 2, 2.0),
+        (("algorithm", "init"), [1, 2], [1.0, 2.0]),
+    ], ids=["quadratic", "logistic", "bare_delay", "int_init", "int_init_vector"])
+    def test_round_trip_identical(self, tmp_path, path, payload, echo):
+        # the echo fills in every default, writes every number as a float,
+        # and re-parses to itself
         spec = quadratic_spec(tmp_path)
-        if section:
-            spec[section] = payload
+        if path:
+            replace_at(spec, path, payload)
         first = parse_experiment_spec(spec)
         second = parse_experiment_spec(json.loads(json.dumps(first.echo)))
         assert second.echo == first.echo
-        if section:
-            assert first.echo[section] == echo
+        if path:
+            echoed = first.echo
+            for key in path:
+                echoed = echoed[key]
+            # 2 == 2.0 in Python, so compare the JSON text, where they differ
+            assert json.dumps(echoed, sort_keys=True) == json.dumps(echo, sort_keys=True)
 
     def test_unknown_top_level_field(self, tmp_path):
         with pytest.raises(SpecError, match="surprise"):
@@ -599,6 +606,29 @@ class TestMainEntry:
         else:
             assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    def test_runtime_imports_are_numpy_only(self):
+        # every module of the package, and a command run, in a fresh
+        # interpreter; what its site hooks preloaded is not counted
+        script = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "import contextlib, importlib, io, pkgutil",
+            "import coopsgd",
+            "for info in pkgutil.iter_modules(coopsgd.__path__):",
+            "    importlib.import_module(f'coopsgd.{info.name}')",
+            "from coopsgd import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['bounds', '--tau', '3']) == 0",
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))",
+        ])
+        src = str(Path(coopsgd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, check=True)
+        loaded = set(result.stdout.split())
+        assert {"coopsgd", "numpy"} <= loaded
+        assert loaded - sys.stdlib_module_names <= {"coopsgd", "numpy"}
+
     @pytest.mark.parametrize("path, value", MALFORMED, ids=[
         "/".join(map(str, path)) + f"={value!r}" for path, value in MALFORMED])
     def test_malformed_value_exits_two_with_one_line(self, tmp_path, capsys, path, value):
@@ -678,6 +708,16 @@ class TestRunPreset:
             presets.run_preset(name, str(tmp_path / "out"), seeds=seeds)
         assert sizes == [workers]
 
+    def test_empty_seed_list_is_rejected_at_parse(self, tmp_path, monkeypatch):
+        # only seeds=None selects the defaults; an empty list starts no process
+        def no_pool(max_workers, mp_context):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SpecError, match="'seeds' must be a non-empty list"):
+            presets.run_preset("hybrid-compare", str(tmp_path / "out"), seeds=[])
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_last_cell_runs_no_cell(self, tmp_path, monkeypatch):
         def specs_with_bad_last_cell(out_dir, seeds):
             specs = presets.hybrid_compare_specs(out_dir, seeds)
@@ -688,3 +728,82 @@ class TestRunPreset:
         with pytest.raises(SpecError, match="eta must be positive"):
             presets.run_preset("hybrid-compare", str(tmp_path / "out"), seeds=[3])
         assert not (tmp_path / "out").exists()
+
+
+def floor_results(floor) -> dict:
+    """Hand-built `floor-sweep` cell results with `floor(tau, zeta)` as each floor."""
+    return {f"tau{tau:02d}_zeta{label}": {"tail_worker_grad_norm_sq": floor(tau, zeta)}
+            for zeta, label in presets.FLOOR_ZETAS for tau in presets.FLOOR_TAUS}
+
+
+def easgd_results(losses: dict) -> dict:
+    """Hand-built `easgd-alpha-sweep` cell results; a loss of None is a diverged cell."""
+    return {"alpha" + f"{alpha:.4f}".replace(".", "p"):
+            {"tail_worker_loss": loss, "diverged": loss is None}
+            for alpha, loss in losses.items()}
+
+
+def hybrid_results(times: dict, floors: dict) -> dict:
+    """Hand-built `hybrid-compare` cell results."""
+    return {name: {"timeline": {"total_time_s": times[name]}, "tail_worker_loss": floors[name]}
+            for name in times}
+
+
+class TestPresetVerdicts:
+    """Each preset's verdicts on hand-built cell results, both ways, with no simulation."""
+
+    @pytest.mark.parametrize("floor, tau_ok, zeta_ok, extremes_ok", [
+        (lambda tau, zeta: tau + 100 * zeta, True, True, True),
+        # tau08 at zeta 1/3 drops below tau02 (35.33), still above its zeta-0 cell
+        (lambda tau, zeta: 35.0 if (tau, zeta) == (8, 1 / 3) else tau + 100 * zeta,
+         False, True, True),
+        # tau02 at zeta 0.8 drops below zeta 1/3 (20.33), still above tau01 (10.8)
+        (lambda tau, zeta: 20.2 if (tau, zeta) == (2, 0.8) else 10 * tau + zeta,
+         True, False, True),
+        # every floor tied: both orders hold, the extremes are not strictly ordered
+        (lambda tau, zeta: 1.0, True, True, False),
+    ], ids=["ordered", "tau_out_of_order", "zeta_out_of_order", "tied_extremes"])
+    def test_floor_sweep(self, floor, tau_ok, zeta_ok, extremes_ok):
+        results = floor_results(floor)
+        summary = presets._floor_sweep_summary(results)
+        assert summary == {
+            "floors": {name: res["tail_worker_grad_norm_sq"] for name, res in results.items()},
+            "nondecreasing_in_tau": tau_ok,
+            "nondecreasing_in_zeta": zeta_ok,
+            "extremes_strictly_ordered": extremes_ok,
+        }
+
+    @pytest.mark.parametrize("losses, best", [
+        ({0.05: 3.0, 0.1125: 2.0, 0.2: 1.0, 0.23: None}, 0.2),
+        ({0.05: 1.0, 0.1125: 2.0, 0.2: None, 0.23: None}, 0.05),
+        ({0.05: None, 0.1125: None, 0.2: None, 0.23: None}, None),
+    ], ids=["optimum", "optimum_at_the_edge", "all_diverged"])
+    def test_easgd_alpha_sweep(self, losses, best):
+        assert list(losses) == presets.EASGD_ALPHAS
+        summary = presets._easgd_summary(easgd_results(losses))
+        assert summary == {
+            "tail_worker_loss": {str(alpha): loss for alpha, loss in losses.items()},
+            "diverged": {str(alpha): loss is None for alpha, loss in losses.items()},
+            "best_alpha": best,
+        }
+        assert json.loads(json.dumps(summary))["best_alpha"] == best  # null when all diverged
+
+    @pytest.mark.parametrize("times, floors, verdict, ratio", [
+        ({"dpsgd": 3.0, "pasgd50": 1.0, "hybrid": 2.0},
+         {"dpsgd": 1.0, "pasgd50": 4.0, "hybrid": 2.0}, True, 0.5),
+        ({"dpsgd": 1.0, "pasgd50": 3.0, "hybrid": 2.0},
+         {"dpsgd": 3.0, "pasgd50": 1.0, "hybrid": 2.0}, False, 2.0),
+        # ties are not strict wins
+        ({"dpsgd": 2.0, "pasgd50": 2.0, "hybrid": 2.0},
+         {"dpsgd": 2.0, "pasgd50": 2.0, "hybrid": 2.0}, False, 1.0),
+    ], ids=["all_true", "all_false", "all_tied"])
+    def test_hybrid_compare(self, times, floors, verdict, ratio):
+        summary = presets._hybrid_summary(hybrid_results(times, floors))
+        assert summary == {
+            "total_time_s": times,
+            "tail_worker_loss": floors,
+            "hybrid_faster_than_dpsgd": verdict,
+            "pasgd_faster_than_hybrid": verdict,
+            "dpsgd_lowest_floor": verdict,
+            "hybrid_to_pasgd_floor_ratio": ratio,
+        }

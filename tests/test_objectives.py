@@ -405,7 +405,7 @@ class TestLogistic:
 
     def test_labels_validated(self):
         with pytest.raises(OracleError):
-            LogisticProblem(np.ones((4, 2)), np.array([1.0, 2.0, -1.0, 1.0]))
+            LogisticProblem(np.ones((4, 2)), np.array([1.0, 2.0, -1.0, 1.0]), 0.0, 1)
 
 
 class TestByteEstimates:
@@ -445,7 +445,7 @@ class TestByteEstimates:
         (50, 4, 5, 2, 4, 3, 20),       # one auxiliary column
     ])
     def test_logistic(self, samples, d, batch, seeds, n, m, steps):
-        peak = self.peak(lambda: LogisticProblem.synthetic(samples, d, 3, batch_size=batch),
+        peak = self.peak(lambda: LogisticProblem.synthetic(samples, d, 3, l2_reg=0.01, batch_size=batch),
                          seeds, d, n, m, steps)
         estimate = LogisticProblem.run_bytes(samples, d, batch, seeds, n, m, steps)
         assert peak <= estimate + FIXED_BYTES

@@ -178,7 +178,7 @@ class TestMaxStableEta:
             lhs, _ = th.lr_condition(th.BoundInputs(1.0, 1.0, 1.0, m=m, v=v, tau=tau,
                                                     zeta=zeta, eta=eta, steps=tau))
             assert lhs == pytest.approx(1.0, abs=1e-9)
-            shrunk = th.max_stable_eta_tilde(1.0, tau, zeta, m, v, fraction=0.9)
+            shrunk = 0.9 * th.max_stable_eta_tilde(1.0, tau, zeta, m, v)
             _, ok = th.lr_condition(th.BoundInputs(1.0, 1.0, 1.0, m=m, v=v, tau=tau,
                                                    zeta=zeta, eta=shrunk * (m + v) / m,
                                                    steps=tau))
@@ -201,7 +201,7 @@ class TestEmpiricalDecomposition:
     def test_seed_averaged_run_holds(self):
         q = make_diag_quadratic(10, 0.5, 1.0, sigma_sq=1.0)
         w = mx.make_dense_with_zeta(4, 1/3)
-        eta = th.max_stable_eta_tilde(1.0, 4, 1/3, 4, 0, fraction=0.9)
+        eta = 0.9 * th.max_stable_eta_tilde(1.0, 4, 1/3, 4, 0)
         cfg = eng.AlgorithmConfig(tau=4, mixing=w, v=0, eta=eta, steps=2000)
         traces = eng.run_many(cfg, q, list(range(20)), x0=2.0)
         avg = eng.average_traces(traces)
