@@ -13,12 +13,14 @@ prints the error as one line.
 
 This module is the only reader and writer of spec JSON. Specs are strict:
 unknown fields anywhere are hard errors, because silently ignored
-configuration is the main reproducibility hazard, and every number must be
-a finite JSON number. Each reader returns, with the object it builds, the
-canonical JSON of the values it validated, defaults filled in; a run's
-`summary.json` echoes it as `config_echo`, which re-parses to the same
-experiment. The domain constructors keep their semantic checks (symmetry,
-PSD, row sums, K % tau), and their errors surface here as `SpecError`.
+configuration is the main reproducibility hazard. So are keys that a spec
+file repeats anywhere, of which JSON parsing would keep the last value, and
+every number must be a finite JSON number. Each reader returns, with the
+object it builds, the canonical JSON of the values it validated, defaults
+filled in; a run's `summary.json` echoes it as `config_echo`, which re-parses
+to the same experiment. The domain constructors keep their semantic checks
+(symmetry, PSD, row sums, K % tau), and their errors surface here as
+`SpecError`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ from coopsgd.engine import (
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
 from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
 from coopsgd.theory import BoundInputs, TheoryError, theorem1_bound, zeta_threshold
-from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline
+from coopsgd.timeline import (
+    DelayModel,
+    TimelineError,
+    simulate_timeline,
+    simulate_timeline_bytes,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -133,16 +140,18 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
     """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
 
     The engine's `run_many_bytes`, plus `problem_bytes` (the oracle's own
-    `run_bytes` and the echo's copy of its data), plus what `run_experiment`
-    holds per recorded row, whatever the seed count: the seed mean of the
-    metrics that `average_traces` sums into (40 bytes), the running sum of
-    the wall clocks and their mean (16 bytes), one timeline's draws
-    (8 (2m + 10) bytes) and one trace CSV as Python text (at most 512
-    bytes). The interpreter, numpy and BLAS add a fixed amount on top.
+    `run_bytes` and the echo's copy of its data), plus the timeline's
+    `simulate_timeline_bytes`, plus what `run_experiment` holds per recorded
+    row, whatever the seed count: the seed mean of the metrics that
+    `average_traces` sums into (40 bytes), the running sum of the wall
+    clocks and their mean (16 bytes), the last seed's timeline while the
+    next one is simulated (16 bytes) and one trace CSV as Python text (at
+    most 512 bytes). The interpreter, numpy and BLAS add a fixed amount on
+    top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
-    per_row = 56 + 16 * m + 80 + 512
-    return run_many_bytes(n_seeds, d, n, m, K) + problem_bytes + (K + 1) * per_row
+    return (run_many_bytes(n_seeds, d, n, m, K) + problem_bytes
+            + simulate_timeline_bytes(K, config.tau, n, m) + (K + 1) * (72 + 512))
 
 
 def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> int:
@@ -316,14 +325,13 @@ def write_trace_csv(trace: RunTrace, wall_clock: np.ndarray, path) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _tail_mean(trace: RunTrace, values: np.ndarray) -> float:
-    return float(values[trace.tail_slice(TAIL_FRACTION)].mean())
+def tail_start(steps: int) -> int:
+    """First row of the tail, the final TAIL_FRACTION of a K-step horizon,
+    over which the summary's floors average."""
+    return math.ceil((1.0 - TAIL_FRACTION) * steps)
 
 
 def _bound_report_dict(spec: ExperimentSpec, traces: list[RunTrace]) -> dict | None:
-    zeta = spec.config.mixing.zeta
-    if zeta >= 1.0:
-        return None
     f1 = float(np.mean([t.initial_loss for t in traces]))
     gap = f1 - spec.oracle.f_inf  # inf when F is unbounded below, which BoundInputs rejects
     if gap < -1e-9 * max(1.0, abs(f1)):  # F(x0) below f_inf by more than rounding
@@ -336,65 +344,67 @@ def _bound_report_dict(spec: ExperimentSpec, traces: list[RunTrace]) -> dict | N
             m=spec.config.m,
             v=spec.config.v,
             tau=spec.config.tau,
-            zeta=zeta,
+            zeta=spec.config.mixing.zeta,
             eta=spec.config.eta,
             steps=spec.config.steps,
             beta=spec.oracle.beta,
         )
         return theorem1_bound(inputs).to_dict()
-    except TheoryError:
+    except TheoryError:  # outside the bound's regime, zeta >= 1 among others
         return None
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run all seeds, write per-seed CSVs, the seed mean, and a summary.
 
-    The output directory is created only once the seeds have run, so a spec
-    that `run_many` rejects leaves nothing behind. Trace CSVs left in it by an
-    earlier run that this run does not write are deleted, and so are their
-    temporaries, which an interrupted run leaves. Returns the process exit
-    code: 0 normally, 3 if every seed diverged.
+    The summary's seed means are read off the seed-mean trace, the one that
+    `trace_mean.csv` holds. The output directory is created only once the
+    seeds have run, so a spec that `run_many` rejects leaves nothing behind.
+    Trace CSVs left in it by an earlier run that this run does not write are
+    deleted, and so are their temporaries, which an interrupted run leaves.
+    Returns the process exit code: 0 normally, 3 if every seed diverged.
     """
     traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    timeline0 = None
+    written = set()
+    timeline_dict = None
     clock_sum = 0.0  # the completed seeds' clocks, added in seed order from zero like the metrics
     for seed, trace in zip(spec.seeds, traces):
         timeline = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
                                      spec.delay_model, seed=seed, v=spec.config.v)
-        if timeline0 is None:
-            timeline0 = timeline
+        if timeline_dict is None:
+            timeline_dict = timeline.to_dict()
         if not trace.diverged:
             clock_sum += timeline.cumulative  # a new array on the first add, then in place
-        write_trace_csv(trace, timeline.cumulative[:trace.rows], out / f"trace_seed{seed}.csv")
+        path = out / f"trace_seed{seed}.csv"
+        write_trace_csv(trace, timeline.cumulative[:trace.rows], path)
+        written.add(path)
 
     completed = [t for t in traces if not t.diverged]
     completed_seeds = [s for s, t in zip(spec.seeds, traces) if not t.diverged]
-    written = {out / f"trace_seed{seed}.csv" for seed in spec.seeds}
+    mean = None
     if completed:
+        mean = average_traces(completed)
+        write_trace_csv(mean, clock_sum / len(completed), out / "trace_mean.csv")
         written.add(out / "trace_mean.csv")
-        write_trace_csv(average_traces(completed), clock_sum / len(completed),
-                        out / "trace_mean.csv")
     stale = {*out.glob("trace_seed*.csv"), *out.glob("trace_seed*.csv.tmp"),
              *out.glob("trace_mean.csv"), *out.glob("trace_mean.csv.tmp")} - written
     for path in stale:
         path.unlink()
 
-    def seed_mean(value) -> float | None:
-        """Mean of `value(trace)` over the completed seeds; null when none completed."""
-        return float(np.mean([value(t) for t in completed])) if completed else None
-
+    tail = tail_start(spec.config.steps)
     summary = {
-        "mean_grad_norm_sq": seed_mean(lambda t: t.mean_grad_norm_sq),
-        "final_loss": seed_mean(lambda t: t.final_loss),
+        "mean_grad_norm_sq": mean.mean_grad_norm_sq if completed else None,
+        "final_loss": mean.final_loss if completed else None,
         "diverged": len(completed) == 0,
         "diverged_seeds": [s for s, t in zip(spec.seeds, traces) if t.diverged],
         "averaged_over_seeds": completed_seeds,
-        "tail_worker_grad_norm_sq": seed_mean(lambda t: _tail_mean(t, t.worker_grad_norm_sq_mean)),
-        "tail_worker_loss": seed_mean(lambda t: _tail_mean(t, t.worker_loss_mean)),
+        "tail_worker_grad_norm_sq":
+            float(mean.worker_grad_norm_sq_mean[tail:].mean()) if completed else None,
+        "tail_worker_loss": float(mean.worker_loss_mean[tail:].mean()) if completed else None,
         "recursion_defect_max": float(max(t.recursion_defect_max for t in traces)),
-        "timeline": timeline0.to_dict(),
+        "timeline": timeline_dict,
         "bound_report": _bound_report_dict(spec, traces),
         "config_echo": spec.echo,
     }
@@ -406,10 +416,22 @@ def run_experiment(spec: ExperimentSpec) -> int:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object of a spec file; a repeated key is an error."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise SpecError(f"spec file repeats the key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _load_spec_file(path: str) -> ExperimentSpec:
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
+    except SpecError:  # a ValueError, which the next clause would take for bad JSON
+        raise
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep, too many digits

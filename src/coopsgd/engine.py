@@ -141,8 +141,7 @@ class RunTrace:
     @property
     def mean_grad_norm_sq(self) -> float:
         """Average squared gradient norm over the gradient-evaluation states."""
-        count = min(self.rows, self.steps_requested)
-        return float(self.grad_norm_sq[:count].mean())
+        return float(self.grad_norm_sq[:self.steps_requested].mean())
 
     @property
     def final_loss(self) -> float:
@@ -151,11 +150,6 @@ class RunTrace:
     @property
     def initial_loss(self) -> float:
         return float(self.loss[0])
-
-    def tail_slice(self, fraction: float) -> slice:
-        """Row range covering the final `fraction` of the requested horizon."""
-        start = int(np.ceil((1.0 - fraction) * self.steps_requested))
-        return slice(min(start, self.rows), self.rows)
 
 
 def record_row_bytes(n_seeds: int, d: int, n: int) -> int:
@@ -332,7 +326,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
 
 def average_traces(traces: list[RunTrace]) -> RunTrace:
     """Pointwise mean of complete traces of equal length; the expectation
-    proxy for bounds.
+    proxy for bounds. It is the one seed-averaging rule: `coopsgd.cli`
+    writes it as `trace_mean.csv` and reads the summary's seed means off it.
 
     The traces are added in order into one array from zero and the sum is
     divided once, which gives the bits of `np.mean` over their stack without

@@ -81,6 +81,11 @@ FLOOR_M = 8
 FLOOR_STEPS = 20_000
 
 
+def floor_cell(tau: int, label: str) -> str:
+    """Name of the `floor-sweep` cell at period tau and the zeta `label`."""
+    return f"tau{tau:02d}_zeta{label}"
+
+
 def floor_sweep_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict]]:
     """tau in {1,2,8,32} x zeta in {0, 1/3, 0.8} at a shared step size.
 
@@ -94,8 +99,8 @@ def floor_sweep_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict]]:
     for zeta, label in FLOOR_ZETAS:
         mixing = make_dense_with_zeta(FLOOR_M, zeta)
         for tau in FLOOR_TAUS:
-            name = f"tau{tau:02d}_zeta{label}"
-            specs.append(_spec(out_dir, name, _algorithm(tau, mixing, 0, eta, FLOOR_STEPS), seeds))
+            specs.append(_spec(out_dir, floor_cell(tau, label),
+                               _algorithm(tau, mixing, 0, eta, FLOOR_STEPS), seeds))
     return specs
 
 
@@ -103,6 +108,11 @@ EASGD_M = 8
 EASGD_ALPHAS = [0.05, 0.1125, 0.2, 0.23]
 EASGD_ETA = 0.1
 EASGD_STEPS = 20_000
+
+
+def easgd_cell(alpha: float) -> str:
+    """Name of the `easgd-alpha-sweep` cell at elasticity alpha."""
+    return "alpha" + f"{alpha:.4f}".replace(".", "p")
 
 
 def easgd_alpha_sweep_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict]]:
@@ -115,8 +125,7 @@ def easgd_alpha_sweep_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, d
     specs = []
     for alpha in EASGD_ALPHAS:
         mixing = make_easgd(EASGD_M, alpha)
-        name = "alpha" + f"{alpha:.4f}".replace(".", "p")
-        specs.append(_spec(out_dir, name,
+        specs.append(_spec(out_dir, easgd_cell(alpha),
                            _algorithm(1, mixing, 1, EASGD_ETA, EASGD_STEPS, rule="pre"), seeds))
     return specs
 
@@ -126,6 +135,11 @@ HYBRID_ZETA = 0.75
 HYBRID_TAU = 15
 HYBRID_PASGD_TAU = 50
 HYBRID_STEPS = 15_000
+
+
+def pasgd_cell(tau: int) -> str:
+    """Name of the `hybrid-compare` periodic-averaging cell at period tau."""
+    return f"pasgd{tau}"
 
 
 def hybrid_compare_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict]]:
@@ -141,7 +155,7 @@ def hybrid_compare_specs(out_dir: str, seeds: list[int]) -> list[tuple[str, dict
     full = make_fully_connected(HYBRID_M)
     return [
         _spec(out_dir, "dpsgd", _algorithm(1, sparse, 0, eta, HYBRID_STEPS), seeds),
-        _spec(out_dir, f"pasgd{HYBRID_PASGD_TAU}",
+        _spec(out_dir, pasgd_cell(HYBRID_PASGD_TAU),
               _algorithm(HYBRID_PASGD_TAU, full, 0, eta, HYBRID_STEPS), seeds),
         _spec(out_dir, "hybrid", _algorithm(HYBRID_TAU, sparse, 0, eta, HYBRID_STEPS), seeds),
     ]
@@ -156,34 +170,20 @@ PRESETS = {
 
 def _floor_sweep_summary(results: dict[str, dict]) -> dict:
     floors = {name: res["tail_worker_grad_norm_sq"] for name, res in results.items()}
-    labels = [label for _, label in FLOOR_ZETAS]
-    tau_ok = all(
-        floors[f"tau{FLOOR_TAUS[i]:02d}_zeta{label}"] <= floors[f"tau{FLOOR_TAUS[i + 1]:02d}_zeta{label}"]
-        for label in labels
-        for i in range(len(FLOOR_TAUS) - 1)
-    )
-    zeta_ok = all(
-        floors[f"tau{tau:02d}_zeta{labels[i]}"] <= floors[f"tau{tau:02d}_zeta{labels[i + 1]}"]
-        for tau in FLOOR_TAUS
-        for i in range(len(labels) - 1)
-    )
-    lowest = floors[f"tau{FLOOR_TAUS[0]:02d}_zeta{labels[0]}"]
-    highest = floors[f"tau{FLOOR_TAUS[-1]:02d}_zeta{labels[-1]}"]
+    # one row per zeta and one column per tau, each in increasing order
+    grid = [[floors[floor_cell(tau, label)] for tau in FLOOR_TAUS] for _, label in FLOOR_ZETAS]
     return {
         "floors": floors,
-        "nondecreasing_in_tau": tau_ok,
-        "nondecreasing_in_zeta": zeta_ok,
-        "extremes_strictly_ordered": bool(lowest < highest),
+        "nondecreasing_in_tau": all(a <= b for row in grid for a, b in zip(row, row[1:])),
+        "nondecreasing_in_zeta": all(a <= b for lower, higher in zip(grid, grid[1:])
+                                     for a, b in zip(lower, higher)),
+        "extremes_strictly_ordered": bool(grid[0][0] < grid[-1][-1]),
     }
 
 
 def _easgd_summary(results: dict[str, dict]) -> dict:
-    losses = {}
-    diverged = {}
-    for alpha in EASGD_ALPHAS:
-        name = "alpha" + f"{alpha:.4f}".replace(".", "p")
-        losses[str(alpha)] = results[name]["tail_worker_loss"]
-        diverged[str(alpha)] = results[name]["diverged"]
+    losses = {str(alpha): results[easgd_cell(alpha)]["tail_worker_loss"] for alpha in EASGD_ALPHAS}
+    diverged = {str(alpha): results[easgd_cell(alpha)]["diverged"] for alpha in EASGD_ALPHAS}
     converged = {a: v for a, v in losses.items() if v is not None}
     best = min(converged, key=converged.get) if converged else None
     return {
@@ -196,7 +196,7 @@ def _easgd_summary(results: dict[str, dict]) -> dict:
 def _hybrid_summary(results: dict[str, dict]) -> dict:
     times = {name: res["timeline"]["total_time_s"] for name, res in results.items()}
     floors = {name: res["tail_worker_loss"] for name, res in results.items()}
-    pasgd = f"pasgd{HYBRID_PASGD_TAU}"
+    pasgd = pasgd_cell(HYBRID_PASGD_TAU)
     return {
         "total_time_s": times,
         "tail_worker_loss": floors,

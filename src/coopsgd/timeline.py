@@ -13,7 +13,8 @@ out of the per-round cost entirely.
 
 Delays depend only on topology, tau, and the delay parameters; never on
 parameter values. A timeline can therefore annotate any run trace with the
-same shape.
+same shape. `simulate_timeline_bytes` states, from above, the bytes that
+one simulation holds, its result included.
 """
 
 from __future__ import annotations
@@ -101,6 +102,20 @@ class TimelineTrace:
         }
 
 
+def simulate_timeline_bytes(steps: int, tau: int, n: int, m: int) -> int:
+    """Peak bytes of `simulate_timeline` on an n-node matrix with m workers,
+    with or without jitter, from above.
+
+    Its peak comes at a jittered draw: the per-iteration times, the K m
+    compute draws and their (K/tau, m) worker sums. The constant-delay
+    branch holds three K-float arrays at most, and the worker-degree mask
+    (m n bools) is freed before any of these is made; the sum of both
+    bounds the peak.
+    """
+    rounds = steps // tau
+    return 8 * ((steps + 1 + rounds) * (m + 3) + 2 * m) + m * n
+
+
 def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayModel,
                       seed: int, v: int = 0) -> TimelineTrace:
     """Simulate wall-clock time for `steps` iterations in rounds of tau.
@@ -124,8 +139,10 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
         idle = np.zeros(m)
     else:
         rng = np.random.default_rng(seed)
-        draws = rng.exponential(delay.compute_jitter_mean, size=(rounds, m, tau))
-        worker_sums = draws.sum(axis=2) + tau * delay.compute_base
+        # the draws are summed at once and never bound, so they are freed first
+        worker_sums = rng.exponential(delay.compute_jitter_mean,
+                                      size=(rounds, m, tau)).sum(axis=2)
+        worker_sums += tau * delay.compute_base
         spans = worker_sums.max(axis=1)
         idle = (spans[:, None] - worker_sums).sum(axis=0)
         per_iteration[:] = np.repeat((spans + cost) / tau, tau)

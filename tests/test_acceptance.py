@@ -12,7 +12,8 @@ import pytest
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd import theory as th
-from coopsgd.cli import TAIL_FRACTION, parse_experiment_spec, run_experiment
+from coopsgd import presets
+from coopsgd.cli import parse_experiment_spec, run_experiment, tail_start
 from coopsgd.presets import FLOOR_TAUS, FLOOR_ZETAS, run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
@@ -223,8 +224,9 @@ def floor_sweep_summary(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def easgd_sweep_summary(tmp_path_factory):
+    """The preset's summary, and the directory holding each cell's outputs."""
     out = tmp_path_factory.mktemp("easgd_sweep")
-    return run_preset("easgd-alpha-sweep", str(out))
+    return run_preset("easgd-alpha-sweep", str(out)), out
 
 
 def test_criterion_07_error_floor_monotonicity(floor_sweep_summary):
@@ -249,7 +251,7 @@ def test_criterion_07_error_floor_monotonicity(floor_sweep_summary):
 
 
 def test_criterion_08_elasticity_sweep(easgd_sweep_summary):
-    s = easgd_sweep_summary
+    s, _ = easgd_sweep_summary
     assert s["best_alpha"] == pytest.approx(0.2)
     assert s["diverged"]["0.23"] is True
     losses = s["tail_worker_loss"]
@@ -397,7 +399,7 @@ def test_criterion_13_exact_network_error(floor_sweep_summary):
     ratios, margins = [], []
     for zeta, label in FLOOR_ZETAS:
         for tau in FLOOR_TAUS:
-            name = f"tau{tau:02d}_zeta{label}"
+            name = presets.floor_cell(tau, label)
             cell = json.loads((out / name / "summary.json").read_text())
             problem, algo = cell["config_echo"]["problem"], cell["config_echo"]["algorithm"]
             A, m, steps = np.array(problem["A"]), algo["mixing"]["n"], algo["K"]
@@ -412,7 +414,7 @@ def test_criterion_13_exact_network_error(floor_sweep_summary):
                                                algo["eta"], steps)
 
             # the tail seed mean lies within 5% of its exact expectation
-            tail = int(np.ceil((1.0 - TAIL_FRACTION) * steps))
+            tail = tail_start(steps)
             expected = exact[tail:].mean()
             if expected > 0.0:
                 measured = network_error_column(out / name / "trace_mean.csv", tail).mean()
@@ -436,3 +438,58 @@ def test_criterion_13_exact_network_error(floor_sweep_summary):
     report(13, f"tail network error / exact expectation (20-seed standard error): "
                f"{', '.join(ratios)}; network_term / exact dispersion "
                f"{min(margins):.2f}-{max(margins):.2f}")
+
+
+# -------------------------------------------------------------------------
+# 14. Exact expected network error on the elastic cells
+# -------------------------------------------------------------------------
+
+def test_general_network_error_recursion_matches_the_post_rule_form():
+    # on every floor-sweep cell's shape, over eight of its longest periods
+    cells = presets.floor_sweep_specs("unused", [1])
+    shapes = [(tau, zeta, label) for zeta, label in FLOOR_ZETAS for tau in FLOOR_TAUS]
+    for (name, spec), (tau, zeta, label) in zip(cells, shapes, strict=True):
+        assert name == presets.floor_cell(tau, label)
+        problem, algo = spec["problem"], spec["algorithm"]
+        spectrum, m = np.diag(problem["A"]), algo["mixing"]["n"]
+        special = ref_exp.post_network_error(spectrum, problem["sigma_sq"], m, tau, zeta,
+                                             algo["eta"], 256)
+        general = ref_exp.network_error(spectrum, problem["sigma_sq"],
+                                        np.reshape(algo["mixing"]["entries"], (m, m)), algo["v"],
+                                        algo["tau"], algo["rule"], algo["eta"], 256, algo["init"])
+        np.testing.assert_allclose(general, special, rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def test_criterion_14_exact_network_error_elastic(easgd_sweep_summary):
+    # reads the outputs of criterion 08's run; no new simulation
+    s, out = easgd_sweep_summary
+    ratios = []
+    for alpha in presets.EASGD_ALPHAS:
+        if s["diverged"][str(alpha)]:
+            continue
+        name = presets.easgd_cell(alpha)
+        cell = json.loads((out / name / "summary.json").read_text())
+        problem, algo = cell["config_echo"]["problem"], cell["config_echo"]["algorithm"]
+        A, n, steps = np.array(problem["A"]), algo["mixing"]["n"], algo["K"]
+        spectrum = np.diag(A)
+        # the exact recursion's assumptions hold in this cell
+        assert np.array_equal(A, np.diag(spectrum)) and not any(problem["b"])
+        assert problem["beta"] == 0.0 and isinstance(algo["init"], float)
+        assert algo["rule"] == "pre" and algo["v"] == 1
+        exact = ref_exp.network_error(spectrum, problem["sigma_sq"],
+                                      np.reshape(algo["mixing"]["entries"], (n, n)), algo["v"],
+                                      algo["tau"], algo["rule"], algo["eta"], steps, algo["init"])
+
+        # the tail seed mean lies within 5% of its exact expectation
+        tail = tail_start(steps)
+        expected = exact[tail:].mean()
+        measured = network_error_column(out / name / "trace_mean.csv", tail).mean()
+        per_seed = [network_error_column(out / name / f"trace_seed{seed}.csv", tail).mean()
+                    for seed in cell["averaged_over_seeds"]]
+        stderr = np.std(per_seed, ddof=1) / np.sqrt(len(per_seed)) / expected
+        ratio = measured / expected
+        assert abs(ratio - 1.0) <= 0.05, f"{name}: ratio {ratio:.4f} (se {stderr:.4f})"
+        ratios.append(f"{name} {ratio:.4f}+-{stderr:.4f}")
+    assert len(ratios) == 3  # alpha = 0.23 diverges (criterion 08)
+    report(14, f"elastic tail network error / exact expectation (20-seed standard error): "
+               f"{', '.join(ratios)}")

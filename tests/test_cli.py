@@ -325,6 +325,25 @@ class TestRunExperiment:
         write_trace_csv(RunTrace(mean[:, 1:4].T, 50, 0.0), mean[:, 4], expected)
         assert (out / "trace_mean.csv").read_bytes() == expected.read_bytes()
 
+    def test_summary_seed_means_are_read_off_the_seed_mean_csv(self, tmp_path):
+        # at these 20 seeds the mean of the per-seed numbers rounds unlike the
+        # seed-mean trace, so only one of the two rules can match the file
+        seeds = list(range(11, 31))
+        spec = parse_experiment_spec(quadratic_spec(tmp_path, seeds=seeds))
+        assert run_experiment(spec) == EXIT_OK
+        out = tmp_path / "exp"
+        summary = json.loads((out / "summary.json").read_text())
+
+        def columns(name):
+            return np.loadtxt(out / name, delimiter=",", skiprows=1, usecols=(1, 2), unpack=True)
+
+        loss, grad_sq = columns("trace_mean.csv")
+        assert summary["mean_grad_norm_sq"] == grad_sq[:50].mean()
+        assert summary["final_loss"] == loss[-1]
+        per_seed = [columns(f"trace_seed{seed}.csv") for seed in seeds]
+        assert np.mean([g[:50].mean() for _, g in per_seed]) != summary["mean_grad_norm_sq"]
+        assert np.mean([f[-1] for f, _ in per_seed]) != summary["final_loss"]
+
     def test_all_diverged_exit_code(self, tmp_path):
         # a step far beyond 2/L diverges deterministically
         spec_dict = quadratic_spec(tmp_path)
@@ -437,6 +456,17 @@ class TestRunExperiment:
         peak, spec = traced_run_peak(spec_dict)
         assert peak <= spec.memory_bytes
 
+    def test_memory_estimate_counts_the_jittered_timeline(self, tmp_path):
+        # 255 workers and an anchor at d = 1: the timeline's K m compute draws
+        # (20 MB) outweigh the rest of the run
+        spec_dict = quadratic_spec(tmp_path, seeds=[5])
+        spec_dict["problem"].update(A=[[1.0]], b=[0.0])
+        spec_dict["algorithm"].update(tau=1, v=1, K=10_000, mixing={
+            "n": 256, "entries": make_easgd(255, 0.005).entries.reshape(-1).tolist()})
+        spec_dict["delay"]["jitter"] = 0.2
+        peak, spec = traced_run_peak(spec_dict)
+        assert peak <= spec.memory_bytes
+
     def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
         huge = quadratic_spec(tmp_path)
         huge["algorithm"]["K"] = 10**13  # a 728 TiB metric array for 2 seeds
@@ -469,6 +499,21 @@ class TestMainEntry:
         path.write_text(json.dumps(quadratic_spec(tmp_path, surprise=1)))
         assert main(["validate", str(path)]) == EXIT_INVALID
         assert main(["run", str(path)]) == EXIT_INVALID
+
+    def test_repeated_key_is_named(self, tmp_path, capsys):
+        # JSON parsing keeps a repeated key's last value; a spec file may not
+        # rely on that at any depth
+        valid = json.dumps(quadratic_spec(tmp_path))
+        path = tmp_path / "spec.json"
+        for text, key in [
+            (valid.replace('"seeds": [11, 12]', '"seeds": [1], "seeds": [2, 3]'), "seeds"),
+            (valid.replace('"eta": 0.05', '"eta": 0.05, "eta": 0.1'), "eta"),
+        ]:
+            path.write_text(text)
+            for command in ("validate", "run"):
+                assert main([command, str(path)]) == EXIT_INVALID
+                assert capsys.readouterr().err == f"error: spec file repeats the key '{key}'\n"
+        assert not (tmp_path / "exp").exists()
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == EXIT_INVALID
@@ -533,6 +578,10 @@ class TestMainEntry:
         ["bounds"],  # nothing to compute
         ["bounds", "--best-easgd-alpha"],  # no --m
         ["bounds", "--tau", "2", "--zeta", "1.0"],
+        ["validate", "{repeated_top}"],
+        ["run", "{repeated_top}"],
+        ["validate", "{repeated_nested}"],
+        ["run", "{repeated_nested}"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         a_file = tmp_path / "a_file"
@@ -553,9 +602,14 @@ class TestMainEntry:
         }
         specs["nonfinite"]["algorithm"]["init"] = 1e200  # the objective overflows at x0
         paths = {"out": tmp_path / "out", "a_file": a_file, "dangling": dangling}
-        for name, payload in specs.items():
+        texts = {name: json.dumps(payload) for name, payload in specs.items()}
+        valid = json.dumps(quadratic_spec(tmp_path))
+        texts["repeated_top"] = valid[:-1] + ', "seeds": [2, 3]}'
+        texts["repeated_nested"] = valid.replace('"sigma_sq": 1.0',
+                                                 '"sigma_sq": 1.0, "sigma_sq": 2.0')
+        for name, text in texts.items():
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(payload))
+            paths[name].write_text(text)
         argv = [a.format(**paths) for a in argv]
         assert main(argv) == EXIT_INVALID
         captured = capsys.readouterr()
@@ -732,15 +786,17 @@ class TestRunPreset:
 
 def floor_results(floor) -> dict:
     """Hand-built `floor-sweep` cell results with `floor(tau, zeta)` as each floor."""
-    return {f"tau{tau:02d}_zeta{label}": {"tail_worker_grad_norm_sq": floor(tau, zeta)}
+    return {presets.floor_cell(tau, label): {"tail_worker_grad_norm_sq": floor(tau, zeta)}
             for zeta, label in presets.FLOOR_ZETAS for tau in presets.FLOOR_TAUS}
 
 
 def easgd_results(losses: dict) -> dict:
     """Hand-built `easgd-alpha-sweep` cell results; a loss of None is a diverged cell."""
-    return {"alpha" + f"{alpha:.4f}".replace(".", "p"):
-            {"tail_worker_loss": loss, "diverged": loss is None}
+    return {presets.easgd_cell(alpha): {"tail_worker_loss": loss, "diverged": loss is None}
             for alpha, loss in losses.items()}
+
+
+PASGD = presets.pasgd_cell(presets.HYBRID_PASGD_TAU)
 
 
 def hybrid_results(times: dict, floors: dict) -> dict:
@@ -789,13 +845,13 @@ class TestPresetVerdicts:
         assert json.loads(json.dumps(summary))["best_alpha"] == best  # null when all diverged
 
     @pytest.mark.parametrize("times, floors, verdict, ratio", [
-        ({"dpsgd": 3.0, "pasgd50": 1.0, "hybrid": 2.0},
-         {"dpsgd": 1.0, "pasgd50": 4.0, "hybrid": 2.0}, True, 0.5),
-        ({"dpsgd": 1.0, "pasgd50": 3.0, "hybrid": 2.0},
-         {"dpsgd": 3.0, "pasgd50": 1.0, "hybrid": 2.0}, False, 2.0),
+        ({"dpsgd": 3.0, PASGD: 1.0, "hybrid": 2.0},
+         {"dpsgd": 1.0, PASGD: 4.0, "hybrid": 2.0}, True, 0.5),
+        ({"dpsgd": 1.0, PASGD: 3.0, "hybrid": 2.0},
+         {"dpsgd": 3.0, PASGD: 1.0, "hybrid": 2.0}, False, 2.0),
         # ties are not strict wins
-        ({"dpsgd": 2.0, "pasgd50": 2.0, "hybrid": 2.0},
-         {"dpsgd": 2.0, "pasgd50": 2.0, "hybrid": 2.0}, False, 1.0),
+        ({"dpsgd": 2.0, PASGD: 2.0, "hybrid": 2.0},
+         {"dpsgd": 2.0, PASGD: 2.0, "hybrid": 2.0}, False, 1.0),
     ], ids=["all_true", "all_false", "all_tied"])
     def test_hybrid_compare(self, times, floors, verdict, ratio):
         summary = presets._hybrid_summary(hybrid_results(times, floors))

@@ -5,7 +5,15 @@ import pytest
 
 from coopsgd import mixing as mx
 from coopsgd.cli import SpecError, delay_from_dict
-from coopsgd.timeline import DelayModel, TimelineError, simulate_timeline, sync_cost
+from coopsgd.timeline import (
+    DelayModel,
+    TimelineError,
+    simulate_timeline,
+    simulate_timeline_bytes,
+    sync_cost,
+)
+
+from peak_memory import FIXED_BYTES, traced_peak
 
 
 def constant_delay(**overrides) -> DelayModel:
@@ -97,6 +105,20 @@ class TestJitteredTimeline:
                                                           nonblocking_aux=True),
                                            seed=seed, v=1)
             assert overlapped.total_time <= blocking.total_time
+
+
+class TestByteEstimate:
+    @pytest.mark.parametrize("mixing, v, tau, steps, jitter", [
+        (mx.make_easgd(255, 0.005), 1, 1, 2000, 0.2),  # the draws dominate
+        (mx.make_generalized_elastic(mx.make_ring(16), 0.1), 1, 1, 20_000, 0.2),
+        (mx.make_fully_connected(8), 0, 4, 4000, 0.2),  # fewer rounds than steps
+        (mx.make_ring(16), 0, 1, 20_000, 0.0),  # constant delay: no draws
+    ], ids=["m255_tau1", "m16_tau1", "m8_tau4", "constant"])
+    def test_estimate_covers_the_peak(self, mixing, v, tau, steps, jitter):
+        delay = constant_delay(compute_jitter_mean=jitter)
+        peak = traced_peak(lambda: simulate_timeline(steps, tau, mixing, delay, seed=3, v=v))
+        m = mixing.n - v
+        assert peak <= simulate_timeline_bytes(steps, tau, mixing.n, m) + FIXED_BYTES
 
 
 class TestPeriodVsSparsity:
