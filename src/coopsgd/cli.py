@@ -32,6 +32,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,10 @@ TAIL_FRACTION = 0.2
 # run would need more (see `run_bytes`) before it allocates anything large.
 MEMORY_BUDGET_BYTES = 2**30
 TRACE_CSV_COLUMNS = ["k", "loss", "grad_norm_sq", "network_error", "wall_clock_s"]
+# Rows of a trace CSV formatted per write, and chunks of the JSON encoder
+# joined per write: the output files are written in blocks of this many items,
+# so writing one costs a constant number of bytes, not the file's size.
+CSV_BLOCK_ROWS = 1024
 
 
 class SpecError(ValueError):
@@ -144,14 +149,17 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
     `simulate_timeline_bytes`, plus what `run_experiment` holds per recorded
     row, whatever the seed count: the seed mean of the metrics that
     `average_traces` sums into (40 bytes), the running sum of the wall
-    clocks and their mean (16 bytes), the last seed's timeline while the
-    next one is simulated (16 bytes) and one trace CSV as Python text (at
-    most 512 bytes). The interpreter, numpy and BLAS add a fixed amount on
-    top.
+    clocks and their mean (16 bytes) and the last seed's timeline while the
+    next one is simulated (16 bytes). Writing the outputs adds a constant,
+    whatever K and the size of the summary: one block of CSV_BLOCK_ROWS
+    trace rows as Python text (512 bytes a row) plus one batch of
+    CSV_BLOCK_ROWS JSON chunks (256 bytes a chunk), though the two are never
+    held at once. The interpreter, numpy and BLAS add a fixed amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
     return (run_many_bytes(n_seeds, d, n, m, K) + problem_bytes
-            + simulate_timeline_bytes(K, config.tau, n, m) + (K + 1) * (72 + 512))
+            + simulate_timeline_bytes(K, config.tau, n, m) + (K + 1) * 72
+            + CSV_BLOCK_ROWS * (512 + 256))
 
 
 def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> int:
@@ -298,31 +306,54 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     )
 
 
-def _write_text_atomic(path, text: str) -> None:
-    """Write `text` under a temporary name, then rename it over `path`, so
-    readers never see a partial file."""
+def _write_text_atomic(path, chunks) -> None:
+    """Write the strings of `chunks` as they come under a temporary name,
+    then rename it over `path`, so readers never see a partial file. If
+    `chunks` raises, the temporary is deleted and `path` is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 
+def _json_batches(payload):
+    """`json.dumps(payload, indent=2, sort_keys=True) + "\n"` in pieces of
+    CSV_BLOCK_ROWS encoder chunks: with `indent` set, both use the same
+    pure-Python encoder, so the joined pieces are the same text."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while batch := list(islice(chunks, CSV_BLOCK_ROWS)):
+        yield "".join(batch)
+    yield "\n"
+
+
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    _write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text_atomic(path, _json_batches(payload))
+
+
+def _trace_csv_blocks(trace: RunTrace, wall_clock: np.ndarray):
+    """The header line, then the rows as text, CSV_BLOCK_ROWS at a time."""
+    yield ",".join(TRACE_CSV_COLUMNS) + "\n"
+    for start in range(0, trace.rows, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, trace.rows)
+        rows = zip(range(start, stop), *trace.metrics[:3, start:stop].tolist(),
+                   wall_clock[start:stop].tolist(), strict=True)
+        yield "".join(f"{k},{loss!r},{grad_sq!r},{net_err!r},{clock!r}\n"
+                      for k, loss, grad_sq, net_err, clock in rows)
 
 
 def write_trace_csv(trace: RunTrace, wall_clock: np.ndarray, path) -> None:
     """Write a trace and its wall-clock column under the stable plot-ready header.
 
     Floats are rendered with shortest round-trip repr, so identical runs
-    produce byte-identical files.
+    produce byte-identical files. Rows are formatted and written
+    CSV_BLOCK_ROWS at a time, so no more than one block is held as text.
     """
-    loss, grad_sq, net_err = trace.metrics[:3].tolist()
-    clock = wall_clock.tolist()
-    lines = [",".join(TRACE_CSV_COLUMNS)]
-    lines.extend(f"{k},{loss[k]!r},{grad_sq[k]!r},{net_err[k]!r},{clock[k]!r}"
-                 for k in range(trace.rows))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_text_atomic(path, _trace_csv_blocks(trace, wall_clock))
 
 
 def tail_start(steps: int) -> int:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import coopsgd
 from coopsgd import cli, presets
 from coopsgd.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_ALL_DIVERGED,
     EXIT_INVALID,
     EXIT_OK,
@@ -33,6 +34,7 @@ from coopsgd.cli import (
 from coopsgd.engine import RunTrace
 from coopsgd.mixing import make_easgd, make_fully_connected
 from coopsgd.objectives import LogisticProblem
+from reference_writers import json_text, trace_csv_text
 
 
 def quadratic_spec(tmp_path, **overrides) -> dict:
@@ -467,6 +469,26 @@ class TestRunExperiment:
         peak, spec = traced_run_peak(spec_dict)
         assert peak <= spec.memory_bytes
 
+    def test_memory_estimate_counts_the_summary_encoding(self, tmp_path):
+        # the echo of a dense A at d = 512 puts 262,144 floats in summary.json;
+        # their encoded text at once (about 88 bytes an entry) would not fit
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((512, 512))
+        a = g @ g.T / 512 + 0.1 * np.eye(512)
+        spec_dict = quadratic_spec(tmp_path, seeds=[1])
+        spec_dict["problem"].update(A=(0.5 * (a + a.T)).tolist(), b=[0.0] * 512)
+        spec_dict["algorithm"]["K"] = 10
+        peak, spec = traced_run_peak(spec_dict)
+        assert peak <= spec.memory_bytes
+
+    def test_memory_estimate_counts_one_csv_block(self, tmp_path):
+        # at d = 2 and K = 20,000 the metric rows dominate; a whole trace CSV
+        # as Python text (about 364 bytes a row) would not fit
+        spec_dict = quadratic_spec(tmp_path, seeds=[1])
+        spec_dict["algorithm"]["K"] = 20_000
+        peak, spec = traced_run_peak(spec_dict)
+        assert peak <= spec.memory_bytes
+
     def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
         huge = quadratic_spec(tmp_path)
         huge["algorithm"]["K"] = 10**13  # a 728 TiB metric array for 2 seeds
@@ -485,6 +507,62 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: the run needs about ") and err.count("\n") == 1
         assert not out.exists() and not (tmp_path / "exp").exists()
+
+
+class TestBlockWriters:
+    """The block writers give the bytes of the one-string forms."""
+
+    @pytest.mark.parametrize("rows, steps", [
+        (1, 10),
+        (CSV_BLOCK_ROWS, CSV_BLOCK_ROWS - 1),
+        (2 * CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS),
+        (2 * CSV_BLOCK_ROWS + 1, 5 * CSV_BLOCK_ROWS),
+    ], ids=["one-row-diverged", "one-block", "two-blocks-and-a-row", "diverged"])
+    def test_trace_csv(self, tmp_path, rows, steps):
+        rng = np.random.default_rng(rows + steps)
+        # a diverged trace is truncated: a view of the first rows of the metric array
+        full = rng.standard_normal((5, steps + 1)) * np.logspace(-300, 300, steps + 1)
+        full[:3, 0] = [-0.0, 5e-324, 1e16]
+        trace = RunTrace(full[:, :rows], steps, 0.0)
+        assert trace.diverged == (rows < steps + 1)
+        clock = np.cumsum(rng.exponential(size=rows))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, clock, path)
+        assert path.read_bytes() == trace_csv_text(trace, clock).encode()
+
+    def test_json(self, tmp_path):
+        payload = {
+            "nested": [[1, 2.5, [3, -0.0]], {"b": 1, "a": 0.1}, [], {}],
+            "ints_and_floats": [1, 1.0, 10**30, 1e300, -5e-324, True, None],
+            "text": "naïve ☃ \"quoted\"\n",
+            "non_finite": [math.nan, -math.inf, math.inf],
+            "long": np.linspace(0.0, 1.0, 3 * CSV_BLOCK_ROWS).tolist(),
+        }
+        path = tmp_path / "summary.json"
+        cli._atomic_write_json(path, payload)
+        assert path.read_bytes() == json_text(payload).encode()
+
+    def test_unencodable_payload_leaves_the_old_file(self, tmp_path):
+        # the object json cannot encode sorts after more than one batch of chunks
+        out = tmp_path / "exp"
+        assert run_experiment(parse_experiment_spec(quadratic_spec(tmp_path))) == EXIT_OK
+        old = (out / "summary.json").read_bytes()
+        names = sorted(out.iterdir())
+        payload = {"a": [0.5] * (3 * CSV_BLOCK_ROWS), "z": object()}
+        with pytest.raises(TypeError):
+            cli._atomic_write_json(out / "summary.json", payload)
+        assert sorted(out.iterdir()) == names
+        assert (out / "summary.json").read_bytes() == old
+
+    def test_failed_trace_leaves_the_old_file(self, tmp_path):
+        # a clock one time short fails in the last block, after two were written
+        path = tmp_path / "trace.csv"
+        path.write_text("old\n")
+        trace = RunTrace(np.zeros((5, 2 * CSV_BLOCK_ROWS + 1)), 2 * CSV_BLOCK_ROWS, 0.0)
+        with pytest.raises(ValueError):
+            write_trace_csv(trace, np.zeros(2 * CSV_BLOCK_ROWS), path)
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
 
 
 class TestMainEntry:
