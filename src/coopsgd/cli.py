@@ -32,7 +32,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
@@ -145,20 +145,30 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
     """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
 
     The engine's `run_many_bytes`, plus `problem_bytes` (the oracle's own
-    `run_bytes` and the echo's copy of its data), plus the timeline's
-    `simulate_timeline_bytes`, plus what `run_experiment` holds per recorded
-    row, whatever the seed count: the seed mean of the metrics that
-    `average_traces` sums into (40 bytes), the running sum of the wall
-    clocks and their mean (16 bytes) and the last seed's timeline while the
-    next one is simulated (16 bytes). Writing the outputs adds a constant,
-    whatever K and the size of the summary: one block of CSV_BLOCK_ROWS
-    trace rows as Python text (512 bytes a row) plus one batch of
-    CSV_BLOCK_ROWS JSON chunks (256 bytes a chunk), though the two are never
-    held at once. The interpreter, numpy and BLAS add a fixed amount on top.
+    `run_bytes` and the echo's copy of its data), plus what `run_experiment`
+    holds after `run_many`, whatever the seed count. That is the larger of
+    two phases, which never overlap:
+
+    - a timeline's simulation: its `simulate_timeline_bytes`, while the
+      running sum of the completed seeds' wall clocks (8 bytes a row) and
+      the last seed's timeline (16 bytes a row) are held;
+    - the writing of the trace CSVs, at most 147 bytes a row: that timeline,
+      that sum and its mean (32 bytes), the seed mean of the metrics that
+      `average_traces` sums into (40 bytes), and three clock texts (75
+      bytes): the `ClockText` of a timeline that every seed shares, and the
+      seed mean's as its blocks and as the string they are joined into. A
+      float's repr has at most 23 characters, so a text takes at most 24
+      bytes a row and a string header per block, within 25 bytes a row.
+
+    Writing the outputs adds a constant, whatever K and the size of the
+    summary: one block of CSV_BLOCK_ROWS trace rows as Python text (512
+    bytes a row) plus one batch of CSV_BLOCK_ROWS JSON chunks (256 bytes a
+    chunk), though the two are never held at once. The interpreter, numpy
+    and BLAS add a fixed amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
     return (run_many_bytes(n_seeds, d, n, m, K) + problem_bytes
-            + simulate_timeline_bytes(K, config.tau, n, m) + (K + 1) * 72
+            + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1), 147 * (K + 1))
             + CSV_BLOCK_ROWS * (512 + 256))
 
 
@@ -335,25 +345,57 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
     _write_text_atomic(path, _json_batches(payload))
 
 
-def _trace_csv_blocks(trace: RunTrace, wall_clock: np.ndarray):
+class ClockText:
+    """A wall-clock column as `write_trace_csv` takes it: the shortest
+    round-trip reprs of its values, newline-joined into one string, that
+    iterates as the text of CSV_BLOCK_ROWS rows at a time.
+
+    The blocks are formatted one at a time, then joined, and each is cut
+    out of the whole again as it is asked for. One string, not one per
+    block, because a shared clock outlives all of a run's writes, and
+    fifteen 19 kB strings held across them raise the peak RSS of a
+    `hybrid-compare` cell process by about 0.9 MB where one string does not.
+    """
+
+    def __init__(self, wall_clock: np.ndarray):
+        blocks = ["\n".join(map(repr, wall_clock[start:start + CSV_BLOCK_ROWS].tolist()))
+                  for start in range(0, len(wall_clock), CSV_BLOCK_ROWS)]
+        self.ends = list(accumulate(len(block) + 1 for block in blocks))
+        self.text = "\n".join(blocks)
+
+    def __iter__(self):
+        start = 0
+        for end in self.ends:
+            yield self.text[start:end - 1]
+            start = end
+
+
+def _trace_csv_blocks(trace: RunTrace, clock: ClockText):
     """The header line, then the rows as text, CSV_BLOCK_ROWS at a time."""
     yield ",".join(TRACE_CSV_COLUMNS) + "\n"
+    blocks = iter(clock)
     for start in range(0, trace.rows, CSV_BLOCK_ROWS):
+        text = next(blocks, None)
+        if text is None:
+            raise ValueError("the wall clock has fewer rows than the trace")
         stop = min(start + CSV_BLOCK_ROWS, trace.rows)
+        # a truncated trace takes the first rows of a longer clock's block
         rows = zip(range(start, stop), *trace.metrics[:3, start:stop].tolist(),
-                   wall_clock[start:stop].tolist(), strict=True)
-        yield "".join(f"{k},{loss!r},{grad_sq!r},{net_err!r},{clock!r}\n"
-                      for k, loss, grad_sq, net_err, clock in rows)
+                   text.split("\n")[:stop - start], strict=True)
+        yield "".join(f"{k},{loss!r},{grad_sq!r},{net_err!r},{wall}\n"
+                      for k, loss, grad_sq, net_err, wall in rows)
 
 
-def write_trace_csv(trace: RunTrace, wall_clock: np.ndarray, path) -> None:
+def write_trace_csv(trace: RunTrace, clock: ClockText, path) -> None:
     """Write a trace and its wall-clock column under the stable plot-ready header.
 
     Floats are rendered with shortest round-trip repr, so identical runs
     produce byte-identical files. Rows are formatted and written
-    CSV_BLOCK_ROWS at a time, so no more than one block is held as text.
+    CSV_BLOCK_ROWS at a time, so no more than one block is held as text
+    besides the clock's. The clock may be longer than the trace, which then
+    takes its first rows; a shorter one raises ValueError.
     """
-    _write_text_atomic(path, _trace_csv_blocks(trace, wall_clock))
+    _write_text_atomic(path, _trace_csv_blocks(trace, clock))
 
 
 def tail_start(steps: int) -> int:
@@ -393,23 +435,38 @@ def run_experiment(spec: ExperimentSpec) -> int:
     seeds have run, so a spec that `run_many` rejects leaves nothing behind.
     Trace CSVs left in it by an earlier run that this run does not write are
     deleted, and so are their temporaries, which an interrupted run leaves.
-    Returns the process exit code: 0 normally, 3 if every seed diverged.
+    Without jitter every seed has the same timeline, which is simulated and
+    formatted once and written into each seed's CSV; a jittered delay model
+    gets one timeline per seed. The seed mean's clock is the mean of the
+    completed seeds' clocks. `divergence` maps each diverged seed to its
+    first non-finite row, the first one its CSV leaves out, and the metrics
+    non-finite there. Returns the process exit code: 0 normally, 3 if every
+    seed diverged.
     """
-    traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
+    config = spec.config
+    traces = run_many(config, spec.oracle, spec.seeds, x0=spec.x0)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    def timeline_of(seed: int):
+        return simulate_timeline(config.steps, config.tau, config.mixing, spec.delay_model,
+                                 seed=seed, v=config.v)
+
+    # without jitter every seed has the same timeline: simulate and format it once
+    shared = None if spec.delay_model.depends_on_seed else timeline_of(spec.seeds[0])
+    shared_clock = None if shared is None else ClockText(shared.cumulative)
     written = set()
     timeline_dict = None
     clock_sum = 0.0  # the completed seeds' clocks, added in seed order from zero like the metrics
     for seed, trace in zip(spec.seeds, traces):
-        timeline = simulate_timeline(spec.config.steps, spec.config.tau, spec.config.mixing,
-                                     spec.delay_model, seed=seed, v=spec.config.v)
+        timeline = shared if shared is not None else timeline_of(seed)
         if timeline_dict is None:
             timeline_dict = timeline.to_dict()
         if not trace.diverged:
             clock_sum += timeline.cumulative  # a new array on the first add, then in place
         path = out / f"trace_seed{seed}.csv"
-        write_trace_csv(trace, timeline.cumulative[:trace.rows], path)
+        write_trace_csv(trace, shared_clock if shared is not None
+                        else ClockText(timeline.cumulative[:trace.rows]), path)
         written.add(path)
 
     completed = [t for t in traces if not t.diverged]
@@ -417,7 +474,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     mean = None
     if completed:
         mean = average_traces(completed)
-        write_trace_csv(mean, clock_sum / len(completed), out / "trace_mean.csv")
+        write_trace_csv(mean, ClockText(clock_sum / len(completed)), out / "trace_mean.csv")
         written.add(out / "trace_mean.csv")
     stale = {*out.glob("trace_seed*.csv"), *out.glob("trace_seed*.csv.tmp"),
              *out.glob("trace_mean.csv"), *out.glob("trace_mean.csv.tmp")} - written
@@ -430,6 +487,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
         "final_loss": mean.final_loss if completed else None,
         "diverged": len(completed) == 0,
         "diverged_seeds": [s for s, t in zip(spec.seeds, traces) if t.diverged],
+        "divergence": {str(s): {"row": t.rows, "nonfinite": list(t.nonfinite)}
+                       for s, t in zip(spec.seeds, traces) if t.diverged},
         "averaged_over_seeds": completed_seeds,
         "tail_worker_grad_norm_sq":
             float(mean.worker_grad_norm_sq_mean[tail:].mean()) if completed else None,

@@ -46,6 +46,9 @@ import numpy as np
 
 from coopsgd.mixing import MixingMatrix
 
+# The rows of `RunTrace.metrics`, in order.
+METRIC_NAMES = ("loss", "grad_norm_sq", "network_error", "worker_loss_mean",
+                "worker_grad_norm_sq_mean")
 # Bytes of recorded rows (see `record_row_bytes`) that `run_many` stacks
 # before it reduces them to metrics.
 RECORD_BLOCK_BYTES = 256 * 2**10
@@ -115,12 +118,15 @@ class RunTrace:
     interest averages `grad_norm_sq` over the K states at which gradients
     were evaluated (columns 0..K-1). Divergent runs are truncated at the last
     finite state, so a run diverged exactly when `rows`, the number of
-    recorded states, is below K+1.
+    recorded states, is below K+1. `nonfinite` names the metrics (see
+    METRIC_NAMES) that were non-finite at state `rows`, the first one not
+    recorded; it is empty for a run that did not diverge.
     """
 
     metrics: np.ndarray
     steps_requested: int
     recursion_defect_max: float
+    nonfinite: tuple[str, ...] = ()
 
     @property
     def rows(self) -> int:
@@ -285,6 +291,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
 
         n_alive = n_seeds  # seeds without a non-finite row so far
         first_bad = np.full(n_seeds, K + 1)
+        nonfinite = [()] * n_seeds  # the names of the metrics non-finite at first_bad
         defect_max = np.zeros(n_seeds)
         last = grads_blk[0, :, :, :m]  # the worker gradients of the last evaluation
         start = 1
@@ -304,9 +311,14 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
             rows = stop - start
             rec = reduce_block(start, rows)
             if not math.isfinite(rec.sum()):  # a non-finite row, or a sum that overflowed
-                ok = np.isfinite(rec).all(axis=0)
+                finite = np.isfinite(rec)
+                ok = finite.all(axis=0)
                 dead = (first_bad > K) & ~ok.all(axis=0)
-                first_bad[dead] = start + ok[:, dead].argmin(axis=0)
+                bad_rows = ok[:, dead].argmin(axis=0)
+                first_bad[dead] = start + bad_rows
+                for s, row in zip(np.flatnonzero(dead), bad_rows):
+                    nonfinite[s] = tuple(name for name, fin in zip(METRIC_NAMES, finite[:, row, s])
+                                         if not fin)
                 X[dead] = 0.0  # park dead seeds; their rows are never emitted
                 last[dead] = 0.0
                 n_alive = np.count_nonzero(first_bad > K)
@@ -321,7 +333,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
             start = stop
 
     return [RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
-                     recursion_defect_max=float(defect_max[s])) for s in range(n_seeds)]
+                     recursion_defect_max=float(defect_max[s]), nonfinite=nonfinite[s])
+            for s in range(n_seeds)]
 
 
 def average_traces(traces: list[RunTrace]) -> RunTrace:

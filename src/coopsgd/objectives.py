@@ -160,6 +160,13 @@ class QuadraticProblem(GradientOracle):
 
     L = lambda_max(A) exactly; f_inf = F(x*) at the least-squares stationary
     point A x* = b, solved on first use, or -inf when b leaves the range of A.
+
+    Whether every entry of b is +0.0 is decided once, at construction; then
+    the evaluation returns 0.5 x^T A x and A x without the b-terms, with the
+    same bits: at a finite state the sum b^T x accumulates into a zeroed
+    output and is +0.0, and y - (+0.0) = y for every y, -0.0 included. A
+    state with an infinite or NaN entry stays non-finite either way. A b
+    holding -0.0 keeps the b-terms, since -0.0 - (-0.0) is +0.0.
     """
 
     def __init__(self, A, b, sigma_sq: float = 0.0, beta: float = 0.0):
@@ -179,6 +186,7 @@ class QuadraticProblem(GradientOracle):
             raise OracleError(f"A must be positive semidefinite (lambda_min {eigvals[0]:.3e})")
         self.A = A
         self.b = b
+        self._b_terms = bool(b.any() or np.signbit(b).any())
         self.d = A.shape[0]
         self.lipschitz = float(eigvals[-1])
         self.beta = float(beta)
@@ -216,8 +224,10 @@ class QuadraticProblem(GradientOracle):
 
     def batch_objective_and_grads(self, X):
         ax = _gemm_over_seeds(self.A, X.transpose(1, 0, 2))
-        vals = 0.5 * np.einsum("sij,sij->sj", X, ax) - np.einsum("i,sij->sj", self.b, X)
-        return vals, ax - self.b[:, None]
+        vals = 0.5 * np.einsum("sij,sij->sj", X, ax)
+        if not self._b_terms:
+            return vals, ax
+        return vals - np.einsum("i,sij->sj", self.b, X), ax - self.b[:, None]
 
     def batch_gradient_sampler(self, rng_table, horizon):
         """Vectorized sampler that applies noise to the given full gradients;

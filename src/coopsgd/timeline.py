@@ -13,8 +13,11 @@ out of the per-round cost entirely.
 
 Delays depend only on topology, tau, and the delay parameters; never on
 parameter values. A timeline can therefore annotate any run trace with the
-same shape. `simulate_timeline_bytes` states, from above, the bytes that
-one simulation holds, its result included.
+same shape. The seed enters only through the jitter draws: a delay model
+without jitter (`DelayModel.depends_on_seed` false) gives every seed the
+same timeline, which `coopsgd.cli` simulates and formats once per run.
+`simulate_timeline_bytes` states, from above, the bytes that one simulation
+holds, its result included.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ class DelayModel:
         if min(self.compute_base, self.compute_jitter_mean,
                self.comm_latency, self.comm_per_neighbor) < 0:
             raise TimelineError("all delay parameters must be nonnegative")
+
+    @property
+    def depends_on_seed(self) -> bool:
+        """Whether `simulate_timeline` depends on its seed: only the jitter draws from it."""
+        return self.compute_jitter_mean > 0.0
 
 
 def sync_cost(mixing: MixingMatrix, delay: DelayModel, v: int = 0) -> float:
@@ -120,7 +128,8 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
                       seed: int, v: int = 0) -> TimelineTrace:
     """Simulate wall-clock time for `steps` iterations in rounds of tau.
 
-    Deterministic per seed. Each round's span is the maximum over workers of
+    Deterministic per seed, and the same for every seed unless
+    `delay.depends_on_seed`. Each round's span is the maximum over workers of
     the sum of their tau compute draws; the per-sync cost is added once per
     round and the round total is spread evenly over its tau iterations. With
     no jitter the per-iteration time is exactly compute_base + sync_cost/tau.
@@ -134,7 +143,7 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
     cost = sync_cost(mixing, delay, v=v)
 
     per_iteration = np.empty(steps)
-    if delay.compute_jitter_mean == 0.0:
+    if not delay.depends_on_seed:
         per_iteration[:] = delay.compute_base + cost / tau
         idle = np.zeros(m)
     else:

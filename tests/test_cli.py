@@ -21,6 +21,7 @@ import coopsgd
 from coopsgd import cli, presets
 from coopsgd.cli import (
     CSV_BLOCK_ROWS,
+    ClockText,
     EXIT_ALL_DIVERGED,
     EXIT_INVALID,
     EXIT_OK,
@@ -31,9 +32,10 @@ from coopsgd.cli import (
     run_experiment,
     write_trace_csv,
 )
-from coopsgd.engine import RunTrace
+from coopsgd.engine import RunTrace, run_many
 from coopsgd.mixing import make_easgd, make_fully_connected
 from coopsgd.objectives import LogisticProblem
+from coopsgd.timeline import simulate_timeline
 from reference_writers import json_text, trace_csv_text
 
 
@@ -299,6 +301,7 @@ class TestRunExperiment:
         assert header == ",".join(TRACE_CSV_COLUMNS)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"] is False
+        assert summary["divergence"] == {}
         assert summary["bound_report"]["lr_ok"] in (True, False)
         assert summary["config_echo"]["seeds"] == [11, 12]
         assert summary["mean_grad_norm_sq"] > 0
@@ -324,8 +327,48 @@ class TestRunExperiment:
                  for seed in spec_dict["seeds"]]
         mean = np.mean(stack, axis=0)
         expected = tmp_path / "expected.csv"
-        write_trace_csv(RunTrace(mean[:, 1:4].T, 50, 0.0), mean[:, 4], expected)
+        write_trace_csv(RunTrace(mean[:, 1:4].T, 50, 0.0), ClockText(mean[:, 4]), expected)
         assert (out / "trace_mean.csv").read_bytes() == expected.read_bytes()
+
+    @staticmethod
+    def timeline_clock(spec, seed):
+        config = spec.config
+        return simulate_timeline(config.steps, config.tau, config.mixing, spec.delay_model,
+                                 seed=seed, v=config.v).cumulative
+
+    def test_shared_clock_keeps_every_byte(self, tmp_path):
+        # without jitter every seed's CSV reuses one clock text; the over-coupled
+        # elastic matrix diverges seed 1 at row 990, two rows before the horizon,
+        # so its CSV takes the first rows of that text
+        spec_dict = quadratic_spec(tmp_path, seeds=[1, 2, 8])
+        spec_dict["algorithm"].update(tau=1, v=1, eta=0.1, K=992, rule="pre", mixing={
+            "n": 3, "entries": make_easgd(2, 0.8).entries.reshape(-1).tolist()})
+        spec = parse_experiment_spec(spec_dict)
+        assert not spec.delay_model.depends_on_seed
+        traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
+        assert [t.rows for t in traces] == [990, 993, 993]
+        assert run_experiment(spec) == EXIT_OK
+        out = tmp_path / "exp"
+        for seed, trace in zip(spec.seeds, traces):
+            expected = trace_csv_text(trace, self.timeline_clock(spec, seed))
+            assert (out / f"trace_seed{seed}.csv").read_bytes() == expected.encode()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged_seeds"] == [1]
+        assert summary["divergence"] == {"1": {"row": 990, "nonfinite": ["network_error"]}}
+
+    def test_jittered_clocks_are_per_seed(self, tmp_path):
+        spec_dict = quadratic_spec(tmp_path, seeds=[11, 12, 13])
+        spec_dict["delay"]["jitter"] = 0.3
+        spec = parse_experiment_spec(spec_dict)
+        assert spec.delay_model.depends_on_seed
+        traces = run_many(spec.config, spec.oracle, spec.seeds, x0=spec.x0)
+        assert run_experiment(spec) == EXIT_OK
+        clocks = set()
+        for seed, trace in zip(spec.seeds, traces):
+            text = (tmp_path / "exp" / f"trace_seed{seed}.csv").read_bytes().decode()
+            assert text == trace_csv_text(trace, self.timeline_clock(spec, seed))
+            clocks.add(tuple(row.rsplit(",", 1)[1] for row in text.splitlines()[2:]))
+        assert len(clocks) == 3
 
     def test_summary_seed_means_are_read_off_the_seed_mean_csv(self, tmp_path):
         # at these 20 seeds the mean of the per-seed numbers rounds unlike the
@@ -489,6 +532,20 @@ class TestRunExperiment:
         peak, spec = traced_run_peak(spec_dict)
         assert peak <= spec.memory_bytes
 
+    def test_memory_estimate_counts_the_shared_clock_text(self, tmp_path):
+        # one worker and one seed at d = 1: no noise block and a timeline
+        # simulation smaller than the writes, whose per-row holdings dominate.
+        # The shared clock text stays while the seed mean's is formatted; at
+        # 22-character reprs the three texts (1.3 MB) would not fit without
+        # their 75 bytes a row
+        spec_dict = quadratic_spec(tmp_path, seeds=[1])
+        spec_dict["problem"].update(A=[[1.0]], b=[0.0], sigma_sq=0.0)
+        spec_dict["algorithm"].update(tau=20_000, K=20_000, mixing={"n": 1, "entries": [1.0]})
+        spec_dict["delay"] = {"compute": 1.4285714285714286e16}
+        peak, spec = traced_run_peak(spec_dict)
+        assert peak <= spec.memory_bytes
+        assert peak > spec.memory_bytes - 75 * (20_000 + 1)
+
     def test_memory_budget_checked_at_parse(self, tmp_path, capsys, monkeypatch):
         huge = quadratic_spec(tmp_path)
         huge["algorithm"]["K"] = 10**13  # a 728 TiB metric array for 2 seeds
@@ -525,9 +582,10 @@ class TestBlockWriters:
         full[:3, 0] = [-0.0, 5e-324, 1e16]
         trace = RunTrace(full[:, :rows], steps, 0.0)
         assert trace.diverged == (rows < steps + 1)
-        clock = np.cumsum(rng.exponential(size=rows))
+        # a diverged trace takes the first rows of the full clock, as of a shared timeline
+        clock = np.cumsum(rng.exponential(size=steps + 1))
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, clock, path)
+        write_trace_csv(trace, ClockText(clock), path)
         assert path.read_bytes() == trace_csv_text(trace, clock).encode()
 
     def test_json(self, tmp_path):
@@ -555,14 +613,16 @@ class TestBlockWriters:
         assert (out / "summary.json").read_bytes() == old
 
     def test_failed_trace_leaves_the_old_file(self, tmp_path):
-        # a clock one time short fails in the last block, after two were written
+        # a clock one time short fails in the last block, after two were
+        # written: a block missing altogether, or a block one row short
         path = tmp_path / "trace.csv"
         path.write_text("old\n")
-        trace = RunTrace(np.zeros((5, 2 * CSV_BLOCK_ROWS + 1)), 2 * CSV_BLOCK_ROWS, 0.0)
-        with pytest.raises(ValueError):
-            write_trace_csv(trace, np.zeros(2 * CSV_BLOCK_ROWS), path)
-        assert sorted(tmp_path.iterdir()) == [path]
-        assert path.read_text() == "old\n"
+        for rows in (2 * CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 2):
+            trace = RunTrace(np.zeros((5, rows)), rows - 1, 0.0)
+            with pytest.raises(ValueError):
+                write_trace_csv(trace, ClockText(np.zeros(rows - 1)), path)
+            assert sorted(tmp_path.iterdir()) == [path]
+            assert path.read_text() == "old\n"
 
 
 class TestMainEntry:

@@ -14,7 +14,7 @@ from reference_updates import RecordingOracle, reference_run_many
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
-from coopsgd.cli import TRACE_CSV_COLUMNS, write_trace_csv
+from coopsgd.cli import TRACE_CSV_COLUMNS, ClockText, write_trace_csv
 from coopsgd.objectives import QuadraticProblem
 
 
@@ -160,10 +160,12 @@ class TestRun:
         clean = eng.run_many(cfg, q, [7, 8, 9], x0=1.0)
         traces = eng.run_many(cfg, PoisonedOracle(q, {5: 1}), [7, 8, 9], x0=1.0)
         assert traces[1].diverged and traces[1].rows == 5
+        # an infinite coordinate of one worker makes every metric of row 5 non-finite
+        assert traces[1].nonfinite == eng.METRIC_NAMES
         assert np.isfinite(traces[1].metrics).all()
         assert np.array_equal(traces[1].metrics, clean[1].metrics[:, :5])
         for s in (0, 2):
-            assert not traces[s].diverged and traces[s].rows == 21
+            assert not traces[s].diverged and traces[s].rows == 21 and traces[s].nonfinite == ()
             assert np.array_equal(traces[s].metrics, clean[s].metrics)
 
     def test_summary_metric_counts_gradient_states(self):
@@ -299,7 +301,7 @@ class TestTraceCsv:
         trace = eng.run_many(cfg, q, [3], x0=1.0)[0]
         clock = np.linspace(0.0, 3.0, trace.rows)
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, clock, path)
+        write_trace_csv(trace, ClockText(clock), path)
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == TRACE_CSV_COLUMNS
@@ -313,7 +315,7 @@ class TestTraceCsv:
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(2), v=0,
                                   eta=0.1, steps=2)
         path = tmp_path / "t.csv"
-        write_trace_csv(eng.run_many(cfg, q, [0])[0], np.zeros(3), path)
+        write_trace_csv(eng.run_many(cfg, q, [0])[0], ClockText(np.zeros(3)), path)
         first = path.read_text().splitlines()[0]
         assert first == "k,loss,grad_norm_sq,network_error,wall_clock_s"
 

@@ -162,6 +162,68 @@ class TestQuadratic:
             assert np.ascontiguousarray(grads).tobytes() == ref_grads.tobytes()
 
 
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestZeroLinearTerm:
+    """A b of +0.0 entries skips the b-terms with the bits of the formula that has them."""
+
+    @staticmethod
+    def with_b_terms(q, X):
+        """The evaluation with its b-terms, on the package's own product."""
+        ax = objectives._gemm_over_seeds(q.A, X.transpose(1, 0, 2))
+        vals = 0.5 * np.einsum("sij,sij->sj", X, ax) - np.einsum("i,sij->sj", q.b, X)
+        return vals, ax - q.b[:, None]
+
+    @pytest.mark.parametrize("b, b_terms", [
+        ([0.0, 0.0, 0.0], False),
+        ([0.0, -0.0, 0.0], True),
+        ([0.0, 0.0, 5e-324], True),
+        ([np.nan, 0.0, 0.0], True),
+    ])
+    def test_only_a_b_of_positive_zeros_skips_the_terms(self, b, b_terms):
+        assert QuadraticProblem(np.eye(3), b)._b_terms is b_terms
+
+    @pytest.mark.parametrize("dense, shape", [(True, (4, 256, 18)), (False, (20, 10, 8))])
+    def test_random_stacks(self, dense, shape):
+        d = shape[1]
+        base = make_rotated_quadratic(d, 0.1, 1.0, seed=5) if dense else make_diag_quadratic(d)
+        X = np.random.default_rng(7).standard_normal(shape)
+        for stack in (X, d_major(X)):
+            for got, want in zip(base.batch_objective_and_grads(stack),
+                                 self.with_b_terms(base, stack)):
+                assert bits(got) == bits(want)
+
+    def test_singular_matrix_at_zero_objective(self):
+        # diag(1, 0) and states (+-0.0, t): every product and F are zeros,
+        # whose sign the b-terms could flip
+        q = QuadraticProblem(np.diag([1.0, 0.0]), np.zeros(2))
+        rng = np.random.default_rng(3)
+        X = np.stack([np.where(rng.random((6, 5)) < 0.5, -0.0, 0.0),
+                      rng.standard_normal((6, 5))], axis=1)
+        vals, grads = q.batch_objective_and_grads(X)
+        assert not vals.any()
+        want_vals, want_grads = self.with_b_terms(q, X)
+        assert bits(vals) == bits(want_vals)
+        assert bits(grads) == bits(want_grads)
+
+    def test_non_finite_states_stay_non_finite(self):
+        q = QuadraticProblem(np.diag([1.0, 0.5, 0.0]), np.zeros(3))
+        X = np.random.default_rng(4).standard_normal((5, 3, 4))
+        X[0, 0, 0] = np.inf
+        X[1, 2, 1] = -np.inf  # in the null space of A
+        X[2, 1, 2] = np.nan
+        X[3, :, 3] = [np.inf, np.nan, -np.inf]
+        with np.errstate(invalid="ignore"):
+            evaluations = zip(q.batch_objective_and_grads(X), self.with_b_terms(q, X))
+        for got, want in evaluations:
+            finite = np.isfinite(want)
+            assert not finite.all()
+            assert np.array_equal(np.isfinite(got), finite)
+            assert bits(got[finite]) == bits(want[finite])
+
+
 class TestQuadraticNoise:
     def test_single_draw_variance(self):
         q = make_diag_quadratic(10, sigma_sq=1.0)
