@@ -59,7 +59,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_ALL_DIVERGED = 3
 
-TAIL_FRACTION = 0.2
 # Bytes one run may hold at once; `parse_experiment_spec` rejects a spec whose
 # run would need more (see `run_bytes`) before it allocates anything large.
 MEMORY_BUDGET_BYTES = 2**30
@@ -398,12 +397,6 @@ def write_trace_csv(trace: RunTrace, clock: ClockText, path) -> None:
     _write_text_atomic(path, _trace_csv_blocks(trace, clock))
 
 
-def tail_start(steps: int) -> int:
-    """First row of the tail, the final TAIL_FRACTION of a K-step horizon,
-    over which the summary's floors average."""
-    return math.ceil((1.0 - TAIL_FRACTION) * steps)
-
-
 def _bound_report_dict(spec: ExperimentSpec, traces: list[RunTrace]) -> dict | None:
     f1 = float(np.mean([t.initial_loss for t in traces]))
     gap = f1 - spec.oracle.f_inf  # inf when F is unbounded below, which BoundInputs rejects
@@ -481,7 +474,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
     for path in stale:
         path.unlink()
 
-    tail = tail_start(spec.config.steps)
     summary = {
         "mean_grad_norm_sq": mean.mean_grad_norm_sq if completed else None,
         "final_loss": mean.final_loss if completed else None,
@@ -491,8 +483,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
                        for s, t in zip(spec.seeds, traces) if t.diverged},
         "averaged_over_seeds": completed_seeds,
         "tail_worker_grad_norm_sq":
-            float(mean.worker_grad_norm_sq_mean[tail:].mean()) if completed else None,
-        "tail_worker_loss": float(mean.worker_loss_mean[tail:].mean()) if completed else None,
+            float(mean.worker_grad_norm_sq_mean.mean()) if completed else None,
+        "tail_worker_loss": float(mean.worker_loss_mean.mean()) if completed else None,
         "recursion_defect_max": float(max(t.recursion_defect_max for t in traces)),
         "timeline": timeline_dict,
         "bound_report": _bound_report_dict(spec, traces),

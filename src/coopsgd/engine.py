@@ -24,10 +24,18 @@ and the recursion-defect update run once per block on the stacked rows,
 whose size RECORD_BLOCK_BYTES bounds. Dead seeds are found at the end of
 their block; the rows a run emits do not depend on the block size.
 
+The three metrics of the column mean are recorded at every row. The two
+worker metrics are recorded only on the tail, the rows from `tail_start(K)`
+on, which is all that the summary's floors read; a block never straddles
+the tail's first row. Before the tail a row evaluates the columns only when
+the oracle's sampler reads their gradients (`sampler_reads_gradients`), and
+otherwise the column mean alone.
+
 The oracle evaluates a d-major stack: `run_many` fills one (d, seeds, m+v+1)
 buffer, allocated once, with the columns and their mean, and passes its
-(seeds, d, m+v+1) transposed view, on which the oracle's product over all
-seeds is one GEMM (see `coopsgd.objectives.GradientOracle`). The mixing
+(seeds, d, m+v+1) transposed view, or the (seeds, d, 1) view of its mean
+column, on which the oracle's product over all seeds is one GEMM (see
+`coopsgd.objectives.GradientOracle`). The mixing
 product X W is likewise one GEMM on the free (seeds * d, m+v) reshape of the
 state; BLAS picks its kernel by shape, so at some shapes (d = 1, or 17
 columns) this rounds unlike one product per seed in the last bits. The
@@ -46,9 +54,11 @@ import numpy as np
 
 from coopsgd.mixing import MixingMatrix
 
-# The rows of `RunTrace.metrics`, in order.
+# The rows of `RunTrace.metrics`, in order; the last two are the worker metrics.
 METRIC_NAMES = ("loss", "grad_norm_sq", "network_error", "worker_loss_mean",
                 "worker_grad_norm_sq_mean")
+# The share of a K-step horizon that forms the tail (see `tail_start`).
+TAIL_FRACTION = 0.2
 # Bytes of recorded rows (see `record_row_bytes`) that `run_many` stacks
 # before it reduces them to metrics.
 RECORD_BLOCK_BYTES = 256 * 2**10
@@ -61,6 +71,13 @@ class ConfigError(ValueError):
 def effective_lr(eta: float, m: int, v: int) -> float:
     """Step size of the averaged model: m * eta / (m + v)."""
     return m * eta / (m + v)
+
+
+def tail_start(steps: int) -> int:
+    """First row of the tail, the final TAIL_FRACTION of a K-step horizon:
+    the rows on which the worker metrics are recorded and over which the
+    summary's floors average. It lies in 1..K."""
+    return math.ceil((1.0 - TAIL_FRACTION) * steps)
 
 
 @dataclass(frozen=True)
@@ -120,7 +137,14 @@ class RunTrace:
     finite state, so a run diverged exactly when `rows`, the number of
     recorded states, is below K+1. `nonfinite` names the metrics (see
     METRIC_NAMES) that were non-finite at state `rows`, the first one not
-    recorded; it is empty for a run that did not diverge.
+    recorded; it is empty for a run that did not diverge. Before the tail
+    only the three metrics of the column mean are recorded, so a run that
+    diverges there names none of the worker metrics.
+
+    The worker metrics cover the tail only: `worker_loss_mean` and
+    `worker_grad_norm_sq_mean` are the rows from `tail_start(K)` on (empty
+    for a run that diverged before it), and the columns of `metrics` before
+    the tail hold NaN in their two rows.
     """
 
     metrics: np.ndarray
@@ -140,9 +164,11 @@ class RunTrace:
     grad_norm_sq = property(lambda self: self.metrics[1], doc="||grad F||^2 at the column mean")
     network_error = property(lambda self: self.metrics[2],
                              doc="squared Frobenius distance of the columns from their mean")
-    worker_loss_mean = property(lambda self: self.metrics[3], doc="F averaged over the workers")
-    worker_grad_norm_sq_mean = property(lambda self: self.metrics[4],
-                                        doc="||grad F||^2 averaged over the workers")
+    worker_loss_mean = property(lambda self: self.metrics[3, tail_start(self.steps_requested):],
+                                doc="F averaged over the workers, on the tail rows")
+    worker_grad_norm_sq_mean = property(
+        lambda self: self.metrics[4, tail_start(self.steps_requested):],
+        doc="||grad F||^2 averaged over the workers, on the tail rows")
 
     @property
     def mean_grad_norm_sq(self) -> float:
@@ -199,11 +225,15 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     from `oracle.batch_gradient_sampler(rng_table, K)`, called once per step
     with the (seeds, d, m) worker columns and their full gradients: the
     first m gradient columns of the block row that holds the state's
-    evaluation. Each state's full gradient is thus computed once.
+    evaluation. Each state's full gradient is thus computed once. Before the
+    tail (`tail_start(K)`), an oracle whose sampler does not read gradients
+    (`sampler_reads_gradients` false) is evaluated on the (seeds, d, 1) view
+    of the mean column alone; such a sampler always receives None for them.
 
     Rows are recorded in blocks of as many steps as fit in
-    RECORD_BLOCK_BYTES, and at least one: each step stores its evaluation in
-    the block, and once per block the five metric reductions, the finiteness
+    RECORD_BLOCK_BYTES, and at least one, ending at the tail's first row:
+    each step stores its evaluation in the block, and once per block the
+    metric reductions (three before the tail, five on it), the finiteness
     test and the recursion-defect update run on the stacked rows.
 
     `x0` may be a scalar (broadcast over coordinates) or a d-vector; every
@@ -235,6 +265,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     X = np.tile(x0[None, :, None], (n_seeds, 1, n))
     W = config.mixing.entries
     eta, eta_t, tau, K = config.eta, config.eta_tilde, config.tau, config.steps
+    tail = tail_start(K)
+    reads_grads = oracle.sampler_reads_gradients
     worker_avg = np.full(m, 1.0 / m)
     col_avg = np.full(n, 1.0 / n)
 
@@ -249,43 +281,53 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     grads_blk = np.empty((block, n_seeds, d, n + 1))
     spread_blk = np.empty((block, n_seeds, d, n))
     metrics = np.empty((5, n_seeds, K + 1))
+    metrics[3:, :, :tail] = np.nan  # the worker metrics are not recorded before the tail
 
     def mix(X: np.ndarray) -> np.ndarray:
         """X W as one (seeds * d, n) @ (n, n) GEMM on the free reshape of X."""
         return (X.reshape(n_seeds * d, n) @ W).reshape(n_seeds, d, n)
 
-    def evaluate(b: int) -> None:
-        """Store the state's values, gradients and spreads X - xbar as block row `b`."""
+    def evaluate(b: int, columns: bool):
+        """Store the state's values, gradients and spreads X - xbar as block row
+        `b`, evaluated at the columns and their mean, or at the mean alone.
+        Returns the worker gradients for the next step's sampler: None for a
+        sampler that does not read them."""
         xbar = np.matmul(X, col_avg, out=xbars[b + 1])
-        evaluated[:, :, :n] = X
         evaluated[:, :, n] = xbar
-        vals_blk[b], grads_blk[b] = oracle.batch_objective_and_grads(evaluated)
+        if columns:
+            evaluated[:, :, :n] = X
+        cols = slice(0 if columns else n, n + 1)
+        vals_blk[b, :, cols], grads_blk[b, :, :, cols] = \
+            oracle.batch_objective_and_grads(evaluated[:, :, cols])
         np.subtract(X, xbar[:, :, None], out=spread_blk[b])
+        return grads_blk[b, :, :, :m] if reads_grads else None
 
-    def reduce_block(start: int, rows: int) -> np.ndarray:
+    def reduce_block(start: int, rows: int, workers: bool) -> np.ndarray:
         """Fill metric columns start..start+rows-1 from the first `rows` block
-        rows; returns them as a (5, rows, seeds) array.
+        rows; returns them as a (5, rows, seeds) array, or (3, rows, seeds)
+        without the worker metrics.
 
         A non-finite entry of X makes X - xbar non-finite in its coordinate,
         so the network error flags a non-finite state without a scan of X.
         """
         vals, grads, diff = vals_blk[:rows], grads_blk[:rows], spread_blk[:rows]
-        rec = np.empty((5, rows, n_seeds))
+        rec = np.empty((5 if workers else 3, rows, n_seeds))
         rec[0] = vals[:, :, n]
         center = grads[:, :, :, n]
         np.einsum("bsi,bsi->bs", center, center, out=rec[1])
         np.einsum("bsij,bsij->bs", diff, diff, out=rec[2])
-        np.divide(vals[:, :, :m].sum(axis=2), m, out=rec[3])
-        gw = grads[:, :, :, :m]
-        np.einsum("bsij,bsij->bs", gw, gw, out=rec[4])
-        rec[4] /= m
-        metrics[:, :, start:start + rows] = rec.transpose(0, 2, 1)
+        if workers:
+            np.divide(vals[:, :, :m].sum(axis=2), m, out=rec[3])
+            gw = grads[:, :, :, :m]
+            np.einsum("bsij,bsij->bs", gw, gw, out=rec[4])
+            rec[4] /= m
+        metrics[:len(rec), :, start:start + rows] = rec.transpose(0, 2, 1)
         return rec
 
     # overflow/invalid simply mark divergence, so numpy warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluate(0)
-        if not np.isfinite(reduce_block(0, 1)).all():
+        last = evaluate(0, reads_grads)  # the worker gradients of the last evaluation
+        if not np.isfinite(reduce_block(0, 1, False)).all():
             raise ConfigError("objective is non-finite at the initial point")
         xbars[0] = xbars[1]
 
@@ -293,10 +335,10 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         first_bad = np.full(n_seeds, K + 1)
         nonfinite = [()] * n_seeds  # the names of the metrics non-finite at first_bad
         defect_max = np.zeros(n_seeds)
-        last = grads_blk[0, :, :, :m]  # the worker gradients of the last evaluation
         start = 1
         while start <= K:
-            stop = min(start + block, K + 1)
+            on_tail = start >= tail
+            stop = min(start + block, K + 1 if on_tail else tail)
             for b, k in enumerate(range(start, stop)):
                 g = sample(X[:, :, :m], last)
                 np.matmul(g, worker_avg, out=gbar[b])
@@ -306,10 +348,9 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 X[:, :, :m] -= eta * g  # auxiliaries take no gradient step
                 if sync and config.rule == "post":
                     X = mix(X)
-                evaluate(b)
-                last = grads_blk[b, :, :, :m]
+                last = evaluate(b, on_tail or reads_grads)
             rows = stop - start
-            rec = reduce_block(start, rows)
+            rec = reduce_block(start, rows, on_tail)
             if not math.isfinite(rec.sum()):  # a non-finite row, or a sum that overflowed
                 finite = np.isfinite(rec)
                 ok = finite.all(axis=0)
@@ -320,7 +361,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                     nonfinite[s] = tuple(name for name, fin in zip(METRIC_NAMES, finite[:, row, s])
                                          if not fin)
                 X[dead] = 0.0  # park dead seeds; their rows are never emitted
-                last[dead] = 0.0
+                if last is not None:
+                    last[dead] = 0.0
                 n_alive = np.count_nonzero(first_bad > K)
             predicted = xbars[:rows] - eta_t * gbar[:rows]
             step_defect = np.abs(xbars[1:rows + 1] - predicted).max(axis=2)

@@ -12,7 +12,9 @@ Each objective implements only the seed-batched pair that the engine runs
 (see `GradientOracle`); the single-vector forms are views on a (1, d, 1)
 stack, so tests and engine share one implementation of each objective.
 The sampler receives the full gradients that the evaluation computed at the
-same state, so a quadratic step makes no product with A of its own.
+same state, so a quadratic step makes no product with A of its own; a
+sampler that does not read them (`sampler_reads_gradients` false, the
+logistic one) may receive None instead.
 
 The quadratic oracle adds isotropic Gaussian noise with total variance
 exactly sigma_sq (per-coordinate sigma_sq/d), making the contract hold with
@@ -111,10 +113,13 @@ class GradientOracle:
     m) worker columns `Xw` and their full gradients `grads`, as
     `batch_objective_and_grads` returned them, to a fresh array of stochastic
     gradients, for up to `horizon` calls, drawing from `rng_table[s][i]` for
-    seed s and worker i. A sampler may ignore `grads` (the logistic one
-    differentiates its mini-batch at `Xw`) but never writes to it. The
-    single-vector forms `objective_value`, `full_gradient` and
-    `stochastic_gradient` validate one point and evaluate that pair on it.
+    seed s and worker i. A sampler never writes to `grads`. One that ignores
+    them (the logistic one differentiates its mini-batch at `Xw`) sets the
+    class attribute `sampler_reads_gradients` false and accepts None for
+    `grads`: `run_many` then evaluates the worker columns only where it
+    records their metrics. The single-vector forms `objective_value`,
+    `full_gradient` and `stochastic_gradient` validate one point and
+    evaluate that pair on it.
 
     A stack may have any strides: `run_many` passes the (seeds, d, cols)
     transposed view of a d-major (d, seeds, cols) buffer it reuses, so an
@@ -134,6 +139,7 @@ class GradientOracle:
     beta: float
     sigma_sq: float
     f_inf: float
+    sampler_reads_gradients: bool = True
 
     def batch_objective_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -293,6 +299,8 @@ class LogisticProblem(GradientOracle):
     pairwise.
     """
 
+    sampler_reads_gradients = False
+
     def __init__(self, features, labels, l2_reg: float, batch_size: int):
         X = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
@@ -391,8 +399,8 @@ class LogisticProblem(GradientOracle):
 
     def batch_gradient_sampler(self, rng_table, horizon):
         """Vectorized sampler that differentiates its mini-batch at the worker
-        columns and ignores their full gradients; `_block_draws` weighs each
-        index at the d floats it gathers."""
+        columns and ignores their full gradients, which may be None;
+        `_block_draws` weighs each index at the d floats it gathers."""
         batch = self.batch_size
 
         def fill(rng, out):
@@ -400,7 +408,7 @@ class LogisticProblem(GradientOracle):
 
         draws = _block_draws(rng_table, horizon, batch * self.d, batch, fill, np.int64)
 
-        def sample(Ww: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        def sample(Ww: np.ndarray, grads: np.ndarray | None) -> np.ndarray:
             zb = self.Z[next(draws)]  # (seeds, m, batch, d)
             w = Ww.transpose(0, 2, 1)[..., None]  # (seeds, m, d, 1)
             coeff = -1.0 / (1.0 + np.exp(np.matmul(zb, w)))

@@ -8,6 +8,7 @@ advances a reference trajectory on the same per-worker noise streams.
 `reference_run_many` is `run_many` with its metrics recorded one step at a
 time, the reference for the engine's blocked recording; like `run_many`, it
 hands the sampler the worker gradients of the row it recorded last.
+`PoisonedOracle` makes chosen seeds diverge at chosen steps.
 """
 
 import numpy as np
@@ -81,8 +82,8 @@ def reference_dpsgd_step(X: np.ndarray, eta: float, G: np.ndarray,
 
 class RecordingOracle:
     """Passes every call through to `oracle`; keeps a copy of the (seeds, d, m)
-    worker columns and gradients handed to the sampler at each step, and of
-    the stack and gradients of each evaluation."""
+    worker columns and gradients (or None) handed to the sampler at each
+    step, and of the stack and gradients of each evaluation."""
 
     def __init__(self, oracle):
         self._oracle = oracle
@@ -100,10 +101,35 @@ class RecordingOracle:
 
         def recording_sample(Xw, grads):
             self.worker_columns.append(Xw.copy())
-            self.sampled_grads.append(grads.copy())
+            self.sampled_grads.append(None if grads is None else grads.copy())
             return sample(Xw, grads)
 
         return recording_sample
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+class PoisonedOracle:
+    """Passes every call through to `oracle`, except that the gradient of
+    seed `poison[k]` gets one infinite coordinate at sampler call k."""
+
+    def __init__(self, oracle, poison: dict[int, int]):
+        self._oracle = oracle
+        self._poison = poison
+
+    def batch_gradient_sampler(self, rng_table, horizon):
+        sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
+        calls = iter(range(1, horizon + 1))
+
+        def poisoned(Xw, grads):
+            G = sample(Xw, grads)
+            seed = self._poison.get(next(calls))
+            if seed is not None:
+                G[seed, 2, 0] = np.inf
+            return G
+
+        return poisoned
 
     def __getattr__(self, name):
         return getattr(self._oracle, name)
@@ -151,9 +177,13 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     """`run_many` with every metric, divergence and defect check made per step.
 
     Each step samples at the worker gradients of the last recorded row,
-    evaluates its own row, reduces it to the five metrics, parks the seeds
-    whose row is non-finite at zero with zero gradients and stops once none
-    is left, then updates the recursion defect of the seeds still alive.
+    evaluates its own row, reduces it to its metrics, parks the seeds whose
+    row is non-finite at zero with zero gradients and stops once none is
+    left, then updates the recursion defect of the seeds still alive. A row
+    before `tail_start(K)` records the three metrics of the column mean and
+    evaluates the columns only when the sampler reads their gradients, and
+    a row on the tail records all five. A sampler that reads no gradients
+    receives None for them.
     It mixes with one product X[s] W per seed and evaluates a C-ordered stack,
     where `run_many` makes one GEMM over all seeds and evaluates a d-major
     view; at the shapes the tests run, the two round alike.
@@ -167,29 +197,38 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     sample = oracle.batch_gradient_sampler(rng_table, K)
     X = np.tile(x0[None, :, None], (n_seeds, 1, n))
     W, eta, eta_t = config.mixing.entries, config.eta, config.eta_tilde
+    tail = eng.tail_start(K)
     worker_avg, col_avg = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-    metrics = np.empty((5, n_seeds, K + 1))
+    metrics = np.full((5, n_seeds, K + 1), np.nan)
     loss, grad_sq, net_err, w_loss, w_grad_sq = metrics
 
     def record(row):
         xbar = X @ col_avg
-        vals, grads = oracle.batch_objective_and_grads(
-            np.concatenate([X, xbar[:, :, None]], axis=2))
+        on_tail = row >= tail
+        reads = oracle.sampler_reads_gradients
+        # the evaluation fills the columns it covers of one row of the
+        # columns and their mean, whose strides the reductions then see
+        vals, grads = np.empty((n_seeds, n + 1)), np.empty((n_seeds, d, n + 1))
+        cols = slice(0 if on_tail or reads else n, n + 1)
+        stack = np.concatenate([X, xbar[:, :, None]], axis=2)[:, :, cols].copy()
+        vals[:, cols], grads[:, :, cols] = oracle.batch_objective_and_grads(stack)
         loss[:, row] = vals[:, n]
         center = grads[:, :, n]
         grad_sq[:, row] = np.einsum("si,si->s", center, center)
-        w_loss[:, row] = vals[:, :m].sum(axis=1) / m
-        gw = grads[:, :, :m]
-        w_grad_sq[:, row] = np.einsum("sij,sij->s", gw, gw) / m
+        if on_tail:
+            w_loss[:, row] = vals[:, :m].sum(axis=1) / m
+            w_grad_sq[:, row] = np.einsum("sij,sij->s", grads[:, :, :m], grads[:, :, :m]) / m
         diff = X - xbar[:, :, None]
         net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
-        return xbar, gw, np.isfinite(metrics[:, :, row]).all(axis=0)
+        finite = np.isfinite(metrics[:5 if on_tail else 3, :, row])
+        return xbar, grads[:, :, :m] if reads else None, finite
 
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar_prev, gw, ok0 = record(0)
-        assert ok0.all()
+        xbar_prev, gw, finite = record(0)
+        assert finite.all()
         alive = np.ones(n_seeds, dtype=bool)
         first_bad = np.full(n_seeds, K + 1)
+        nonfinite = [()] * n_seeds
         defect_max = np.zeros(n_seeds)
         G = np.zeros((n_seeds, d, n))
         for k in range(1, K + 1):
@@ -200,12 +239,17 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
                 X = np.matmul(X, W) if sync else X
             else:
                 X = (np.matmul(X, W) if sync else X) - eta * G
-            xbar, gw, ok = record(k)
+            xbar, gw, finite = record(k)
+            ok = finite.all(axis=0)
             newly_dead = alive & ~ok
             if newly_dead.any():
                 first_bad[newly_dead] = k
+                for s in np.flatnonzero(newly_dead):
+                    nonfinite[s] = tuple(name for name, fin in zip(eng.METRIC_NAMES, finite[:, s])
+                                         if not fin)
                 X[newly_dead] = 0.0
-                gw[newly_dead] = 0.0
+                if gw is not None:
+                    gw[newly_dead] = 0.0
                 alive &= ok
                 if not alive.any():
                     break
@@ -214,4 +258,5 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
             defect_max = np.where(alive, np.maximum(defect_max, step_defect), defect_max)
             xbar_prev = xbar
     return [eng.RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
-                         recursion_defect_max=float(defect_max[s])) for s in range(n_seeds)]
+                         recursion_defect_max=float(defect_max[s]), nonfinite=nonfinite[s])
+            for s in range(n_seeds)]

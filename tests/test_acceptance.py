@@ -13,7 +13,8 @@ from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd import theory as th
 from coopsgd import presets
-from coopsgd.cli import parse_experiment_spec, run_experiment, tail_start
+from coopsgd.cli import parse_experiment_spec, run_experiment
+from coopsgd.engine import tail_start
 from coopsgd.presets import FLOOR_TAUS, FLOOR_ZETAS, run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 

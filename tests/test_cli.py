@@ -32,10 +32,11 @@ from coopsgd.cli import (
     run_experiment,
     write_trace_csv,
 )
-from coopsgd.engine import RunTrace, run_many
+from coopsgd.engine import METRIC_NAMES, RunTrace, record_block_rows, run_many, tail_start
 from coopsgd.mixing import make_easgd, make_fully_connected
 from coopsgd.objectives import LogisticProblem
 from coopsgd.timeline import simulate_timeline
+from reference_updates import PoisonedOracle
 from reference_writers import json_text, trace_csv_text
 
 
@@ -356,6 +357,22 @@ class TestRunExperiment:
         assert summary["diverged_seeds"] == [1]
         assert summary["divergence"] == {"1": {"row": 990, "nonfinite": ["network_error"]}}
 
+    def test_divergence_names_the_recorded_metrics(self, tmp_path):
+        # an infinite gradient coordinate makes every recorded metric of its
+        # row non-finite: before the tail, which starts at row 40 of 50, the
+        # three of the column mean, and on the tail all five
+        spec_dict = quadratic_spec(tmp_path, seeds=[11, 12, 13])
+        spec_dict["problem"].update(A=np.diag([1.0, 0.5, 0.25]).tolist(), b=[0.0] * 3)
+        spec = parse_experiment_spec(spec_dict)
+        assert tail_start(spec.config.steps) == 40
+        spec.oracle = PoisonedOracle(spec.oracle, {5: 0, 45: 1})
+        assert run_experiment(spec) == EXIT_OK
+        summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+        assert summary["divergence"] == {
+            "11": {"row": 5, "nonfinite": ["loss", "grad_norm_sq", "network_error"]},
+            "12": {"row": 45, "nonfinite": list(METRIC_NAMES)},
+        }
+
     def test_jittered_clocks_are_per_seed(self, tmp_path):
         spec_dict = quadratic_spec(tmp_path, seeds=[11, 12, 13])
         spec_dict["delay"]["jitter"] = 0.3
@@ -483,10 +500,14 @@ class TestRunExperiment:
     def test_memory_estimate_counts_the_index_block(self, tmp_path):
         # at d = 1 the logistic sampler's pre-drawn indices (batch per stream
         # and step, 4.1 MB here) outweigh d + 1 normals per stream and step;
-        # an untraced first run pays for the modules numpy imports on first use
+        # an untraced first run pays for the modules numpy imports on first use.
+        # The tail's first row, 160, falls inside a 31-row recording block, at
+        # which the evaluation's workspace grows from the mean's one column to
+        # all 17
         spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
         spec_dict["problem"] = {"type": "logistic", "n": 8, "d": 1, "seed": 3, "batch": 8}
         spec_dict["algorithm"].update(K=200, mixing={"n": 16, "entries": [1 / 16] * 256})
+        assert record_block_rows(20, 1, 16, 200) == 31 and tail_start(200) == 160
         peak, spec = traced_run_peak(spec_dict)
         assert peak <= cli.run_bytes(20, spec.config, 1,
                                      LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200))

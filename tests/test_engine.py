@@ -10,37 +10,12 @@ import numpy as np
 import pytest
 from peak_memory import FIXED_BYTES, traced_peak
 from reference_objectives import make_diag_quadratic, make_rotated_quadratic
-from reference_updates import RecordingOracle, reference_run_many
+from reference_updates import PoisonedOracle, RecordingOracle, reference_run_many
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
 from coopsgd.cli import TRACE_CSV_COLUMNS, ClockText, write_trace_csv
-from coopsgd.objectives import QuadraticProblem
-
-
-class PoisonedOracle:
-    """Passes every call through to `oracle`, except that the gradient of
-    seed `poison[k]` gets one infinite coordinate at sampler call k."""
-
-    def __init__(self, oracle, poison: dict[int, int]):
-        self._oracle = oracle
-        self._poison = poison
-
-    def batch_gradient_sampler(self, rng_table, horizon):
-        sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
-        calls = iter(range(1, horizon + 1))
-
-        def poisoned(Xw, grads):
-            G = sample(Xw, grads)
-            seed = self._poison.get(next(calls))
-            if seed is not None:
-                G[seed, 2, 0] = np.inf
-            return G
-
-        return poisoned
-
-    def __getattr__(self, name):
-        return getattr(self._oracle, name)
+from coopsgd.objectives import LogisticProblem, QuadraticProblem
 
 
 class TestEffectiveLearningRate:
@@ -120,24 +95,37 @@ class TestRun:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_oracle_evaluates_one_reused_d_major_stack(self):
-        # every evaluation receives the (seeds, d, n + 1) view of the same
-        # d-major buffer, on which the quadratic's product is one GEMM
-        q = make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5)
-        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(4, 0.2), v=1, eta=0.05, steps=10)
-        stacks = []
+        # every evaluation receives a view of the same d-major buffer, on which
+        # the oracle's product over all seeds is one GEMM: the (seeds, d, n + 1)
+        # stack of the columns and their mean, or, before the tail of a run
+        # whose sampler reads no gradients, the (seeds, d, 1) view of the mean;
+        # such a sampler never receives gradients
+        class StackRecorder(RecordingOracle):
+            """Also keeps each evaluated stack itself, not a copy."""
 
-        class StackProbe:
-            d, batch_gradient_sampler = q.d, q.batch_gradient_sampler
+            def __init__(self, oracle):
+                super().__init__(oracle)
+                self.stacks = []
 
             def batch_objective_and_grads(self, X):
-                stacks.append((X.shape, X.transpose(1, 0, 2).flags.c_contiguous,
-                               X.__array_interface__["data"][0]))
-                return q.batch_objective_and_grads(X)
+                self.stacks.append(X)
+                return super().batch_objective_and_grads(X)
 
-        eng.run_many(cfg, StackProbe(), [1, 2, 3])
-        assert len(stacks) == cfg.steps + 1
-        assert {(shape, d_major) for shape, d_major, _ in stacks} == {((3, 5, 6), True)}
-        assert len({address for *_, address in stacks}) == 1
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(4, 0.2), v=1, eta=0.05, steps=10)
+        n, tail = cfg.mixing.n, eng.tail_start(cfg.steps)
+        for oracle in (make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5),
+                       LogisticProblem.synthetic(40, 5, 3, l2_reg=0.01, batch_size=4)):
+            recorder = StackRecorder(oracle)
+            eng.run_many(cfg, recorder, [1, 2, 3])
+            stacks, reads = recorder.stacks, oracle.sampler_reads_gradients
+            assert [X.shape for X in stacks] == [
+                (3, 5, n + 1 if reads or k >= tail else 1) for k in range(cfg.steps + 1)]
+            buffer = stacks[0].base
+            assert buffer.shape == (5, 3, n + 1) and buffer.flags.c_contiguous
+            for X in stacks:
+                assert X.base is buffer and np.shares_memory(X, buffer[:, :, n])
+                assert np.shares_memory(X, buffer[:, :, :n]) == (X.shape[2] == n + 1)
+            assert [grads is not None for grads in recorder.sampled_grads] == [reads] * cfg.steps
 
     def test_batch_divergence_is_per_seed(self):
         # a step too large for the top curvature mode diverges regardless of seed,
@@ -151,22 +139,41 @@ class TestRun:
         assert len({t.rows for t in traces}) > 1
 
     def test_nonfinite_state_stops_only_its_seed(self):
-        # one infinite gradient coordinate of seed 1 at step 5 makes its state
-        # non-finite: that state's row is not emitted, and the other seeds run on
+        # one infinite gradient coordinate of seed 1 at step 5, and of seed 2 at
+        # step 18, on the tail from row 16, makes that seed's state non-finite:
+        # that state's row is not emitted, and the other seeds run on
         q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
                                   eta=0.05, steps=20)
+        assert eng.tail_start(cfg.steps) == 16
 
         clean = eng.run_many(cfg, q, [7, 8, 9], x0=1.0)
-        traces = eng.run_many(cfg, PoisonedOracle(q, {5: 1}), [7, 8, 9], x0=1.0)
+        traces = eng.run_many(cfg, PoisonedOracle(q, {5: 1, 18: 2}), [7, 8, 9], x0=1.0)
         assert traces[1].diverged and traces[1].rows == 5
-        # an infinite coordinate of one worker makes every metric of row 5 non-finite
-        assert traces[1].nonfinite == eng.METRIC_NAMES
-        assert np.isfinite(traces[1].metrics).all()
-        assert np.array_equal(traces[1].metrics, clean[1].metrics[:, :5])
-        for s in (0, 2):
-            assert not traces[s].diverged and traces[s].rows == 21 and traces[s].nonfinite == ()
-            assert np.array_equal(traces[s].metrics, clean[s].metrics)
+        assert traces[2].diverged and traces[2].rows == 18
+        # an infinite coordinate of one worker makes every recorded metric of its
+        # row non-finite: before the tail those of the column mean alone
+        assert traces[1].nonfinite == eng.METRIC_NAMES[:3]
+        assert traces[2].nonfinite == eng.METRIC_NAMES
+        for s, rows in ((1, 5), (2, 18)):
+            assert np.isfinite(traces[s].metrics[:3]).all()
+            assert np.isfinite(traces[s].worker_loss_mean).all()
+            assert len(traces[s].worker_grad_norm_sq_mean) == max(rows - 16, 0)
+            assert np.array_equal(traces[s].metrics, clean[s].metrics[:, :rows], equal_nan=True)
+        assert not traces[0].diverged and traces[0].rows == 21 and traces[0].nonfinite == ()
+        assert np.array_equal(traces[0].metrics, clean[0].metrics, equal_nan=True)
+
+    def test_worker_metrics_cover_the_tail(self):
+        # the columns before the tail hold NaN in the two worker rows, which
+        # the trace exposes from tail_start(K) on
+        q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
+                                  eta=0.05, steps=20)
+        (trace,) = eng.run_many(cfg, q, [3], x0=1.0)
+        assert np.isnan(trace.metrics[3:, :16]).all() and np.isfinite(trace.metrics[3:, 16:]).all()
+        assert np.isfinite(trace.metrics[:3]).all()
+        assert trace.worker_loss_mean.tobytes() == trace.metrics[3, 16:].tobytes()
+        assert trace.worker_grad_norm_sq_mean.tobytes() == trace.metrics[4, 16:].tobytes()
 
     def test_summary_metric_counts_gradient_states(self):
         q = make_diag_quadratic(4, 0.5, 1.0)
@@ -191,12 +198,20 @@ class TestBlockedRecording:
         return set_block
 
     @staticmethod
+    def block_end(config, block: int, row: int) -> int:
+        """Last row of the block that holds `row`: blocks of `block` rows start
+        at row 1 and at the tail's first row, and none straddles it."""
+        tail = eng.tail_start(config.steps)
+        first, last = (1, tail - 1) if row < tail else (tail, config.steps)
+        return min(last, first - 1 + -(-(row - first + 1) // block) * block)
+
+    @staticmethod
     def assert_same(config, oracle, seeds, x0=1.0, engine_oracle=None):
         expected = reference_run_many(config, oracle, seeds, x0=x0)
         got = eng.run_many(config, engine_oracle or oracle, seeds, x0=x0)
         for a, b in zip(got, expected, strict=True):
-            assert a.rows == b.rows and a.diverged == b.diverged
-            assert np.array_equal(a.metrics, b.metrics)
+            assert a.rows == b.rows and a.diverged == b.diverged and a.nonfinite == b.nonfinite
+            assert np.array_equal(a.metrics, b.metrics, equal_nan=True)
             assert a.recursion_defect_max == b.recursion_defect_max
         return got
 
@@ -221,6 +236,24 @@ class TestBlockedRecording:
         block_steps(cfg, q, [7, 8, 9, 10])
         traces = self.assert_same(cfg, PoisonedOracle(q, {11: 1, 8: 2}), [7, 8, 9, 10])
         assert [t.rows for t in traces] == [21, 11, 8, 21]
+
+    @pytest.mark.parametrize("rule, mixing, v", [
+        ("post", mx.make_dense_with_zeta(4, 0.5), 0),
+        ("pre", mx.make_easgd(4, 0.2), 1),
+    ])
+    def test_logistic_matches_reference(self, block_steps, rule, mixing, v):
+        # the mean alone is evaluated before the tail, from row 16 on the
+        # columns too: with 7-step blocks the tail's first row lies inside the
+        # block of rows 15..21. Seed 1 turns non-finite before the tail, seed 2
+        # on it
+        oracle = LogisticProblem.synthetic(40, 5, 3, l2_reg=0.01, batch_size=4)
+        cfg = eng.AlgorithmConfig(tau=4, mixing=mixing, v=v, eta=0.1, steps=20, rule=rule)
+        assert eng.tail_start(cfg.steps) == 16
+        block_steps(cfg, oracle, [1, 2, 3])
+        self.assert_same(cfg, oracle, [1, 2, 3], x0=0.5)
+        traces = self.assert_same(cfg, PoisonedOracle(oracle, {6: 1, 17: 2}), [1, 2, 3], x0=0.5)
+        assert [t.rows for t in traces] == [21, 6, 17]
+        assert [len(t.nonfinite) for t in traces] == [0, 3, 5]
 
     @pytest.mark.parametrize("v", [0, 1])
     @pytest.mark.parametrize("rule", ["post", "pre"])
@@ -251,7 +284,7 @@ class TestBlockedRecording:
         recorder = RecordingOracle(PoisonedOracle(q, {5: 1}))
         eng.run_many(cfg, recorder, [7, 8, 9], x0=1.0)
         block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
-        parked = min(cfg.steps, -(-5 // block) * block)  # the step whose block finds it dead
+        parked = self.block_end(cfg, block, 5)  # the step whose block finds it dead
         sampled = [grads[1] for grads in recorder.sampled_grads]
         assert all(not np.isfinite(g).all() for g in sampled[5:parked])
         assert all(np.isfinite(g).all() for g in sampled[parked:])
@@ -269,7 +302,7 @@ class TestBlockedRecording:
         # the run stops at the end of the block holding the last first bad row
         block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
         last = max(t.rows for t in traces)
-        assert len(recorder.worker_columns) == min(cfg.steps, -(-last // block) * block)
+        assert len(recorder.worker_columns) == self.block_end(cfg, block, last)
 
 
 class TestByteEstimate:

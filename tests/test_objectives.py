@@ -512,6 +512,26 @@ class TestByteEstimates:
         estimate = LogisticProblem.run_bytes(samples, d, batch, seeds, n, m, steps)
         assert peak <= estimate + FIXED_BYTES
 
+    def test_logistic_workspace_is_replaced_not_added(self):
+        # a run evaluates the mean column alone before the tail and all n + 1
+        # columns on it: the one-column workspace is released before the wider
+        # one is allocated, so the switch peaks no higher than a wide
+        # evaluation alone (holding both would add the 96 KB narrow workspace)
+        seeds, n, samples = 4, 9, 1000
+        X = np.random.default_rng(0).standard_normal((seeds, 20, n + 1))
+        data = LogisticProblem.synthetic(samples, 20, 3, l2_reg=0.01, batch_size=8)
+
+        def evaluate(stacks):
+            def run():
+                oracle = LogisticProblem(data.X, data.y, l2_reg=0.01, batch_size=8)
+                for W in stacks:
+                    oracle.batch_objective_and_grads(W)
+            return run
+
+        wide = traced_peak(evaluate([X]))
+        switch = traced_peak(evaluate([X[:, :, n:], X]))
+        assert switch <= wide
+
 
 class TestSerialization:
     """`oracle_from_dict` returns the oracle, its echo, which reads back to
