@@ -44,6 +44,7 @@ from coopsgd.engine import (
     average_traces,
     run_many,
     run_many_bytes,
+    tail_start,
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
 from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
@@ -151,13 +152,14 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
     - a timeline's simulation: its `simulate_timeline_bytes`, while the
       running sum of the completed seeds' wall clocks (8 bytes a row) and
       the last seed's timeline (16 bytes a row) are held;
-    - the writing of the trace CSVs, at most 147 bytes a row: that timeline,
-      that sum and its mean (32 bytes), the seed mean of the metrics that
-      `average_traces` sums into (40 bytes), and three clock texts (75
-      bytes): the `ClockText` of a timeline that every seed shares, and the
-      seed mean's as its blocks and as the string they are joined into. A
-      float's repr has at most 23 characters, so a text takes at most 24
-      bytes a row and a string header per block, within 25 bytes a row.
+    - the writing of the trace CSVs, at most 131 bytes a row and 16 more a
+      tail row: that timeline, that sum and its mean (32 bytes), the seed
+      mean of the metrics that `average_traces` sums into (24 bytes, and the
+      worker metrics' 16 a tail row), and three clock texts (75 bytes): the
+      `ClockText` of a timeline that every seed shares, and the seed mean's
+      as its blocks and as the string they are joined into. A float's repr
+      has at most 23 characters, so a text takes at most 24 bytes a row and a
+      string header per block, within 25 bytes a row.
 
     Writing the outputs adds a constant, whatever K and the size of the
     summary: one block of CSV_BLOCK_ROWS trace rows as Python text (512
@@ -167,7 +169,8 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
     """
     n, m, K = config.mixing.n, config.m, config.steps
     return (run_many_bytes(n_seeds, d, n, m, K) + problem_bytes
-            + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1), 147 * (K + 1))
+            + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1),
+                  131 * (K + 1) + 16 * (K + 1 - tail_start(K)))
             + CSV_BLOCK_ROWS * (512 + 256))
 
 

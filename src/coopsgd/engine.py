@@ -26,10 +26,11 @@ their block; the rows a run emits do not depend on the block size.
 
 The three metrics of the column mean are recorded at every row. The two
 worker metrics are recorded only on the tail, the rows from `tail_start(K)`
-on, which is all that the summary's floors read; a block never straddles
-the tail's first row. Before the tail a row evaluates the columns only when
-the oracle's sampler reads their gradients (`sampler_reads_gradients`), and
-otherwise the column mean alone.
+on, which is all that the summary's floors read, into an array of their own
+that holds the tail rows alone; a block never straddles the tail's first
+row. Before the tail a row evaluates the columns only when the oracle's
+sampler reads their gradients (`sampler_reads_gradients`), and otherwise
+the column mean alone.
 
 The oracle evaluates a d-major stack: `run_many` fills one (d, seeds, m+v+1)
 buffer, allocated once, with the columns and their mean, and passes its
@@ -54,7 +55,7 @@ import numpy as np
 
 from coopsgd.mixing import MixingMatrix
 
-# The rows of `RunTrace.metrics`, in order; the last two are the worker metrics.
+# The rows of `RunTrace.metrics` and then of `RunTrace.worker_metrics`, in order.
 METRIC_NAMES = ("loss", "grad_norm_sq", "network_error", "worker_loss_mean",
                 "worker_grad_norm_sq_mean")
 # The share of a K-step horizon that forms the tail (see `tail_start`).
@@ -129,25 +130,28 @@ class AlgorithmConfig:
 class RunTrace:
     """Per-iteration record of a single run.
 
-    `metrics` has one row per metric below and one column per recorded
-    state: column r holds the state after r updates, for r = 0..K, and
-    column 0 is the common initialization. The convergence metric of
-    interest averages `grad_norm_sq` over the K states at which gradients
-    were evaluated (columns 0..K-1). Divergent runs are truncated at the last
-    finite state, so a run diverged exactly when `rows`, the number of
-    recorded states, is below K+1. `nonfinite` names the metrics (see
-    METRIC_NAMES) that were non-finite at state `rows`, the first one not
-    recorded; it is empty for a run that did not diverge. Before the tail
-    only the three metrics of the column mean are recorded, so a run that
-    diverges there names none of the worker metrics.
+    `metrics` has one row for each metric of the column mean (the first three
+    of METRIC_NAMES) and one column per recorded state: column r holds the
+    state after r updates, for r = 0..K, and column 0 is the common
+    initialization. The convergence metric of interest averages
+    `grad_norm_sq` over the K states at which gradients were evaluated
+    (columns 0..K-1). Divergent runs are truncated at the last finite state,
+    so a run diverged exactly when `rows`, the number of recorded states, is
+    below K+1. `nonfinite` names the metrics (see METRIC_NAMES) that were
+    non-finite at state `rows`, the first one not recorded; it is empty for
+    a run that did not diverge. Before the tail only the three metrics of
+    the column mean are recorded, so a run that diverges there names none of
+    the worker metrics.
 
-    The worker metrics cover the tail only: `worker_loss_mean` and
-    `worker_grad_norm_sq_mean` are the rows from `tail_start(K)` on (empty
-    for a run that diverged before it), and the columns of `metrics` before
-    the tail hold NaN in their two rows.
+    The worker metrics cover the tail only. `worker_metrics` has one row for
+    each of the last two of METRIC_NAMES and one column per recorded state
+    from `tail_start(K)` on: column j holds state `tail_start(K) + j`. So it
+    has max(0, rows - tail_start(K)) columns, none for a run that diverged
+    before the tail. Neither array holds a column that was not recorded.
     """
 
     metrics: np.ndarray
+    worker_metrics: np.ndarray
     steps_requested: int
     recursion_defect_max: float
     nonfinite: tuple[str, ...] = ()
@@ -164,10 +168,10 @@ class RunTrace:
     grad_norm_sq = property(lambda self: self.metrics[1], doc="||grad F||^2 at the column mean")
     network_error = property(lambda self: self.metrics[2],
                              doc="squared Frobenius distance of the columns from their mean")
-    worker_loss_mean = property(lambda self: self.metrics[3, tail_start(self.steps_requested):],
+    worker_loss_mean = property(lambda self: self.worker_metrics[0],
                                 doc="F averaged over the workers, on the tail rows")
     worker_grad_norm_sq_mean = property(
-        lambda self: self.metrics[4, tail_start(self.steps_requested):],
+        lambda self: self.worker_metrics[1],
         doc="||grad F||^2 averaged over the workers, on the tail rows")
 
     @property
@@ -202,13 +206,16 @@ def record_block_rows(n_seeds: int, d: int, n: int, steps: int) -> int:
 
 def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int) -> int:
     """Bytes `run_many` holds besides the oracle's, from above: the metric
-    array, each stream's generator (under 1 KiB), the recording block with
-    three temporaries of its means, the evaluated stack of the columns and
-    their mean, and three (seeds, d, n + 1) step arrays (the state, the
-    step's gradients, and the mixed state or the scaled gradients)."""
+    arrays (24 bytes a seed and row, and 16 more a seed and tail row), each
+    stream's generator (under 1 KiB), the recording block with its five
+    metrics and the masks and row indices that find its dead seeds (56 bytes
+    a seed and row), the evaluated stack of the columns and their mean, and
+    three (seeds, d, n + 1) step arrays (the state, the step's gradients, and
+    the mixed state or the scaled gradients)."""
     rows = record_block_rows(n_seeds, d, n, steps)
-    return (40 * n_seeds * (steps + 1) + 1024 * n_seeds * m + 32 * n_seeds * d * (n + 1)
-            + rows * (record_row_bytes(n_seeds, d, n) + 24 * n_seeds * d))
+    return (n_seeds * (24 * (steps + 1) + 16 * (steps + 1 - tail_start(steps)))
+            + 1024 * n_seeds * m + 32 * n_seeds * d * (n + 1)
+            + rows * (record_row_bytes(n_seeds, d, n) + 56 * n_seeds))
 
 
 def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[RunTrace]:
@@ -234,7 +241,10 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     RECORD_BLOCK_BYTES, and at least one, ending at the tail's first row:
     each step stores its evaluation in the block, and once per block the
     metric reductions (three before the tail, five on it), the finiteness
-    test and the recursion-defect update run on the stacked rows.
+    test and the recursion-defect update run on the stacked rows. The three
+    metrics of the column mean fill a (3, seeds, K + 1) array and the two
+    worker metrics a (2, seeds, K + 1 - tail_start(K)) one, so no entry of
+    either is left unrecorded.
 
     `x0` may be a scalar (broadcast over coordinates) or a d-vector; every
     column starts at that common point. Non-finite state or metrics stop an
@@ -280,8 +290,9 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     vals_blk = np.empty((block, n_seeds, n + 1))
     grads_blk = np.empty((block, n_seeds, d, n + 1))
     spread_blk = np.empty((block, n_seeds, d, n))
-    metrics = np.empty((5, n_seeds, K + 1))
-    metrics[3:, :, :tail] = np.nan  # the worker metrics are not recorded before the tail
+    rec_blk = np.empty((5, block, n_seeds))  # the block's metrics, reduced from the three above
+    metrics = np.empty((3, n_seeds, K + 1))
+    worker_metrics = np.empty((2, n_seeds, K + 1 - tail))  # the tail rows alone
 
     def mix(X: np.ndarray) -> np.ndarray:
         """X W as one (seeds * d, n) @ (n, n) GEMM on the free reshape of X."""
@@ -303,15 +314,16 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         return grads_blk[b, :, :, :m] if reads_grads else None
 
     def reduce_block(start: int, rows: int, workers: bool) -> np.ndarray:
-        """Fill metric columns start..start+rows-1 from the first `rows` block
-        rows; returns them as a (5, rows, seeds) array, or (3, rows, seeds)
-        without the worker metrics.
+        """Record rows start..start+rows-1 from the first `rows` block rows,
+        on the tail into the worker metrics' columns from start - tail too;
+        returns them as a (5, rows, seeds) view of the block's metrics, or
+        (3, rows, seeds) without the worker metrics.
 
         A non-finite entry of X makes X - xbar non-finite in its coordinate,
         so the network error flags a non-finite state without a scan of X.
         """
         vals, grads, diff = vals_blk[:rows], grads_blk[:rows], spread_blk[:rows]
-        rec = np.empty((5 if workers else 3, rows, n_seeds))
+        rec = rec_blk[:5 if workers else 3, :rows]
         rec[0] = vals[:, :, n]
         center = grads[:, :, :, n]
         np.einsum("bsi,bsi->bs", center, center, out=rec[1])
@@ -321,7 +333,8 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
             gw = grads[:, :, :, :m]
             np.einsum("bsij,bsij->bs", gw, gw, out=rec[4])
             rec[4] /= m
-        metrics[:len(rec), :, start:start + rows] = rec.transpose(0, 2, 1)
+            worker_metrics[:, :, start - tail:start - tail + rows] = rec[3:].transpose(0, 2, 1)
+        metrics[:, :, start:start + rows] = rec[:3].transpose(0, 2, 1)
         return rec
 
     # overflow/invalid simply mark divergence, so numpy warnings are noise here
@@ -364,18 +377,23 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 if last is not None:
                     last[dead] = 0.0
                 n_alive = np.count_nonzero(first_bad > K)
-            predicted = xbars[:rows] - eta_t * gbar[:rows]
-            step_defect = np.abs(xbars[1:rows + 1] - predicted).max(axis=2)
+            # each step's defect |xbar - (xbar_prev - eta_t gbar)|, made in place of gbar
+            err = np.multiply(gbar[:rows], eta_t, out=gbar[:rows])
+            np.subtract(xbars[:rows], err, out=err)
+            np.subtract(xbars[1:rows + 1], err, out=err)
+            np.abs(err, out=err)
             if n_alive < n_seeds:  # count each seed's steps before its first bad row
-                step_defect[np.arange(start, stop)[:, None] >= first_bad] = 0.0
-            defect_max = np.maximum(defect_max, step_defect.max(axis=0))
+                err[np.arange(start, stop)[:, None] >= first_bad] = 0.0
+            defect_max = np.maximum(defect_max, err.max(axis=(0, 2)))
             if not n_alive:
                 break
             xbars[0] = xbars[rows]
             start = stop
 
-    return [RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
-                     recursion_defect_max=float(defect_max[s]), nonfinite=nonfinite[s])
+    return [RunTrace(metrics=metrics[:, s, :first_bad[s]],
+                     worker_metrics=worker_metrics[:, s, :max(0, first_bad[s] - tail)],
+                     steps_requested=K, recursion_defect_max=float(defect_max[s]),
+                     nonfinite=nonfinite[s])
             for s in range(n_seeds)]
 
 
@@ -384,13 +402,18 @@ def average_traces(traces: list[RunTrace]) -> RunTrace:
     proxy for bounds. It is the one seed-averaging rule: `coopsgd.cli`
     writes it as `trace_mean.csv` and reads the summary's seed means off it.
 
-    The traces are added in order into one array from zero and the sum is
+    Each of the two arrays, `metrics` and the tail's `worker_metrics`, is
+    added over the traces in order into one array from zero and the sum is
     divided once, which gives the bits of `np.mean` over their stack without
     building the stack.
     """
     total = np.zeros_like(traces[0].metrics)
+    worker_total = np.zeros_like(traces[0].worker_metrics)
     for trace in traces:
         total += trace.metrics
+        worker_total += trace.worker_metrics
     total /= len(traces)
-    return RunTrace(metrics=total, steps_requested=traces[0].steps_requested,
+    worker_total /= len(traces)
+    return RunTrace(metrics=total, worker_metrics=worker_total,
+                    steps_requested=traces[0].steps_requested,
                     recursion_defect_max=max(t.recursion_defect_max for t in traces))

@@ -182,8 +182,9 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     left, then updates the recursion defect of the seeds still alive. A row
     before `tail_start(K)` records the three metrics of the column mean and
     evaluates the columns only when the sampler reads their gradients, and
-    a row on the tail records all five. A sampler that reads no gradients
-    receives None for them.
+    a row on the tail records all five, the two worker metrics into an array
+    of the tail rows alone. A sampler that reads no gradients receives None
+    for them.
     It mixes with one product X[s] W per seed and evaluates a C-ordered stack,
     where `run_many` makes one GEMM over all seeds and evaluates a d-major
     view; at the shapes the tests run, the two round alike.
@@ -199,8 +200,10 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     W, eta, eta_t = config.mixing.entries, config.eta, config.eta_tilde
     tail = eng.tail_start(K)
     worker_avg, col_avg = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-    metrics = np.full((5, n_seeds, K + 1), np.nan)
-    loss, grad_sq, net_err, w_loss, w_grad_sq = metrics
+    metrics = np.empty((3, n_seeds, K + 1))
+    worker_metrics = np.empty((2, n_seeds, K + 1 - tail))
+    loss, grad_sq, net_err = metrics
+    w_loss, w_grad_sq = worker_metrics
 
     def record(row):
         xbar = X @ col_avg
@@ -216,11 +219,15 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
         center = grads[:, :, n]
         grad_sq[:, row] = np.einsum("si,si->s", center, center)
         if on_tail:
-            w_loss[:, row] = vals[:, :m].sum(axis=1) / m
-            w_grad_sq[:, row] = np.einsum("sij,sij->s", grads[:, :, :m], grads[:, :, :m]) / m
+            w_loss[:, row - tail] = vals[:, :m].sum(axis=1) / m
+            w_grad_sq[:, row - tail] = np.einsum("sij,sij->s", grads[:, :, :m],
+                                                 grads[:, :, :m]) / m
         diff = X - xbar[:, :, None]
         net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
-        finite = np.isfinite(metrics[:5 if on_tail else 3, :, row])
+        recorded = metrics[:, :, row]
+        if on_tail:
+            recorded = np.concatenate([recorded, worker_metrics[:, :, row - tail]])
+        finite = np.isfinite(recorded)
         return xbar, grads[:, :, :m] if reads else None, finite
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,6 +264,8 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
             step_defect = np.abs(xbar - predicted).max(axis=1)
             defect_max = np.where(alive, np.maximum(defect_max, step_defect), defect_max)
             xbar_prev = xbar
-    return [eng.RunTrace(metrics=metrics[:, s, :first_bad[s]], steps_requested=K,
-                         recursion_defect_max=float(defect_max[s]), nonfinite=nonfinite[s])
+    return [eng.RunTrace(metrics=metrics[:, s, :first_bad[s]],
+                         worker_metrics=worker_metrics[:, s, :max(0, first_bad[s] - tail)],
+                         steps_requested=K, recursion_defect_max=float(defect_max[s]),
+                         nonfinite=nonfinite[s])
             for s in range(n_seeds)]

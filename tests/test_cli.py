@@ -328,7 +328,9 @@ class TestRunExperiment:
                  for seed in spec_dict["seeds"]]
         mean = np.mean(stack, axis=0)
         expected = tmp_path / "expected.csv"
-        write_trace_csv(RunTrace(mean[:, 1:4].T, 50, 0.0), ClockText(mean[:, 4]), expected)
+        worker_metrics = np.zeros((2, 51 - tail_start(50)))  # the CSV holds no worker metric
+        write_trace_csv(RunTrace(mean[:, 1:4].T, worker_metrics, 50, 0.0), ClockText(mean[:, 4]),
+                        expected)
         assert (out / "trace_mean.csv").read_bytes() == expected.read_bytes()
 
     @staticmethod
@@ -515,7 +517,7 @@ class TestRunExperiment:
     def test_memory_estimate_counts_one_seed_mean(self, tmp_path):
         # a noiseless quadratic draws no noise block, so at d = 2 and K = 5000
         # the metric rows dominate: a stack of the 20 seeds' metrics and clocks
-        # (4.8 MB) would not fit in the estimate
+        # (3.5 MB) would not fit in the estimate
         spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
         spec_dict["problem"]["sigma_sq"] = 0.0
         spec_dict["algorithm"]["K"] = 5000
@@ -598,10 +600,12 @@ class TestBlockWriters:
     ], ids=["one-row-diverged", "one-block", "two-blocks-and-a-row", "diverged"])
     def test_trace_csv(self, tmp_path, rows, steps):
         rng = np.random.default_rng(rows + steps)
-        # a diverged trace is truncated: a view of the first rows of the metric array
+        # a diverged trace is truncated: views of the first rows of the metric
+        # arrays, the three of the column mean and the tail's two worker metrics
         full = rng.standard_normal((5, steps + 1)) * np.logspace(-300, 300, steps + 1)
         full[:3, 0] = [-0.0, 5e-324, 1e16]
-        trace = RunTrace(full[:, :rows], steps, 0.0)
+        tail = tail_start(steps)
+        trace = RunTrace(full[:3, :rows], full[3:, tail:max(tail, rows)], steps, 0.0)
         assert trace.diverged == (rows < steps + 1)
         # a diverged trace takes the first rows of the full clock, as of a shared timeline
         clock = np.cumsum(rng.exponential(size=steps + 1))
@@ -639,7 +643,8 @@ class TestBlockWriters:
         path = tmp_path / "trace.csv"
         path.write_text("old\n")
         for rows in (2 * CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 2):
-            trace = RunTrace(np.zeros((5, rows)), rows - 1, 0.0)
+            trace = RunTrace(np.zeros((3, rows)), np.zeros((2, rows - tail_start(rows - 1))),
+                             rows - 1, 0.0)
             with pytest.raises(ValueError):
                 write_trace_csv(trace, ClockText(np.zeros(rows - 1)), path)
             assert sorted(tmp_path.iterdir()) == [path]

@@ -156,24 +156,43 @@ class TestRun:
         assert traces[1].nonfinite == eng.METRIC_NAMES[:3]
         assert traces[2].nonfinite == eng.METRIC_NAMES
         for s, rows in ((1, 5), (2, 18)):
-            assert np.isfinite(traces[s].metrics[:3]).all()
-            assert np.isfinite(traces[s].worker_loss_mean).all()
+            assert np.isfinite(traces[s].metrics).all()
+            assert np.isfinite(traces[s].worker_metrics).all()
             assert len(traces[s].worker_grad_norm_sq_mean) == max(rows - 16, 0)
-            assert np.array_equal(traces[s].metrics, clean[s].metrics[:, :rows], equal_nan=True)
+            assert np.array_equal(traces[s].metrics, clean[s].metrics[:, :rows])
+            assert np.array_equal(traces[s].worker_metrics,
+                                  clean[s].worker_metrics[:, :max(rows - 16, 0)])
         assert not traces[0].diverged and traces[0].rows == 21 and traces[0].nonfinite == ()
-        assert np.array_equal(traces[0].metrics, clean[0].metrics, equal_nan=True)
+        assert np.array_equal(traces[0].metrics, clean[0].metrics)
+        assert np.array_equal(traces[0].worker_metrics, clean[0].worker_metrics)
 
     def test_worker_metrics_cover_the_tail(self):
-        # the columns before the tail hold NaN in the two worker rows, which
-        # the trace exposes from tail_start(K) on
+        # the three metrics of the column mean cover every recorded row, and
+        # the two worker metrics, in an array of their own, the recorded rows
+        # of the tail from row 16 of 20. Three seeds complete, one diverges at
+        # row 5, before the tail, and one at row 18, inside it; neither array
+        # holds an entry that was not recorded
         q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_fully_connected(3), v=0,
                                   eta=0.05, steps=20)
-        (trace,) = eng.run_many(cfg, q, [3], x0=1.0)
-        assert np.isnan(trace.metrics[3:, :16]).all() and np.isfinite(trace.metrics[3:, 16:]).all()
-        assert np.isfinite(trace.metrics[:3]).all()
-        assert trace.worker_loss_mean.tobytes() == trace.metrics[3, 16:].tobytes()
-        assert trace.worker_grad_norm_sq_mean.tobytes() == trace.metrics[4, 16:].tobytes()
+        tail = eng.tail_start(cfg.steps)
+        assert tail == 16
+        seeds = [3, 4, 5, 6, 7]
+        traces = eng.run_many(cfg, PoisonedOracle(q, {5: 1, 18: 2}), seeds, x0=1.0)
+        assert [t.rows for t in traces] == [21, 5, 18, 21, 21]
+        for trace in traces:
+            assert trace.metrics.shape == (3, trace.rows)
+            assert trace.worker_metrics.shape == (2, max(0, trace.rows - tail))
+            assert not np.isnan(trace.metrics).any() and not np.isnan(trace.worker_metrics).any()
+            assert trace.worker_loss_mean.tobytes() == trace.worker_metrics[0].tobytes()
+            assert trace.worker_grad_norm_sq_mean.tobytes() == trace.worker_metrics[1].tobytes()
+        # the seed mean of the completed seeds holds the bits of np.mean over
+        # the stack of each array
+        completed = [t for t in traces if not t.diverged]
+        mean = eng.average_traces(completed)
+        assert mean.metrics.tobytes() == np.mean([t.metrics for t in completed], axis=0).tobytes()
+        assert mean.worker_metrics.tobytes() == np.mean(
+            [t.worker_metrics for t in completed], axis=0).tobytes()
 
     def test_summary_metric_counts_gradient_states(self):
         q = make_diag_quadratic(4, 0.5, 1.0)
@@ -211,7 +230,8 @@ class TestBlockedRecording:
         got = eng.run_many(config, engine_oracle or oracle, seeds, x0=x0)
         for a, b in zip(got, expected, strict=True):
             assert a.rows == b.rows and a.diverged == b.diverged and a.nonfinite == b.nonfinite
-            assert np.array_equal(a.metrics, b.metrics, equal_nan=True)
+            assert np.array_equal(a.metrics, b.metrics)
+            assert np.array_equal(a.worker_metrics, b.worker_metrics)
             assert a.recursion_defect_max == b.recursion_defect_max
         return got
 
@@ -311,6 +331,7 @@ class TestByteEstimate:
         (4, 256, mx.make_easgd(16, 0.1), 1, 20, "pre"),    # the step arrays dominate
         (3, 50, mx.make_fully_connected(2), 0, 500, "post"),  # the recording block dominates
         (4, 256, mx.make_easgd(16, 0.1), 1, 20, "post"),   # the step arrays dominate
+        (20, 2, mx.make_fully_connected(2), 0, 20_000, "post"),  # the metric arrays dominate
     ])
     def test_estimate_covers_the_peak(self, n_seeds, d, mixing, v, steps, rule):
         # a noiseless quadratic draws no block, so its part of the peak is the
@@ -355,12 +376,15 @@ class TestTraceCsv:
 
 class TestAverageTraces:
     def test_mean_of_fields(self):
-        # the traces are summed in order without a stack; every metric row must
-        # hold the bits of np.mean over the stack, also on a subset of the seeds
+        # the traces are summed in order without a stack; every metric row, of
+        # the column mean's and of the tail's worker metrics, must hold the bits
+        # of np.mean over the stack, also on a subset of the seeds
         q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
         cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_fully_connected(3), v=0,
                                   eta=0.05, steps=50)
         traces = eng.run_many(cfg, q, list(range(20)), x0=1.0)
         for subset in (traces, traces[:7] + traces[8:]):
-            stacked = np.mean([t.metrics for t in subset], axis=0)
-            assert eng.average_traces(subset).metrics.tobytes() == stacked.tobytes()
+            mean = eng.average_traces(subset)
+            for name in ("metrics", "worker_metrics"):
+                stacked = np.mean([getattr(t, name) for t in subset], axis=0)
+                assert getattr(mean, name).tobytes() == stacked.tobytes()
