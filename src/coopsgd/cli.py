@@ -42,13 +42,20 @@ from coopsgd.engine import (
     ConfigError,
     RunTrace,
     average_traces,
+    metric_bytes,
     run_many,
     run_many_bytes,
     tail_start,
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
 from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
-from coopsgd.theory import BoundInputs, TheoryError, theorem1_bound, zeta_threshold
+from coopsgd.theory import (
+    BoundInputs,
+    TheoryError,
+    require_subunit_zeta,
+    theorem1_bound,
+    zeta_threshold,
+)
 from coopsgd.timeline import (
     DelayModel,
     TimelineError,
@@ -141,13 +148,17 @@ def _numbers(value, where: str, ndim: int) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> int:
+def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int, *,
+              packed: bool) -> int:
     """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
 
-    The engine's `run_many_bytes`, plus `problem_bytes` (the oracle's own
-    `run_bytes` and the echo's copy of its data), plus what `run_experiment`
-    holds after `run_many`, whatever the seed count. That is the larger of
-    two phases, which never overlap:
+    `problem_bytes` (the oracle's own `run_bytes` and the echo's copy of its
+    data) plus the larger of two phases that never overlap, whatever the
+    seed count: `run_many`, with its `run_many_bytes` (recording blocks of
+    whole packs when `packed`, for an oracle whose sampler reads no
+    gradients), and what `run_experiment` holds once it returns. That is
+    the metric arrays (`metric_bytes`), and the larger of two phases that
+    never overlap either:
 
     - a timeline's simulation: its `simulate_timeline_bytes`, while the
       running sum of the completed seeds' wall clocks (8 bytes a row) and
@@ -168,15 +179,19 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int)
     and BLAS add a fixed amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
-    return (run_many_bytes(n_seeds, d, n, m, K) + problem_bytes
-            + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1),
-                  131 * (K + 1) + 16 * (K + 1 - tail_start(K)))
-            + CSV_BLOCK_ROWS * (512 + 256))
+    after_run = (metric_bytes(n_seeds, K)
+                 + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1),
+                       131 * (K + 1) + 16 * (K + 1 - tail_start(K)))
+                 + CSV_BLOCK_ROWS * (512 + 256))
+    return problem_bytes + max(run_many_bytes(n_seeds, d, n, m, K, packed), after_run)
 
 
-def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int) -> int:
-    """The run's `run_bytes`, which must fit in MEMORY_BUDGET_BYTES."""
-    need = run_bytes(n_seeds, config, d, problem_bytes)
+def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
+                  oracle_class: type[GradientOracle]) -> int:
+    """The run's `run_bytes` with an `oracle_class` oracle, which must fit in
+    MEMORY_BUDGET_BYTES."""
+    need = run_bytes(n_seeds, config, d, problem_bytes,
+                     packed=not oracle_class.sampler_reads_gradients)
     if need > MEMORY_BUDGET_BYTES:
         raise SpecError(f"the run needs about {need >> 20} MiB, over the memory budget "
                         f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
@@ -203,7 +218,7 @@ def oracle_from_dict(payload, n_seeds: int,
         # the echo holds A as Python floats, at most 56 bytes an entry
         need = _check_memory(n_seeds, config, b.size,
                              QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape)
-                             + 56 * A.size)
+                             + 56 * A.size, QuadraticProblem)
         return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta), {
             "type": "quadratic", "A": A.tolist(), "b": b.tolist(), "sigma_sq": sigma_sq,
             "beta": beta}, need
@@ -214,7 +229,8 @@ def oracle_from_dict(payload, n_seeds: int,
         l2 = _number(p.get("l2", 0.01), "'l2'")
         batch = _int(p.get("batch", 8), "logistic 'batch'", 1)
         need = _check_memory(n_seeds, config, d,
-                             LogisticProblem.run_bytes(samples, d, batch, *shape))
+                             LogisticProblem.run_bytes(samples, d, batch, *shape),
+                             LogisticProblem)
         return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch), {
             "type": "logistic", "n": samples, "d": d, "seed": seed, "l2": l2,
             "batch": batch}, need
@@ -433,7 +449,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     deleted, and so are their temporaries, which an interrupted run leaves.
     Without jitter every seed has the same timeline, which is simulated and
     formatted once and written into each seed's CSV; a jittered delay model
-    gets one timeline per seed. The seed mean's clock is the mean of the
+    gets one timeline per seed, each simulated once more before the
+    directory is created, so that a clock that overflows the float range
+    (a SpecError) leaves nothing behind. The seed mean's clock is the mean of the
     completed seeds' clocks. `divergence` maps each diverged seed to its
     first non-finite row, the first one its CSV leaves out, and the metrics
     non-finite there. Returns the process exit code: 0 normally, 3 if every
@@ -441,15 +459,22 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """
     config = spec.config
     traces = run_many(config, spec.oracle, spec.seeds, x0=spec.x0)
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def timeline_of(seed: int):
         return simulate_timeline(config.steps, config.tau, config.mixing, spec.delay_model,
                                  seed=seed, v=config.v)
 
-    # without jitter every seed has the same timeline: simulate and format it once
-    shared = None if spec.delay_model.depends_on_seed else timeline_of(spec.seeds[0])
+    # without jitter every seed has the same timeline: simulate and format it once.
+    # A clock that overflows is invalid input, found before anything is written
+    try:
+        shared = None if spec.delay_model.depends_on_seed else timeline_of(spec.seeds[0])
+        if shared is None:
+            for seed in spec.seeds:
+                timeline_of(seed)
+    except TimelineError as exc:
+        raise SpecError(f"invalid delay model: {exc}") from exc
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     shared_clock = None if shared is None else ClockText(shared.cumulative)
     written = set()
     timeline_dict = None
@@ -545,8 +570,8 @@ def cmd_preset(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     output: dict = {}
-    if args.zeta is not None and args.zeta >= 1.0:
-        raise SpecError("bounds require zeta < 1")
+    if args.zeta is not None:
+        require_subunit_zeta(args.zeta)
     if args.best_easgd_alpha and args.m is None:
         raise SpecError("--best-easgd-alpha requires --m")
     core = (args.f1_minus_finf, args.lipschitz, args.sigma_sq, args.m,

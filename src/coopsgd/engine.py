@@ -29,13 +29,17 @@ worker metrics are recorded only on the tail, the rows from `tail_start(K)`
 on, which is all that the summary's floors read, into an array of their own
 that holds the tail rows alone; a block never straddles the tail's first
 row. Before the tail a row evaluates the columns only when the oracle's
-sampler reads their gradients (`sampler_reads_gradients`), and otherwise
-the column mean alone.
+sampler reads their gradients (`sampler_reads_gradients`). Otherwise no
+step waits for a row's evaluation, so the rows before the tail evaluate
+their column means alone, n+1 rows (n = m+v) per oracle call: packs of
+n+1 rows from row 1, the last one cut at the tail's first row, which such
+a run's blocks hold whole.
 
-The oracle evaluates a d-major stack: `run_many` fills one (d, seeds, m+v+1)
-buffer, allocated once, with the columns and their mean, and passes its
-(seeds, d, m+v+1) transposed view, or the (seeds, d, 1) view of its mean
-column, on which the oracle's product over all seeds is one GEMM (see
+The oracle evaluates a d-major stack: `run_many` fills one (d, seeds, n+1)
+buffer, allocated once, with the columns and their mean, or with a pack's
+means in its first columns, and passes its (seeds, d, n+1) transposed view,
+or the view of the pack's columns or of the mean column alone, on which the
+oracle's product over all seeds is one GEMM (see
 `coopsgd.objectives.GradientOracle`). The mixing
 product X W is likewise one GEMM on the free (seeds * d, m+v) reshape of the
 state; BLAS picks its kernel by shape, so at some shapes (d = 1, or 17
@@ -198,22 +202,35 @@ def record_row_bytes(n_seeds: int, d: int, n: int) -> int:
     return 8 * n_seeds * ((2 * n + 3) * d + n + 1)
 
 
-def record_block_rows(n_seeds: int, d: int, n: int, steps: int) -> int:
+def record_block_rows(n_seeds: int, d: int, n: int, steps: int, packed: bool = False) -> int:
     """Rows per recording block: as many as RECORD_BLOCK_BYTES holds, at
-    least one and at most `steps`."""
-    return min(steps, max(1, RECORD_BLOCK_BYTES // record_row_bytes(n_seeds, d, n)))
+    least one and at most `steps`. A run whose evaluations are `packed` (its
+    sampler reads no gradients, see `run_many`) rounds that down to whole
+    packs of n + 1 rows, and at least one pack."""
+    rows = max(1, RECORD_BLOCK_BYTES // record_row_bytes(n_seeds, d, n))
+    if packed:
+        rows = max(n + 1, rows - rows % (n + 1))
+    return min(steps, rows)
 
 
-def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int) -> int:
+def metric_bytes(n_seeds: int, steps: int) -> int:
+    """Bytes of the metric arrays of `run_many`'s traces: 24 a seed and row,
+    and 16 more a seed and tail row."""
+    return n_seeds * (24 * (steps + 1) + 16 * (steps + 1 - tail_start(steps)))
+
+
+def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int,
+                   packed: bool = False) -> int:
     """Bytes `run_many` holds besides the oracle's, from above: the metric
-    arrays (24 bytes a seed and row, and 16 more a seed and tail row), each
-    stream's generator (under 1 KiB), the recording block with its five
+    arrays (`metric_bytes`), each stream's generator (under 1 KiB), the
+    recording block of `record_block_rows(..., packed)` rows with its five
     metrics and the masks and row indices that find its dead seeds (56 bytes
     a seed and row), the evaluated stack of the columns and their mean, and
     three (seeds, d, n + 1) step arrays (the state, the step's gradients, and
-    the mixed state or the scaled gradients)."""
-    rows = record_block_rows(n_seeds, d, n, steps)
-    return (n_seeds * (24 * (steps + 1) + 16 * (steps + 1 - tail_start(steps)))
+    the mixed state or the scaled gradients). All but the metric arrays are
+    freed when `run_many` returns."""
+    rows = record_block_rows(n_seeds, d, n, steps, packed)
+    return (metric_bytes(n_seeds, steps)
             + 1024 * n_seeds * m + 32 * n_seeds * d * (n + 1)
             + rows * (record_row_bytes(n_seeds, d, n) + 56 * n_seeds))
 
@@ -232,14 +249,26 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     from `oracle.batch_gradient_sampler(rng_table, K)`, called once per step
     with the (seeds, d, m) worker columns and their full gradients: the
     first m gradient columns of the block row that holds the state's
-    evaluation. Each state's full gradient is thus computed once. Before the
-    tail (`tail_start(K)`), an oracle whose sampler does not read gradients
-    (`sampler_reads_gradients` false) is evaluated on the (seeds, d, 1) view
-    of the mean column alone; such a sampler always receives None for them.
+    evaluation. Each state's full gradient is thus computed once.
+
+    An oracle whose sampler does not read gradients (`sampler_reads_gradients`
+    false) always passes that sampler None for them, and is evaluated at row
+    0 on the (seeds, d, 1) view of the mean column alone. Its rows before the
+    tail (`tail_start(K)`) are evaluated in packs of n + 1 rows, n = m+v: each
+    such row stores its column mean in the next free column of the evaluated
+    stack, and the pack's last row evaluates the (seeds, d, rows) view of
+    them in one call and scatters the values and gradients into the pack's
+    block rows. Packs start at row 1, every n + 1 rows, and the last one ends
+    at the tail's first row; the oracle is thus called
+    1 + ceil((tail - 1) / (n + 1)) + K + 1 - tail times, where a sampler
+    that reads gradients takes K + 1 calls.
 
     Rows are recorded in blocks of as many steps as fit in
-    RECORD_BLOCK_BYTES, and at least one, ending at the tail's first row:
-    each step stores its evaluation in the block, and once per block the
+    RECORD_BLOCK_BYTES, and at least one, ending at the tail's first row;
+    for an oracle that packs its evaluations, that is rounded down to whole
+    packs, and at least one, so that no pack straddles a block and the rows
+    emitted still do not depend on RECORD_BLOCK_BYTES. Each step stores its
+    evaluation in the block, and once per block the
     metric reductions (three before the tail, five on it), the finiteness
     test and the recursion-defect update run on the stacked rows. The three
     metrics of the column mean fill a (3, seeds, K + 1) array and the two
@@ -281,10 +310,11 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     col_avg = np.full(n, 1.0 / n)
 
     # the (seeds, d, n + 1) view of the evaluated stack of the columns and their
-    # mean, which is d-major so that each product over all seeds is one GEMM
+    # mean, or of a pack of means, which is d-major so that each product over
+    # all seeds is one GEMM
     evaluated = np.empty((d, n_seeds, n + 1)).transpose(1, 0, 2)
 
-    block = record_block_rows(n_seeds, d, n, K)
+    block = record_block_rows(n_seeds, d, n, K, packed=not reads_grads)
     xbars = np.empty((block + 1, n_seeds, d))  # row 0: the mean before the block
     gbar = np.empty((block, n_seeds, d))
     vals_blk = np.empty((block, n_seeds, n + 1))
@@ -298,20 +328,32 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         """X W as one (seeds * d, n) @ (n, n) GEMM on the free reshape of X."""
         return (X.reshape(n_seeds * d, n) @ W).reshape(n_seeds, d, n)
 
-    def evaluate(b: int, columns: bool):
-        """Store the state's values, gradients and spreads X - xbar as block row
-        `b`, evaluated at the columns and their mean, or at the mean alone.
-        Returns the worker gradients for the next step's sampler: None for a
-        sampler that does not read them."""
+    def center(b: int, j: int):
+        """Store the state's mean as block row `b`'s and in column `j` of the
+        evaluated stack, and its spreads X - xbar."""
         xbar = np.matmul(X, col_avg, out=xbars[b + 1])
-        evaluated[:, :, n] = xbar
+        evaluated[:, :, j] = xbar
+        np.subtract(X, xbar[:, :, None], out=spread_blk[b])
+
+    def evaluate(b: int, columns: bool):
+        """Store the state's values, gradients and spreads as block row `b`,
+        evaluated at the columns and their mean, or at the mean alone. Returns
+        the worker gradients for the next step's sampler: None for a sampler
+        that does not read them."""
+        center(b, n)
         if columns:
             evaluated[:, :, :n] = X
         cols = slice(0 if columns else n, n + 1)
         vals_blk[b, :, cols], grads_blk[b, :, :, cols] = \
             oracle.batch_objective_and_grads(evaluated[:, :, cols])
-        np.subtract(X, xbar[:, :, None], out=spread_blk[b])
         return grads_blk[b, :, :, :m] if reads_grads else None
+
+    def evaluate_pack(b: int, j: int):
+        """Evaluate block rows b - j..b at the means that `center` stored in
+        the evaluated stack's first j + 1 columns, in one call."""
+        vals, grads = oracle.batch_objective_and_grads(evaluated[:, :, :j + 1])
+        vals_blk[b - j:b + 1, :, n] = vals.T
+        grads_blk[b - j:b + 1, :, :, n] = grads.transpose(2, 0, 1)
 
     def reduce_block(start: int, rows: int, workers: bool) -> np.ndarray:
         """Record rows start..start+rows-1 from the first `rows` block rows,
@@ -361,7 +403,13 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 X[:, :, :m] -= eta * g  # auxiliaries take no gradient step
                 if sync and config.rule == "post":
                     X = mix(X)
-                last = evaluate(b, on_tail or reads_grads)
+                if reads_grads or on_tail:
+                    last = evaluate(b, True)
+                else:  # packs of n + 1 rows from row 1, the last cut at the tail
+                    j = (k - 1) % (n + 1)
+                    center(b, j)
+                    if j == n or k + 1 == stop:
+                        evaluate_pack(b, j)
             rows = stop - start
             rec = reduce_block(start, rows, on_tail)
             if not math.isfinite(rec.sum()):  # a non-finite row, or a sum that overflowed

@@ -14,7 +14,8 @@ stack, so tests and engine share one implementation of each objective.
 The sampler receives the full gradients that the evaluation computed at the
 same state, so a quadratic step makes no product with A of its own; a
 sampler that does not read them (`sampler_reads_gradients` false, the
-logistic one) may receive None instead.
+logistic one) receives None instead, and `run_many` packs the evaluations
+that no step waits for.
 
 The quadratic oracle adds isotropic Gaussian noise with total variance
 exactly sigma_sq (per-coordinate sigma_sq/d), making the contract hold with
@@ -117,7 +118,10 @@ class GradientOracle:
     them (the logistic one differentiates its mini-batch at `Xw`) sets the
     class attribute `sampler_reads_gradients` false and accepts None for
     `grads`: `run_many` then evaluates the worker columns only where it
-    records their metrics. The single-vector forms `objective_value`,
+    records their metrics, on the tail, and, since no step waits for the
+    evaluations before it, the column means of up to n + 1 rows there in
+    one (seeds, d, rows) stack, whose values may round in the last bits
+    unlike one evaluation per row. The single-vector forms `objective_value`,
     `full_gradient` and `stochastic_gradient` validate one point and
     evaluate that pair on it.
 

@@ -18,7 +18,9 @@ averaged gradient noise, and a network term from inter-worker disagreement:
 
 with C(tau, zeta) = (1 + zeta^2)/(1 - zeta^2) * tau - 1. The error floor is
 the K -> infinity limit, i.e. stat + network. Every formula needs zeta in
-[0, 1); on the bound path `lr_condition` is the one place that checks it.
+[0, 1), the rule of `require_subunit_zeta`; on the bound path
+`lr_condition` is the one place that checks it, and the `bounds` command
+applies it to any zeta it is given.
 
 Periodic averaging (zeta = 0), decentralized SGD (tau = 1), elastic
 averaging (tau = 1, v = 1) and the horizon-tuned step
@@ -80,7 +82,8 @@ class BoundInputs:
         return effective_lr(self.eta, self.m, self.v)
 
 
-def _require_subunit_zeta(zeta: float) -> None:
+def require_subunit_zeta(zeta: float) -> None:
+    """Reject a zeta outside [0, 1), NaN included, with TheoryError."""
     if not 0.0 <= zeta < 1.0:
         raise TheoryError(f"bounds require zeta in [0, 1), got {zeta}")
 
@@ -99,7 +102,7 @@ def lr_condition(inputs: BoundInputs) -> tuple[float, bool]:
         + eta^2 L^2 tau^2 / (1 - zeta)
           * (2 zeta^2/(1+zeta) + 2 zeta/(1-zeta) + (tau-1)/tau) <= 1.
     """
-    _require_subunit_zeta(inputs.zeta)
+    require_subunit_zeta(inputs.zeta)
     et, lip = inputs.eta_tilde, inputs.lipschitz
     tau, zeta = inputs.tau, inputs.zeta
     if inputs.beta == 0.0:
@@ -175,7 +178,7 @@ def max_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v: int
     returns the positive root. Sweeps that want a comparable step inside the
     analyzable regime take a fixed share of it (the presets take 0.9).
     """
-    _require_subunit_zeta(zeta)
+    require_subunit_zeta(zeta)
     if lipschitz <= 0 or tau < 1 or m < 1 or v < 0:
         raise TheoryError("need L > 0, tau >= 1, m >= 1, v >= 0")
     blowup = (1.0 + v / m) * tau / (1.0 - zeta)

@@ -22,6 +22,7 @@ holds, its result included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,7 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
     the sum of their tau compute draws; the per-sync cost is added once per
     round and the round total is spread evenly over its tau iterations. With
     no jitter the per-iteration time is exactly compute_base + sync_cost/tau.
+    Raises TimelineError when a time overflows the float range.
     """
     if steps < 1 or tau < 1 or steps % tau != 0:
         raise TimelineError("steps must be a positive multiple of tau")
@@ -143,22 +145,26 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
     cost = sync_cost(mixing, delay, v=v)
 
     per_iteration = np.empty(steps)
-    if not delay.depends_on_seed:
-        per_iteration[:] = delay.compute_base + cost / tau
-        idle = np.zeros(m)
-    else:
-        rng = np.random.default_rng(seed)
-        # the draws are summed at once and never bound, so they are freed first
-        worker_sums = rng.exponential(delay.compute_jitter_mean,
-                                      size=(rounds, m, tau)).sum(axis=2)
-        worker_sums += tau * delay.compute_base
-        spans = worker_sums.max(axis=1)
-        idle = (spans[:, None] - worker_sums).sum(axis=0)
-        per_iteration[:] = np.repeat((spans + cost) / tau, tau)
-
-    cumulative = np.concatenate([[0.0], np.cumsum(per_iteration)])
-    total_comm = rounds * cost
+    # an overflow leaves an infinite or NaN time, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not delay.depends_on_seed:
+            per_iteration[:] = delay.compute_base + cost / tau
+            idle = np.zeros(m)
+        else:
+            rng = np.random.default_rng(seed)
+            # the draws are summed at once and never bound, so they are freed first
+            worker_sums = rng.exponential(delay.compute_jitter_mean,
+                                          size=(rounds, m, tau)).sum(axis=2)
+            worker_sums += tau * delay.compute_base
+            spans = worker_sums.max(axis=1)
+            idle = (spans[:, None] - worker_sums).sum(axis=0)
+            per_iteration[:] = np.repeat((spans + cost) / tau, tau)
+        cumulative = np.concatenate([[0.0], np.cumsum(per_iteration)])
+        total_comm = rounds * cost
     total_time = float(cumulative[-1])
+    # the times are nonnegative, so the clock's last entry is its largest
+    if not (math.isfinite(total_time) and math.isfinite(total_comm) and np.isfinite(idle).all()):
+        raise TimelineError(f"the wall clock of {steps} steps overflows the float range")
     idle_fraction = idle / total_time if total_time > 0 else np.zeros(m)
     return TimelineTrace(
         per_iteration=per_iteration,

@@ -8,7 +8,9 @@ advances a reference trajectory on the same per-worker noise streams.
 `reference_run_many` is `run_many` with its metrics recorded one step at a
 time, the reference for the engine's blocked recording; like `run_many`, it
 hands the sampler the worker gradients of the row it recorded last.
-`PoisonedOracle` makes chosen seeds diverge at chosen steps.
+`PoisonedOracle` makes chosen seeds diverge at chosen steps, and
+`BlindOracle` hides from `run_many` that a sampler reads gradients, so that
+a quadratic's evaluations are packed like the logistic ones.
 """
 
 import numpy as np
@@ -177,17 +179,20 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     """`run_many` with every metric, divergence and defect check made per step.
 
     Each step samples at the worker gradients of the last recorded row,
-    evaluates its own row, reduces it to its metrics, parks the seeds whose
-    row is non-finite at zero with zero gradients and stops once none is
-    left, then updates the recursion defect of the seeds still alive. A row
-    before `tail_start(K)` records the three metrics of the column mean and
-    evaluates the columns only when the sampler reads their gradients, and
-    a row on the tail records all five, the two worker metrics into an array
-    of the tail rows alone. A sampler that reads no gradients receives None
-    for them.
-    It mixes with one product X[s] W per seed and evaluates a C-ordered stack,
-    where `run_many` makes one GEMM over all seeds and evaluates a d-major
-    view; at the shapes the tests run, the two round alike.
+    records its own row, parks the seeds whose recorded rows hold a
+    non-finite metric at zero with zero gradients and stops once none is
+    left; each seed's recursion defect is the largest over its steps before
+    its first bad row. A row before `tail_start(K)` records the three metrics
+    of the column mean and a row on the tail all five, the two worker
+    metrics into an array of the tail rows alone. A row on the tail, and any
+    row of a sampler that reads gradients, evaluates the columns and their
+    mean. Otherwise the sampler receives None for them, and the rows before
+    the tail evaluate their means in packs of n + 1 rows from row 1, the
+    last one cut at the tail: a pack's metrics are recorded, and its rows
+    checked, at its last row. Row 0 evaluates its mean alone.
+    It mixes with one product X[s] W per seed and evaluates C-ordered stacks,
+    where `run_many` makes one GEMM over all seeds and evaluates views of a
+    d-major buffer; at the shapes the tests run, the two round alike.
     """
     n, m, d, K = config.mixing.n, config.m, oracle.d, config.steps
     x0 = np.asarray(x0, dtype=float)
@@ -199,44 +204,64 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     X = np.tile(x0[None, :, None], (n_seeds, 1, n))
     W, eta, eta_t = config.mixing.entries, config.eta, config.eta_tilde
     tail = eng.tail_start(K)
+    reads = oracle.sampler_reads_gradients
     worker_avg, col_avg = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
     metrics = np.empty((3, n_seeds, K + 1))
     worker_metrics = np.empty((2, n_seeds, K + 1 - tail))
     loss, grad_sq, net_err = metrics
     w_loss, w_grad_sq = worker_metrics
+    pack = []  # the rows of the pack of means being filled, with their means
 
-    def record(row):
-        xbar = X @ col_avg
-        on_tail = row >= tail
-        reads = oracle.sampler_reads_gradients
-        # the evaluation fills the columns it covers of one row of the
-        # columns and their mean, whose strides the reductions then see
-        vals, grads = np.empty((n_seeds, n + 1)), np.empty((n_seeds, d, n + 1))
-        cols = slice(0 if on_tail or reads else n, n + 1)
-        stack = np.concatenate([X, xbar[:, :, None]], axis=2)[:, :, cols].copy()
-        vals[:, cols], grads[:, :, cols] = oracle.batch_objective_and_grads(stack)
+    def record_mean(row, vals, grads):
+        """Record the mean's two metrics from the last column of a row of the
+        columns and their mean, whose strides the reductions then see."""
         loss[:, row] = vals[:, n]
         center = grads[:, :, n]
         grad_sq[:, row] = np.einsum("si,si->s", center, center)
-        if on_tail:
+
+    def record(row):
+        """Record the state's row, or add it to the pack; returns the mean, the
+        worker gradients for the sampler and the rows recorded in full."""
+        xbar = X @ col_avg
+        diff = X - xbar[:, :, None]
+        net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
+        vals, grads = np.empty((n_seeds, n + 1)), np.empty((n_seeds, d, n + 1))
+        if not reads and 0 < row < tail:
+            pack.append((row, xbar))
+            if row % (n + 1) and row < tail - 1:
+                return xbar, None, []
+            rows = [r for r, _ in pack]
+            means = np.stack([mean for _, mean in pack], axis=2)
+            pack.clear()
+            pack_vals, pack_grads = oracle.batch_objective_and_grads(means)
+            for i, r in enumerate(rows):
+                vals[:, n], grads[:, :, n] = pack_vals[:, i], pack_grads[:, :, i]
+                record_mean(r, vals, grads)
+            return xbar, None, rows
+        cols = slice(0 if row >= tail or reads else n, n + 1)
+        stack = np.concatenate([X, xbar[:, :, None]], axis=2)[:, :, cols].copy()
+        vals[:, cols], grads[:, :, cols] = oracle.batch_objective_and_grads(stack)
+        record_mean(row, vals, grads)
+        if row >= tail:
             w_loss[:, row - tail] = vals[:, :m].sum(axis=1) / m
             w_grad_sq[:, row - tail] = np.einsum("sij,sij->s", grads[:, :, :m],
                                                  grads[:, :, :m]) / m
-        diff = X - xbar[:, :, None]
-        net_err[:, row] = np.einsum("sij,sij->s", diff, diff)
+        return xbar, grads[:, :, :m] if reads else None, [row]
+
+    def finite(row):
+        """The (metrics, seeds) finiteness of the metrics recorded at `row`."""
         recorded = metrics[:, :, row]
-        if on_tail:
+        if row >= tail:
             recorded = np.concatenate([recorded, worker_metrics[:, :, row - tail]])
-        finite = np.isfinite(recorded)
-        return xbar, grads[:, :, :m] if reads else None, finite
+        return np.isfinite(recorded)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar_prev, gw, finite = record(0)
-        assert finite.all()
+        xbar_prev, gw, _ = record(0)
+        assert finite(0).all()
         alive = np.ones(n_seeds, dtype=bool)
         first_bad = np.full(n_seeds, K + 1)
         nonfinite = [()] * n_seeds
-        defect_max = np.zeros(n_seeds)
+        defects = np.zeros((K + 1, n_seeds))  # row k: step k's defect
         G = np.zeros((n_seeds, d, n))
         for k in range(1, K + 1):
             G[:, :, :m] = sample(X[:, :, :m], gw)
@@ -246,26 +271,54 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
                 X = np.matmul(X, W) if sync else X
             else:
                 X = (np.matmul(X, W) if sync else X) - eta * G
-            xbar, gw, finite = record(k)
-            ok = finite.all(axis=0)
-            newly_dead = alive & ~ok
+            xbar, gw, recorded = record(k)
+            predicted = xbar_prev - eta_t * (G[:, :, :m] @ worker_avg)
+            defects[k] = np.abs(xbar - predicted).max(axis=1)
+            xbar_prev = xbar
+            newly_dead = np.zeros(n_seeds, dtype=bool)
+            for row in recorded:
+                fin = finite(row)
+                dead = alive & ~newly_dead & ~fin.all(axis=0)
+                first_bad[dead] = row
+                for s in np.flatnonzero(dead):
+                    nonfinite[s] = tuple(name for name, ok in zip(eng.METRIC_NAMES, fin[:, s])
+                                         if not ok)
+                newly_dead |= dead
             if newly_dead.any():
-                first_bad[newly_dead] = k
-                for s in np.flatnonzero(newly_dead):
-                    nonfinite[s] = tuple(name for name, fin in zip(eng.METRIC_NAMES, finite[:, s])
-                                         if not fin)
                 X[newly_dead] = 0.0
                 if gw is not None:
                     gw[newly_dead] = 0.0
-                alive &= ok
+                alive &= ~newly_dead
                 if not alive.any():
                     break
-            predicted = xbar_prev - eta_t * (G[:, :, :m] @ worker_avg)
-            step_defect = np.abs(xbar - predicted).max(axis=1)
-            defect_max = np.where(alive, np.maximum(defect_max, step_defect), defect_max)
-            xbar_prev = xbar
+        defects[np.arange(K + 1)[:, None] >= first_bad] = 0.0
+        defect_max = defects.max(axis=0)
     return [eng.RunTrace(metrics=metrics[:, s, :first_bad[s]],
                          worker_metrics=worker_metrics[:, s, :max(0, first_bad[s] - tail)],
                          steps_requested=K, recursion_defect_max=float(defect_max[s]),
                          nonfinite=nonfinite[s])
             for s in range(n_seeds)]
+
+
+class BlindOracle:
+    """Passes every call through to `oracle`, except that its sampler reads no
+    gradients (`sampler_reads_gradients` false, so `run_many` packs the
+    evaluations before the tail): it evaluates them at the worker columns
+    itself and hands them to the sampler of `oracle`."""
+
+    sampler_reads_gradients = False
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def batch_gradient_sampler(self, rng_table, horizon):
+        sample = self._oracle.batch_gradient_sampler(rng_table, horizon)
+
+        def blind(Xw, grads):
+            assert grads is None
+            return sample(Xw, self._oracle.batch_objective_and_grads(Xw)[1])
+
+        return blind
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)

@@ -503,16 +503,17 @@ class TestRunExperiment:
         # at d = 1 the logistic sampler's pre-drawn indices (batch per stream
         # and step, 4.1 MB here) outweigh d + 1 normals per stream and step;
         # an untraced first run pays for the modules numpy imports on first use.
-        # The tail's first row, 160, falls inside a 31-row recording block, at
-        # which the evaluation's workspace grows from the mean's one column to
-        # all 17
+        # The 31 rows that a recording block holds round down to one pack of
+        # 17 means; the last pack before the tail's first row, 160, holds 6,
+        # and on the tail the evaluation's workspace holds all 17 columns
         spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
         spec_dict["problem"] = {"type": "logistic", "n": 8, "d": 1, "seed": 3, "batch": 8}
         spec_dict["algorithm"].update(K=200, mixing={"n": 16, "entries": [1 / 16] * 256})
         assert record_block_rows(20, 1, 16, 200) == 31 and tail_start(200) == 160
+        assert record_block_rows(20, 1, 16, 200, packed=True) == 17
         peak, spec = traced_run_peak(spec_dict)
-        assert peak <= cli.run_bytes(20, spec.config, 1,
-                                     LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200))
+        assert peak <= spec.memory_bytes == cli.run_bytes(
+            20, spec.config, 1, LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200), packed=True)
 
     def test_memory_estimate_counts_one_seed_mean(self, tmp_path):
         # a noiseless quadratic draws no noise block, so at d = 2 and K = 5000
@@ -746,6 +747,8 @@ class TestMainEntry:
         ["run", "{repeated_top}"],
         ["validate", "{repeated_nested}"],
         ["run", "{repeated_nested}"],
+        ["bounds", "--tau", "2", "--zeta", "-1"],
+        ["bounds", "--tau", "2", "--zeta", "nan"],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         a_file = tmp_path / "a_file"
@@ -782,6 +785,27 @@ class TestMainEntry:
         assert not (tmp_path / "exp").exists()  # a rejected spec leaves no output directory
         assert not (tmp_path / "missing").exists()
         assert a_file.read_text() == ""
+
+    @pytest.mark.parametrize("delay, seeds, steps", [
+        ({"compute": 1e308, "latency": 1e308}, [11, 12], 50),
+        ({"compute": 0.5, "jitter": 1e308}, [11, 12], 50),
+        ({"compute": 0.5, "jitter": 5e307}, [2, 3], 2),
+    ], ids=["constant", "jittered", "jittered-second-seed"])
+    def test_overflowing_clock_exits_two(self, tmp_path, capsys, delay, seeds, steps):
+        # a wall clock beyond the float range would be written as inf to every
+        # CSV and as Infinity or NaN, which is not JSON, to summary.json. In the
+        # last case only seed 3's clock overflows, and seed 2's CSV is not
+        # written either
+        spec = quadratic_spec(tmp_path, delay=delay, seeds=seeds)
+        spec["algorithm"]["K"] = steps
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the jitter's overflowing sums warned
+            assert main(["run", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid delay model: ") and err.count("\n") == 1
+        assert not (tmp_path / "exp").exists()
 
     def test_output_dir_under_symlink_to_directory(self, tmp_path):
         (tmp_path / "real").mkdir()

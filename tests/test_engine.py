@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from peak_memory import FIXED_BYTES, traced_peak
 from reference_objectives import make_diag_quadratic, make_rotated_quadratic
-from reference_updates import PoisonedOracle, RecordingOracle, reference_run_many
+from reference_updates import BlindOracle, PoisonedOracle, RecordingOracle, reference_run_many
 
 from coopsgd import engine as eng
 from coopsgd import mixing as mx
@@ -97,9 +97,11 @@ class TestRun:
     def test_oracle_evaluates_one_reused_d_major_stack(self):
         # every evaluation receives a view of the same d-major buffer, on which
         # the oracle's product over all seeds is one GEMM: the (seeds, d, n + 1)
-        # stack of the columns and their mean, or, before the tail of a run
-        # whose sampler reads no gradients, the (seeds, d, 1) view of the mean;
-        # such a sampler never receives gradients
+        # stack of the columns and their mean, or, for a sampler that reads no
+        # gradients, at row 0 the (seeds, d, 1) view of the mean and before the
+        # tail packs of the means of n + 1 rows from row 1 in the first
+        # columns, the last pack cut at the tail's first row, 16: rows 1..6,
+        # 7..12 and 13..15. Such a sampler never receives gradients
         class StackRecorder(RecordingOracle):
             """Also keeps each evaluated stack itself, not a copy."""
 
@@ -111,21 +113,44 @@ class TestRun:
                 self.stacks.append(X)
                 return super().batch_objective_and_grads(X)
 
-        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(4, 0.2), v=1, eta=0.05, steps=10)
+        cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(4, 0.2), v=1, eta=0.05, steps=20)
         n, tail = cfg.mixing.n, eng.tail_start(cfg.steps)
+        assert (n, tail) == (5, 16)
         for oracle in (make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5),
                        LogisticProblem.synthetic(40, 5, 3, l2_reg=0.01, batch_size=4)):
             recorder = StackRecorder(oracle)
             eng.run_many(cfg, recorder, [1, 2, 3])
             stacks, reads = recorder.stacks, oracle.sampler_reads_gradients
-            assert [X.shape for X in stacks] == [
-                (3, 5, n + 1 if reads or k >= tail else 1) for k in range(cfg.steps + 1)]
+            # (first buffer column, columns) of each evaluation
+            tail_stacks = [(0, n + 1)] * (cfg.steps + 1 - tail)
+            expected = ([(0, n + 1)] * (cfg.steps + 1) if reads
+                        else [(n, 1), (0, 6), (0, 6), (0, 3)] + tail_stacks)
             buffer = stacks[0].base
             assert buffer.shape == (5, 3, n + 1) and buffer.flags.c_contiguous
-            for X in stacks:
-                assert X.base is buffer and np.shares_memory(X, buffer[:, :, n])
-                assert np.shares_memory(X, buffer[:, :, :n]) == (X.shape[2] == n + 1)
+            layout = buffer.transpose(1, 0, 2)
+            for X, (first, cols) in zip(stacks, expected, strict=True):
+                assert X.base is buffer and X.strides == layout.strides
+                assert X.shape == (3, 5, cols)
+                assert X.ctypes.data == layout[:, :, first:].ctypes.data
             assert [grads is not None for grads in recorder.sampled_grads] == [reads] * cfg.steps
+
+    @pytest.mark.parametrize("steps", [1, 2, 8, 20, 55])
+    def test_oracle_call_count(self, steps):
+        # K + 1 evaluations for a sampler that reads gradients; otherwise row 0,
+        # then one per pack of n + 1 = 6 rows before the tail, then one per tail
+        # row. The tail starts at row 1, 2, 7, 16 and 44: no pack, one pack of
+        # one row, one whole pack, and packs whose last is cut short
+        cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_ring(5), v=0, eta=0.05, steps=steps)
+        n, tail = cfg.mixing.n, eng.tail_start(steps)
+        packs = -(-(tail - 1) // (n + 1))
+        quadratic = make_diag_quadratic(3, 0.3, 1.0, sigma_sq=0.5)
+        for oracle, calls in ((quadratic, steps + 1),
+                              (BlindOracle(quadratic), 1 + packs + steps + 1 - tail),
+                              (LogisticProblem.synthetic(40, 3, 3, l2_reg=0.01, batch_size=4),
+                               1 + packs + steps + 1 - tail)):
+            recorder = RecordingOracle(oracle)
+            eng.run_many(cfg, recorder, [1, 2])
+            assert len(recorder.evaluations) == calls
 
     def test_batch_divergence_is_per_seed(self):
         # a step too large for the top curvature mode diverges regardless of seed,
@@ -206,7 +231,9 @@ class TestRun:
 class TestBlockedRecording:
     """Recording in blocks of steps changes no result: `run_many` matches the
     per-step reference bit for bit at one-step blocks, 7-step blocks (which
-    do not divide K) and one block longer than the run."""
+    do not divide K) and one block longer than the run. A run whose sampler
+    reads no gradients rounds these down to whole packs of n + 1 rows, and
+    at least one."""
 
     @pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_gt_K"])
     def block_steps(self, request, monkeypatch):
@@ -262,10 +289,11 @@ class TestBlockedRecording:
         ("pre", mx.make_easgd(4, 0.2), 1),
     ])
     def test_logistic_matches_reference(self, block_steps, rule, mixing, v):
-        # the mean alone is evaluated before the tail, from row 16 on the
-        # columns too: with 7-step blocks the tail's first row lies inside the
-        # block of rows 15..21. Seed 1 turns non-finite before the tail, seed 2
-        # on it
+        # the means alone are evaluated before the tail, in packs of n + 1 rows
+        # (5 for the dense matrix, 6 for the elastic one), and from row 16 on
+        # the columns too: 7-step blocks become blocks of one pack, and with
+        # one-step blocks too. Seed 1 turns non-finite before the tail, at the
+        # first row of a pack or inside one, seed 2 on it
         oracle = LogisticProblem.synthetic(40, 5, 3, l2_reg=0.01, batch_size=4)
         cfg = eng.AlgorithmConfig(tau=4, mixing=mixing, v=v, eta=0.1, steps=20, rule=rule)
         assert eng.tail_start(cfg.steps) == 16
@@ -274,6 +302,22 @@ class TestBlockedRecording:
         traces = self.assert_same(cfg, PoisonedOracle(oracle, {6: 1, 17: 2}), [1, 2, 3], x0=0.5)
         assert [t.rows for t in traces] == [21, 6, 17]
         assert [len(t.nonfinite) for t in traces] == [0, 3, 5]
+
+    def test_divergence_inside_a_pack_matches_reference(self, block_steps):
+        # a quadratic whose sampler reads no gradients packs its evaluations
+        # like the logistic one: n + 1 = 6 rows from row 1, so that rows
+        # 289..294 form one pack. An unstable step makes seeds 1 and 2 turn
+        # non-finite at its second row and seed 3 at its first, with only the
+        # network error overflowing
+        q = make_diag_quadratic(4, 0.5, 1.0, sigma_sq=1.0)
+        cfg = eng.AlgorithmConfig(tau=1, mixing=mx.make_easgd(4, 0.3), v=1, eta=4.0,
+                                  steps=600, rule="pre")
+        assert eng.tail_start(cfg.steps) == 480
+        oracle = BlindOracle(q)
+        block_steps(cfg, oracle, [1, 2, 3])
+        traces = self.assert_same(cfg, oracle, [1, 2, 3])
+        assert [t.rows for t in traces] == [290, 290, 289]
+        assert [t.nonfinite for t in traces] == [eng.METRIC_NAMES[:3]] * 2 + [("network_error",)]
 
     @pytest.mark.parametrize("v", [0, 1])
     @pytest.mark.parametrize("rule", ["post", "pre"])

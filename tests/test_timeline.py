@@ -1,5 +1,7 @@
 """Wall-clock model: sync costs, amortization, straggler averaging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,15 @@ class TestSummary:
         assert set(payload) == {"total_time_s", "idle_fraction", "comm_fraction"}
         assert payload["comm_fraction"] == pytest.approx(
             tl.total_comm_time / tl.total_time, abs=1e-15)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("delay", [
+        constant_delay(compute_base=1e308, comm_latency=1e308),
+        constant_delay(compute_jitter_mean=1e308),
+    ], ids=["constant", "jittered"])
+    def test_overflowing_clock_rejected(self, delay):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the jitter's sums overflow silently
+            with pytest.raises(TimelineError, match="overflows the float range"):
+                simulate_timeline(50, 2, mx.make_fully_connected(4), delay, seed=1)
