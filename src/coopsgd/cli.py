@@ -26,12 +26,14 @@ to the same experiment. The domain constructors keep their semantic checks
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import stat
 import sys
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 from itertools import accumulate, islice
 from pathlib import Path
 
@@ -300,6 +302,8 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise SpecError(f"'output_dir' cannot be created: {exc}") from exc
     if not stat.S_ISDIR(mode):
         raise SpecError(f"'output_dir' is not a directory: {output_dir!r}")
+    # a directory where the run writes or deletes a file would stop it
+    _refuse_directories(output_dir, ("trace_seed*.csv", "trace_mean.csv", "summary.json"))
 
     try:
         mixing, mixing_echo = mixing_from_dict(algo["mixing"])
@@ -334,19 +338,30 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     )
 
 
+def _refuse_directories(directory, patterns) -> None:
+    """Raise SpecError if `directory` holds a directory (not a symlink) named by
+    a glob of `patterns`, or by one with ".tmp" added. A directory that is
+    missing or cannot be listed is not checked, as the stale sweep skips it."""
+    with contextlib.suppress(OSError), os.scandir(directory) as entries:
+        for entry in entries:
+            name = entry.name.removesuffix(".tmp")
+            if entry.is_dir(follow_symlinks=False) and any(fnmatchcase(name, p) for p in patterns):
+                raise SpecError(f"a directory stands where a file is written: {entry.path!r}")
+
+
 def _write_text_atomic(path, chunks) -> None:
     """Write the strings of `chunks` as they come under a temporary name,
-    then rename it over `path`, so readers never see a partial file. If
-    `chunks` raises, the temporary is deleted and `path` is left as it was."""
+    then rename it over `path`, so readers never see a partial file. If a
+    step raises, the temporary is deleted and `path` is left as it was."""
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", newline="")
     try:
         with fh:
             fh.writelines(chunks)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def _json_batches(payload):

@@ -28,19 +28,18 @@ The three metrics of the column mean are recorded at every row. The two
 worker metrics are recorded only on the tail, the rows from `tail_start(K)`
 on, which is all that the summary's floors read, into an array of their own
 that holds the tail rows alone; a block never straddles the tail's first
-row. Before the tail a row evaluates the columns only when the oracle's
-sampler reads their gradients (`sampler_reads_gradients`). Otherwise no
-step waits for a row's evaluation, so the rows before the tail evaluate
-their column means alone, n+1 rows (n = m+v) per oracle call: packs of
-n+1 rows from row 1, the last one cut at the tail's first row, which such
-a run's blocks hold whole.
+row. Row 0 and the tail rows evaluate the columns and their mean, and so
+does every row when the oracle's sampler reads the columns' gradients
+(`sampler_reads_gradients`). Otherwise no step waits for the rows between,
+which evaluate their column means alone, n+1 rows (n = m+v) per oracle
+call: packs of n+1 rows from row 1, the last one cut at the tail's first
+row, which such a run's blocks hold whole.
 
-The oracle evaluates a d-major stack: `run_many` fills one (d, seeds, n+1)
-buffer, allocated once, with the columns and their mean, or with a pack's
-means in its first columns, and passes its (seeds, d, n+1) transposed view,
-or the view of the pack's columns or of the mean column alone, on which the
-oracle's product over all seeds is one GEMM (see
-`coopsgd.objectives.GradientOracle`). The mixing
+The oracle sees one stack shape per run: `run_many` fills one (d, seeds,
+n+1) buffer, allocated once, with the columns and their mean, or with a
+pack's means in its first columns, and passes every call its (seeds, d,
+n+1) transposed view, on which the oracle's product over all seeds is one
+GEMM (see `coopsgd.objectives.GradientOracle`). The mixing
 product X W is likewise one GEMM on the free (seeds * d, m+v) reshape of the
 state; BLAS picks its kernel by shape, so at some shapes (d = 1, or 17
 columns) this rounds unlike one product per seed in the last bits. The
@@ -252,16 +251,14 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     evaluation. Each state's full gradient is thus computed once.
 
     An oracle whose sampler does not read gradients (`sampler_reads_gradients`
-    false) always passes that sampler None for them, and is evaluated at row
-    0 on the (seeds, d, 1) view of the mean column alone. Its rows before the
-    tail (`tail_start(K)`) are evaluated in packs of n + 1 rows, n = m+v: each
-    such row stores its column mean in the next free column of the evaluated
-    stack, and the pack's last row evaluates the (seeds, d, rows) view of
-    them in one call and scatters the values and gradients into the pack's
-    block rows. Packs start at row 1, every n + 1 rows, and the last one ends
-    at the tail's first row; the oracle is thus called
-    1 + ceil((tail - 1) / (n + 1)) + K + 1 - tail times, where a sampler
-    that reads gradients takes K + 1 calls.
+    false) always passes that sampler None for them. Its rows between row 0
+    and the tail (`tail_start(K)`) are evaluated in packs of n + 1 rows,
+    n = m+v: each stores its column mean in the next free column of the
+    evaluated stack, and the pack's last row evaluates the stack and
+    scatters the pack's columns into its block rows. Packs start at row 1,
+    every n + 1 rows, and the last one ends at the tail's first row; the
+    oracle is thus called 1 + ceil((tail - 1) / (n + 1)) + K + 1 - tail
+    times, and K + 1 times for a sampler that reads gradients.
 
     Rows are recorded in blocks of as many steps as fit in
     RECORD_BLOCK_BYTES, and at least one, ending at the tail's first row;
@@ -335,25 +332,21 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
         evaluated[:, :, j] = xbar
         np.subtract(X, xbar[:, :, None], out=spread_blk[b])
 
-    def evaluate(b: int, columns: bool):
-        """Store the state's values, gradients and spreads as block row `b`,
-        evaluated at the columns and their mean, or at the mean alone. Returns
-        the worker gradients for the next step's sampler: None for a sampler
-        that does not read them."""
+    def evaluate(b: int):
+        """Store the state's values, gradients and spreads, evaluated at the
+        columns and their mean, as block row `b`; returns the worker gradients
+        for the next step's sampler, or None if it does not read them."""
         center(b, n)
-        if columns:
-            evaluated[:, :, :n] = X
-        cols = slice(0 if columns else n, n + 1)
-        vals_blk[b, :, cols], grads_blk[b, :, :, cols] = \
-            oracle.batch_objective_and_grads(evaluated[:, :, cols])
+        evaluated[:, :, :n] = X
+        vals_blk[b], grads_blk[b] = oracle.batch_objective_and_grads(evaluated)
         return grads_blk[b, :, :, :m] if reads_grads else None
 
     def evaluate_pack(b: int, j: int):
-        """Evaluate block rows b - j..b at the means that `center` stored in
-        the evaluated stack's first j + 1 columns, in one call."""
-        vals, grads = oracle.batch_objective_and_grads(evaluated[:, :, :j + 1])
-        vals_blk[b - j:b + 1, :, n] = vals.T
-        grads_blk[b - j:b + 1, :, :, n] = grads.transpose(2, 0, 1)
+        """Evaluate the stack, whose first j + 1 columns hold the means that
+        `center` stored for block rows b - j..b, and scatter those columns."""
+        vals, grads = oracle.batch_objective_and_grads(evaluated)
+        vals_blk[b - j:b + 1, :, n] = vals[:, :j + 1].T
+        grads_blk[b - j:b + 1, :, :, n] = grads[:, :, :j + 1].transpose(2, 0, 1)
 
     def reduce_block(start: int, rows: int, workers: bool) -> np.ndarray:
         """Record rows start..start+rows-1 from the first `rows` block rows,
@@ -381,7 +374,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
 
     # overflow/invalid simply mark divergence, so numpy warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        last = evaluate(0, reads_grads)  # the worker gradients of the last evaluation
+        last = evaluate(0)  # the worker gradients of the last evaluation
         if not np.isfinite(reduce_block(0, 1, False)).all():
             raise ConfigError("objective is non-finite at the initial point")
         xbars[0] = xbars[1]
@@ -404,7 +397,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
                 if sync and config.rule == "post":
                     X = mix(X)
                 if reads_grads or on_tail:
-                    last = evaluate(b, True)
+                    last = evaluate(b)
                 else:  # packs of n + 1 rows from row 1, the last cut at the tail
                     j = (k - 1) % (n + 1)
                     center(b, j)

@@ -117,17 +117,16 @@ class GradientOracle:
     seed s and worker i. A sampler never writes to `grads`. One that ignores
     them (the logistic one differentiates its mini-batch at `Xw`) sets the
     class attribute `sampler_reads_gradients` false and accepts None for
-    `grads`: `run_many` then evaluates the worker columns only where it
-    records their metrics, on the tail, and, since no step waits for the
-    evaluations before it, the column means of up to n + 1 rows there in
-    one (seeds, d, rows) stack, whose values may round in the last bits
-    unlike one evaluation per row. The single-vector forms `objective_value`,
-    `full_gradient` and `stochastic_gradient` validate one point and
-    evaluate that pair on it.
+    `grads`: `run_many` then evaluates the rows between row 0 and the tail,
+    which no step waits for, at their column means alone, up to n + 1 rows
+    per call, whose values may round in the last bits unlike one evaluation
+    per row. The single-vector forms `objective_value`, `full_gradient` and
+    `stochastic_gradient` validate one point and evaluate that pair on it.
 
-    A stack may have any strides: `run_many` passes the (seeds, d, cols)
-    transposed view of a d-major (d, seeds, cols) buffer it reuses, so an
-    evaluation returns fresh arrays and keeps no reference to its input. On
+    A stack may have any strides. `run_many` hands every call of a run the
+    same (seeds, d, n + 1) view, the transpose of a d-major buffer it
+    refills, so an oracle sizes a workspace once per run; an evaluation
+    returns fresh arrays and keeps no reference to its input. On
     that layout a product over all seeds is one GEMM on a free reshape: the
     quadratic's A X as (d, d) @ (d, seeds * cols), which copies any other
     layout first, and the logistic gradient's Z^T coeff as (d, N) @ (N,
@@ -296,11 +295,11 @@ class LogisticProblem(GradientOracle):
 
     `batch_objective_and_grads` runs in a workspace of three N-major (N,
     seeds, cols) arrays kept on the oracle and reallocated only when the
-    stack's shape changes; the values and gradients it returns are fresh
-    arrays. The sample mean of the losses is one sum over the workspace's
-    sample axis: numpy adds the samples in order, one (seeds, cols) row at a
-    time, and on a single (1, d, 1) point, where that axis is contiguous,
-    pairwise.
+    stack's shape changes, so once per run; the values and gradients it
+    returns are fresh arrays. The sample mean of the losses is one sum over
+    the workspace's sample axis: numpy adds the samples in order, one (seeds,
+    cols) row at a time, and on a single (1, d, 1) point, where that axis is
+    contiguous, pairwise.
     """
 
     sampler_reads_gradients = False

@@ -186,10 +186,12 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
     of the column mean and a row on the tail all five, the two worker
     metrics into an array of the tail rows alone. A row on the tail, and any
     row of a sampler that reads gradients, evaluates the columns and their
-    mean. Otherwise the sampler receives None for them, and the rows before
-    the tail evaluate their means in packs of n + 1 rows from row 1, the
-    last one cut at the tail: a pack's metrics are recorded, and its rows
-    checked, at its last row. Row 0 evaluates its mean alone.
+    mean. Otherwise the sampler receives None for them, and the rows between
+    row 0 and the tail evaluate their means in packs of n + 1 rows from row
+    1, the last one cut at the tail: a pack's metrics are recorded, and its
+    rows checked, at its last row. Every evaluation is of an n + 1 column
+    stack: row 0, like a tail row, evaluates the columns and their mean, and
+    a pack cut short fills its other columns with zeros.
     It mixes with one product X[s] W per seed and evaluates C-ordered stacks,
     where `run_many` makes one GEMM over all seeds and evaluates views of a
     d-major buffer; at the shapes the tests run, the two round alike.
@@ -231,16 +233,16 @@ def reference_run_many(config, oracle, seeds: list[int], x0=1.0) -> list[eng.Run
             if row % (n + 1) and row < tail - 1:
                 return xbar, None, []
             rows = [r for r, _ in pack]
-            means = np.stack([mean for _, mean in pack], axis=2)
+            means = np.zeros((n_seeds, d, n + 1))
+            means[:, :, :len(rows)] = np.stack([mean for _, mean in pack], axis=2)
             pack.clear()
             pack_vals, pack_grads = oracle.batch_objective_and_grads(means)
             for i, r in enumerate(rows):
                 vals[:, n], grads[:, :, n] = pack_vals[:, i], pack_grads[:, :, i]
                 record_mean(r, vals, grads)
             return xbar, None, rows
-        cols = slice(0 if row >= tail or reads else n, n + 1)
-        stack = np.concatenate([X, xbar[:, :, None]], axis=2)[:, :, cols].copy()
-        vals[:, cols], grads[:, :, cols] = oracle.batch_objective_and_grads(stack)
+        stack = np.concatenate([X, xbar[:, :, None]], axis=2)
+        vals[:], grads[:] = oracle.batch_objective_and_grads(stack)
         record_mean(row, vals, grads)
         if row >= tail:
             w_loss[:, row - tail] = vals[:, :m].sum(axis=1) / m

@@ -449,6 +449,35 @@ class TestRunExperiment:
         assert sorted(f.name for f in out.iterdir()) == [
             "notes.tmp", "summary.json", "trace_seed4.csv"]
 
+    def test_other_directories_stay(self, tmp_path):
+        # only a directory named like a file the run writes or deletes is in its way
+        out = tmp_path / "exp"
+        for name in ("plots", "trace_seed11.csv.old"):
+            (out / name).mkdir(parents=True)
+        assert run_experiment(parse_experiment_spec(quadratic_spec(tmp_path))) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "plots", "summary.json", "trace_mean.csv", "trace_seed11.csv",
+            "trace_seed11.csv.old", "trace_seed12.csv"]
+
+    def test_unlistable_output_dir_still_runs(self, tmp_path, monkeypatch):
+        # a directory with write and execute but no read permission (mode
+        # 0o300) holding a subdirectory cannot be listed; it is not checked,
+        # and the run writes into it as the stale sweep skips it
+        out = tmp_path / "exp"
+        (out / "plots").mkdir(parents=True)
+        scandir = os.scandir
+
+        def unlistable(path="."):
+            if os.fspath(path) == str(out):
+                raise PermissionError(13, "Permission denied", str(out))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", unlistable)
+        assert run_experiment(parse_experiment_spec(quadratic_spec(tmp_path))) == EXIT_OK
+        monkeypatch.undo()
+        assert sorted(f.name for f in out.iterdir()) == [
+            "plots", "summary.json", "trace_mean.csv", "trace_seed11.csv", "trace_seed12.csv"]
+
     def test_invalid_mixing_runs_without_bound_report(self, tmp_path):
         w = make_easgd(2, 0.8)  # zeta > 1: outside every bound's regime
         spec_dict = quadratic_spec(tmp_path)
@@ -638,6 +667,14 @@ class TestBlockWriters:
         assert sorted(out.iterdir()) == names
         assert (out / "summary.json").read_bytes() == old
 
+    def test_directory_destination_leaves_no_temporary(self, tmp_path):
+        # the text is written, and the rename over the directory fails
+        path = tmp_path / "summary.json"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            cli._atomic_write_json(path, {"a": 1})
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_failed_trace_leaves_the_old_file(self, tmp_path):
         # a clock one time short fails in the last block, after two were
         # written: a block missing altogether, or a block one row short
@@ -806,6 +843,30 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid delay model: ") and err.count("\n") == 1
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("argv, in_the_way", [
+        (["run", "{spec}"], "exp/trace_seed11.csv"),  # a file the run writes
+        (["validate", "{spec}"], "exp/trace_seed11.csv"),
+        (["run", "{spec}"], "exp/trace_seed9.csv"),  # a stale trace the run deletes
+        (["validate", "{spec}"], "exp/trace_seed9.csv"),
+        (["run", "{spec}"], "exp/summary.json.tmp"),
+        (["preset", "hybrid-compare", "--seeds", "3", "--out", "{out}"],
+         "out/preset_summary.json"),
+    ])
+    def test_directory_in_the_way_exits_two_before_any_run(self, tmp_path, capsys, argv,
+                                                           in_the_way):
+        # a directory where a run writes or deletes a file would stop it
+        # halfway: it is found before anything runs or is written
+        (tmp_path / in_the_way).mkdir(parents=True)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(quadratic_spec(tmp_path)))
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(spec=spec, out=tmp_path / "out") for a in argv]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a directory stands where a file is written: "
+                                f"{str(tmp_path / in_the_way)!r}\n")
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_output_dir_under_symlink_to_directory(self, tmp_path):
         (tmp_path / "real").mkdir()

@@ -95,43 +95,47 @@ class TestRun:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_oracle_evaluates_one_reused_d_major_stack(self):
-        # every evaluation receives a view of the same d-major buffer, on which
-        # the oracle's product over all seeds is one GEMM: the (seeds, d, n + 1)
-        # stack of the columns and their mean, or, for a sampler that reads no
-        # gradients, at row 0 the (seeds, d, 1) view of the mean and before the
-        # tail packs of the means of n + 1 rows from row 1 in the first
-        # columns, the last pack cut at the tail's first row, 16: rows 1..6,
-        # 7..12 and 13..15. Such a sampler never receives gradients
+        # every evaluation receives the same (seeds, d, n + 1) view of one
+        # d-major buffer, on which the oracle's product over all seeds is one
+        # GEMM: the stack of the columns and their mean, or, before the tail
+        # of a sampler that reads no gradients, a pack of the means of up to
+        # n + 1 rows in its first columns. A run thus hands the oracle one
+        # stack shape, and a logistic one allocates its workspace once. Such
+        # a sampler never receives gradients
         class StackRecorder(RecordingOracle):
-            """Also keeps each evaluated stack itself, not a copy."""
+            """Also keeps each evaluated stack itself, not a copy, and the
+            logistic workspace after each evaluation."""
 
             def __init__(self, oracle):
                 super().__init__(oracle)
                 self.stacks = []
+                self.workspaces = []
 
             def batch_objective_and_grads(self, X):
                 self.stacks.append(X)
-                return super().batch_objective_and_grads(X)
+                result = super().batch_objective_and_grads(X)
+                self.workspaces.append(getattr(self._oracle, "_work", None))
+                return result
 
         cfg = eng.AlgorithmConfig(tau=2, mixing=mx.make_easgd(4, 0.2), v=1, eta=0.05, steps=20)
         n, tail = cfg.mixing.n, eng.tail_start(cfg.steps)
         assert (n, tail) == (5, 16)
-        for oracle in (make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5),
+        quadratic = make_diag_quadratic(5, 0.3, 1.0, sigma_sq=0.5)
+        for oracle in (quadratic, BlindOracle(quadratic),
                        LogisticProblem.synthetic(40, 5, 3, l2_reg=0.01, batch_size=4)):
             recorder = StackRecorder(oracle)
             eng.run_many(cfg, recorder, [1, 2, 3])
             stacks, reads = recorder.stacks, oracle.sampler_reads_gradients
-            # (first buffer column, columns) of each evaluation
-            tail_stacks = [(0, n + 1)] * (cfg.steps + 1 - tail)
-            expected = ([(0, n + 1)] * (cfg.steps + 1) if reads
-                        else [(n, 1), (0, 6), (0, 6), (0, 3)] + tail_stacks)
+            # row 0, then packs of rows 1..6, 7..12 and 13..15, then the tail rows
+            assert len(stacks) == (cfg.steps + 1 if reads else 1 + 3 + cfg.steps + 1 - tail)
             buffer = stacks[0].base
             assert buffer.shape == (5, 3, n + 1) and buffer.flags.c_contiguous
             layout = buffer.transpose(1, 0, 2)
-            for X, (first, cols) in zip(stacks, expected, strict=True):
-                assert X.base is buffer and X.strides == layout.strides
-                assert X.shape == (3, 5, cols)
-                assert X.ctypes.data == layout[:, :, first:].ctypes.data
+            for X in stacks:
+                assert X.base is buffer and X.shape == layout.shape
+                assert X.strides == layout.strides and X.ctypes.data == layout.ctypes.data
+            if isinstance(oracle, LogisticProblem):
+                assert all(work is recorder.workspaces[0] for work in recorder.workspaces)
             assert [grads is not None for grads in recorder.sampled_grads] == [reads] * cfg.steps
 
     @pytest.mark.parametrize("steps", [1, 2, 8, 20, 55])
