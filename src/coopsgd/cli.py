@@ -16,11 +16,12 @@ unknown fields anywhere are hard errors, because silently ignored
 configuration is the main reproducibility hazard. So are keys that a spec
 file repeats anywhere, of which JSON parsing would keep the last value, and
 every number must be a finite JSON number. Each reader returns, with the
-object it builds, the canonical JSON of the values it validated, defaults
-filled in; a run's `summary.json` echoes it as `config_echo`, which re-parses
-to the same experiment. The domain constructors keep their semantic checks
-(symmetry, PSD, row sums, K % tau), and their errors surface here as
-`SpecError`.
+object it builds, an echo of the values it validated, defaults filled in
+and arrays held as the validated float64 arrays themselves; a run's
+`summary.json` writes it as `config_echo`, one array row at a time, and that
+re-parses to the same experiment. The domain constructors keep their
+semantic checks (symmetry, PSD, row sums, K % tau), and their errors surface
+here as `SpecError`.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class SpecError(ValueError):
 @dataclass
 class ExperimentSpec:
     """Parsed experiment: oracle, algorithm, delays, seeds, output location,
-    `echo`, the canonical spec JSON that re-parses to the same experiment,
+    `echo`, the validated spec (its arrays the ones the run uses), which the
+    summary writer turns into JSON that re-parses to the same experiment,
     and `memory_bytes`, the run's byte estimate (see `run_bytes`)."""
 
     echo: dict
@@ -154,13 +156,15 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
               packed: bool) -> int:
     """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
 
-    `problem_bytes` (the oracle's own `run_bytes` and the echo's copy of its
-    data) plus the larger of two phases that never overlap, whatever the
-    seed count: `run_many`, with its `run_many_bytes` (recording blocks of
-    whole packs when `packed`, for an oracle whose sampler reads no
-    gradients), and what `run_experiment` holds once it returns. That is
-    the metric arrays (`metric_bytes`), and the larger of two phases that
-    never overlap either:
+    `problem_bytes` (the oracle's own `run_bytes`) and 32 bytes a mixing
+    entry (the matrix, the validated entries that the echo keeps, and the
+    two n x n temporaries of `as_mixing`'s symmetry check), plus the larger
+    of two phases that never overlap, whatever the seed count: `run_many`,
+    with its `run_many_bytes` (recording blocks of whole packs when
+    `packed`, for an oracle whose sampler reads no gradients), and what
+    `run_experiment` holds once it returns. That is the metric arrays
+    (`metric_bytes`), and the larger of two phases that never overlap
+    either:
 
     - a timeline's simulation: its `simulate_timeline_bytes`, while the
       running sum of the completed seeds' wall clocks (8 bytes a row) and
@@ -174,18 +178,22 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
       has at most 23 characters, so a text takes at most 24 bytes a row and a
       string header per block, within 25 bytes a row.
 
-    Writing the outputs adds a constant, whatever K and the size of the
-    summary: one block of CSV_BLOCK_ROWS trace rows as Python text (512
-    bytes a row) plus one batch of CSV_BLOCK_ROWS JSON chunks (256 bytes a
-    chunk), though the two are never held at once. The interpreter, numpy
-    and BLAS add a fixed amount on top.
+    Writing the outputs adds a constant, whatever K: one block of
+    CSV_BLOCK_ROWS trace rows as Python text (512 bytes a row) plus one
+    batch of CSV_BLOCK_ROWS JSON chunks (256 bytes a chunk), though the two
+    are never held at once. The summary's encoder also turns one echo array
+    at a time into Python floats (32 bytes each): the mixing entries' n * n,
+    or a matrix's d rows, as views (120 bytes each) and one row's floats,
+    which holds 152 bytes a row. The interpreter, numpy and BLAS add a fixed
+    amount on top.
     """
     n, m, K = config.mixing.n, config.m, config.steps
     after_run = (metric_bytes(n_seeds, K)
                  + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1),
                        131 * (K + 1) + 16 * (K + 1 - tail_start(K)))
-                 + CSV_BLOCK_ROWS * (512 + 256))
-    return problem_bytes + max(run_many_bytes(n_seeds, d, n, m, K, packed), after_run)
+                 + CSV_BLOCK_ROWS * (512 + 256) + max(32 * n * n, 152 * d))
+    return problem_bytes + 32 * n * n + max(run_many_bytes(n_seeds, d, n, m, K, packed),
+                                            after_run)
 
 
 def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
@@ -217,13 +225,12 @@ def oracle_from_dict(payload, n_seeds: int,
         A, b = _numbers(p["A"], "'A'", 2), _numbers(p["b"], "'b'", 1)
         sigma_sq = _number(p.get("sigma_sq", 0.0), "'sigma_sq'")
         beta = _number(p.get("beta", 0.0), "'beta'")
-        # the echo holds A as Python floats, at most 56 bytes an entry
         need = _check_memory(n_seeds, config, b.size,
-                             QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape)
-                             + 56 * A.size, QuadraticProblem)
+                             QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape),
+                             QuadraticProblem)
+        # the oracle keeps these float64 arrays themselves, so A is held once
         return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta), {
-            "type": "quadratic", "A": A.tolist(), "b": b.tolist(), "sigma_sq": sigma_sq,
-            "beta": beta}, need
+            "type": "quadratic", "A": A, "b": b, "sigma_sq": sigma_sq, "beta": beta}, need
     if payload["type"] == "logistic":
         p = _object(payload, "logistic problem", {"type", "n", "d", "seed"}, {"l2", "batch"})
         samples, d = _int(p["n"], "logistic 'n'", 1), _int(p["d"], "logistic 'd'", 1)
@@ -250,7 +257,7 @@ def mixing_from_dict(payload) -> tuple[MixingMatrix, dict]:
     if flat.size != n * n:
         raise SpecError(f"mixing 'entries' must hold n*n values for n={n}, got {flat.size}")
     mixing = as_mixing(flat.reshape(n, n))
-    return mixing, {"n": n, "entries": flat.tolist(), "zeta": mixing.zeta}
+    return mixing, {"n": n, "entries": flat, "zeta": mixing.zeta}
 
 
 def delay_from_dict(payload) -> tuple[DelayModel, dict]:
@@ -321,7 +328,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         "problem": problem_echo,
         "algorithm": {"tau": config.tau, "v": config.v, "eta": config.eta, "K": config.steps,
                       "rule": config.rule, "mixing": mixing_echo,
-                      "init": x0.tolist() if isinstance(x0, np.ndarray) else x0},
+                      "init": x0},
         "delay": delay_echo,
         "seeds": seeds,
         "output_dir": output_dir,
@@ -352,9 +359,16 @@ def _refuse_directories(directory, patterns) -> None:
 def _write_text_atomic(path, chunks) -> None:
     """Write the strings of `chunks` as they come under a temporary name,
     then rename it over `path`, so readers never see a partial file. If a
-    step raises, the temporary is deleted and `path` is left as it was."""
+    step raises, the temporary is deleted and `path` is left as it was.
+    The temporary is created exclusively, so no link there is followed; the
+    name is the writer's own, and whatever holds it, a stale temporary or a
+    symlink, is removed first."""
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w", newline="")
+    try:
+        fh = open(tmp, "x", newline="")
+    except FileExistsError:
+        os.unlink(tmp)
+        fh = open(tmp, "x", newline="")
     try:
         with fh:
             fh.writelines(chunks)
@@ -364,11 +378,20 @@ def _write_text_atomic(path, chunks) -> None:
         raise
 
 
+def _array_json(value):
+    """An echo array as the encoder takes it: a matrix as the list of its
+    rows, which come back here one at a time, and a vector as its floats."""
+    if not isinstance(value, np.ndarray) or value.ndim == 0:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return list(value) if value.ndim > 1 else value.tolist()
+
+
 def _json_batches(payload):
-    """`json.dumps(payload, indent=2, sort_keys=True) + "\n"` in pieces of
-    CSV_BLOCK_ROWS encoder chunks: with `indent` set, both use the same
-    pure-Python encoder, so the joined pieces are the same text."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    """`json.dumps(payload, indent=2, sort_keys=True) + "\n"`, each array as
+    its `tolist()`, in pieces of CSV_BLOCK_ROWS encoder chunks: with `indent`
+    set, both use the same pure-Python encoder, so the joined pieces are the
+    same text. Arrays pass through `_array_json`, a matrix one row at a time."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=_array_json).iterencode(payload)
     while batch := list(islice(chunks, CSV_BLOCK_ROWS)):
         yield "".join(batch)
     yield "\n"

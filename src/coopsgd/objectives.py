@@ -210,15 +210,17 @@ class QuadraticProblem(GradientOracle):
     @staticmethod
     def run_bytes(d: int, sigma_sq: float, beta: float, n_seeds: int, n: int, m: int,
                   steps: int) -> int:
-        """Bytes held in a run on n columns, m of them workers, from above: the
-        matrix, the sampler's block, and the evaluation's product and gradient,
-        two (seeds, d, n + 1) arrays. A stack that is not d-major is first
+        """Bytes held in building the problem and in a run on n columns, m of
+        them workers, from above: the matrix, and the larger of the symmetry
+        check's two d x d temporaries and the run's holdings. Those are the
+        sampler's block, and the evaluation's product and gradient, two
+        (seeds, d, n + 1) arrays. A stack that is not d-major is first
         copied into d-major order, and that copy is freed once the product is
         made, before the gradient is; the sampler's one (seeds, d, m) result is
         made while no evaluation runs. Both fit in the place of these two."""
         width = QuadraticProblem._noise_width(d, sigma_sq, beta)
-        return (8 * d * d + _block_bytes(n_seeds, m, steps, width, width, False)
-                + 16 * n_seeds * d * (n + 1))
+        return 8 * d * d + max(16 * d * d, _block_bytes(n_seeds, m, steps, width, width, False)
+                               + 16 * n_seeds * d * (n + 1))
 
     @cached_property
     def f_inf(self) -> float:

@@ -15,6 +15,7 @@ from coopsgd import theory as th
 from coopsgd import presets
 from coopsgd.cli import parse_experiment_spec, run_experiment
 from coopsgd.engine import tail_start
+from coopsgd.objectives import LogisticProblem
 from coopsgd.presets import FLOOR_TAUS, FLOOR_ZETAS, run_preset
 from coopsgd.timeline import DelayModel, simulate_timeline, sync_cost
 
@@ -174,26 +175,60 @@ def test_criterion_05_averaged_model_recursion():
 # 6. General convergence bound envelopes the measured gradient norms
 # -------------------------------------------------------------------------
 
+def largest_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v: int,
+                             beta: float) -> float:
+    """The largest eta_tilde that meets the general `lr_condition`, by
+    bisection: its left side grows with the step, and is above 1 once
+    eta_tilde L reaches 1."""
+    def holds(eta_tilde):
+        return th.lr_condition(th.BoundInputs(
+            f1_minus_finf=0.0, lipschitz=lipschitz, sigma_sq=0.0, m=m, v=v, tau=tau,
+            zeta=zeta, eta=eta_tilde * (m + v) / m, steps=1, beta=beta))[1]
+
+    lo, hi = 0.0, 1.0 / lipschitz
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
 def test_criterion_06_convergence_bound_envelope(tmp_path):
     # each case runs as a spec through the path that publishes bounds, and
     # the measurement and its bound are read from the summary it writes;
-    # every case has the same seeds, so each run replaces the last one's files
+    # every case has the same seeds, so each run replaces the last one's files.
+    # Each topology runs without and with multiplicative noise (beta = 4, at
+    # 0.9 of the largest step the general condition allows), and a logistic
+    # problem runs at the logistic-gossip workload's sizes
     oracle = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
-    problem = {"type": "quadratic", "A": oracle.A.tolist(), "b": oracle.b.tolist(),
-               "sigma_sq": oracle.sigma_sq}
+
+    def quadratic(beta):
+        return {"type": "quadratic", "A": oracle.A.tolist(), "b": oracle.b.tolist(),
+                "sigma_sq": oracle.sigma_sq, "beta": beta}
+
     # horizons stay divisible by tau, so the tau=15 cell uses 20010 steps
-    cases = [
+    topologies = [
         ("tau=1 zeta=0",   1, mx.make_fully_connected(8), 0, 20000),
         ("tau=4 zeta=0",   4, mx.make_fully_connected(8), 0, 20000),
         ("tau=1 ring(4)",  1, mx.make_ring(4), 0, 20000),
         ("tau=1 elastic",  1, mx.make_easgd(8, 0.2), 1, 20000),
         ("tau=15 z=0.75", 15, mx.make_dense_with_zeta(7, 0.75), 0, 20010),
     ]
+    cases = [(name, quadratic(0.0), tau, w, v, steps,
+              th.max_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, w.n - v, v))
+             for name, tau, w, v, steps in topologies]
+    cases += [(f"{name} beta=4", quadratic(4.0), tau, w, v, steps,
+               largest_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, w.n - v, v, 4.0))
+              for name, tau, w, v, steps in topologies]
+    gossip = mx.make_dense_with_zeta(8, 0.5)
+    logistic = LogisticProblem.synthetic(1000, 20, 101, l2_reg=0.01, batch_size=8)
+    cases.append(("logistic tau=4 z=0.5",
+                  {"type": "logistic", "n": 1000, "d": 20, "seed": 101, "l2": 0.01, "batch": 8},
+                  4, gossip, 0, 1000,
+                  largest_stable_eta_tilde(logistic.lipschitz, 4, gossip.zeta, 8, 0, 0.0)))
     margins = []
-    for name, tau, w, v, steps in cases:
+    for name, problem, tau, w, v, steps, largest in cases:
         m = w.n - v
-        eta_tilde = 0.9 * th.max_stable_eta_tilde(oracle.lipschitz, tau, w.zeta, m, v)
-        eta = eta_tilde * (m + v) / m
+        eta = 0.9 * largest * (m + v) / m
         spec = parse_experiment_spec({
             "problem": problem,
             "algorithm": {"tau": tau, "eta": eta, "K": steps, "v": v, "init": 2.0,

@@ -32,9 +32,22 @@ from coopsgd.cli import (
     run_experiment,
     write_trace_csv,
 )
-from coopsgd.engine import METRIC_NAMES, RunTrace, record_block_rows, run_many, tail_start
-from coopsgd.mixing import make_easgd, make_fully_connected
-from coopsgd.objectives import LogisticProblem
+from coopsgd.engine import (
+    METRIC_NAMES,
+    AlgorithmConfig,
+    RunTrace,
+    record_block_rows,
+    run_many,
+    tail_start,
+)
+from coopsgd.mixing import (
+    best_generalized_elastic_alpha,
+    make_easgd,
+    make_fully_connected,
+    make_generalized_elastic,
+    make_ring,
+)
+from coopsgd.objectives import LogisticProblem, QuadraticProblem
 from coopsgd.timeline import simulate_timeline
 from reference_updates import PoisonedOracle
 from reference_writers import json_text, trace_csv_text
@@ -68,6 +81,11 @@ def traced_run_peak(spec_dict) -> tuple[int, cli.ExperimentSpec]:
         return tracemalloc.get_traced_memory()[1], spec
     finally:
         tracemalloc.stop()
+
+
+def echo_text(echo) -> str:
+    """An echo as the summary writer encodes it."""
+    return "".join(cli._json_batches(echo))
 
 
 def replace_at(spec, path: tuple, value):
@@ -197,15 +215,16 @@ class TestSpecParsing:
     ], ids=["quadratic", "logistic", "bare_delay", "int_init", "int_init_vector"])
     def test_round_trip_identical(self, tmp_path, path, payload, echo):
         # the echo fills in every default, writes every number as a float,
-        # and re-parses to itself
+        # and re-parses to itself, as the summary writer encodes it
         spec = quadratic_spec(tmp_path)
         if path:
             replace_at(spec, path, payload)
         first = parse_experiment_spec(spec)
-        second = parse_experiment_spec(json.loads(json.dumps(first.echo)))
-        assert second.echo == first.echo
+        text = echo_text(first.echo)
+        second = parse_experiment_spec(json.loads(text))
+        assert echo_text(second.echo) == text
         if path:
-            echoed = first.echo
+            echoed = json.loads(text)
             for key in path:
                 echoed = echoed[key]
             # 2 == 2.0 in Python, so compare the JSON text, where they differ
@@ -567,7 +586,8 @@ class TestRunExperiment:
 
     def test_memory_estimate_counts_the_summary_encoding(self, tmp_path):
         # the echo of a dense A at d = 512 puts 262,144 floats in summary.json;
-        # their encoded text at once (about 88 bytes an entry) would not fit
+        # their encoded text at once (about 88 bytes an entry), or A as Python
+        # floats (32 bytes an entry), would not fit
         rng = np.random.default_rng(0)
         g = rng.standard_normal((512, 512))
         a = g @ g.T / 512 + 0.1 * np.eye(512)
@@ -576,6 +596,32 @@ class TestRunExperiment:
         spec_dict["algorithm"]["K"] = 10
         peak, spec = traced_run_peak(spec_dict)
         assert peak <= spec.memory_bytes
+
+    def test_memory_estimate_counts_the_mixing_matrix(self, tmp_path):
+        # a 256-node ring at d = 1: the matrix, the echo's validated entries,
+        # the symmetry check's two temporaries and the summary's list of the
+        # entries (about 2 MB) outweigh the rest of the run
+        spec_dict = quadratic_spec(tmp_path, seeds=[1])
+        spec_dict["problem"].update(A=[[1.0]], b=[0.0])
+        spec_dict["algorithm"].update(tau=1, K=10, mixing={
+            "n": 256, "entries": make_ring(256).entries.reshape(-1).tolist()})
+        peak, spec = traced_run_peak(spec_dict)
+        assert peak <= spec.memory_bytes
+
+    def test_memory_estimate_fits_a_dense_matrix_at_d_4096(self):
+        # the wide-elastic shape (a 16-node ring and an elastic anchor, 4
+        # seeds, K = 3,000) at d = 4,096: A is charged once at 8 bytes an
+        # entry, beside its build's two temporaries, and not again for the
+        # echo. The estimate is computed without building the payload
+        ring = make_ring(16)
+        alpha, _ = best_generalized_elastic_alpha(ring.zeta, 16)
+        config = AlgorithmConfig(tau=1, mixing=make_generalized_elastic(ring, alpha), v=1,
+                                 eta=0.05, steps=3000, rule="pre")
+        d = 4096
+        need = cli.run_bytes(4, config, d,
+                             QuadraticProblem.run_bytes(d, 1.0, 0.0, 4, 17, 16, 3000),
+                             packed=False)
+        assert 24 * d * d < need <= cli.MEMORY_BUDGET_BYTES
 
     def test_memory_estimate_counts_one_csv_block(self, tmp_path):
         # at d = 2 and K = 20,000 the metric rows dominate; a whole trace CSV
@@ -655,6 +701,21 @@ class TestBlockWriters:
         cli._atomic_write_json(path, payload)
         assert path.read_bytes() == json_text(payload).encode()
 
+    def test_json_arrays(self, tmp_path):
+        # the echo's float64 arrays: a matrix, written a row at a time, a
+        # vector and an empty vector, as their nested lists of floats
+        rng = np.random.default_rng(3)
+        arrays = {"matrix": rng.standard_normal((3 * CSV_BLOCK_ROWS, 2)) * 1e300,
+                  "vector": np.array([-0.0, 5e-324, 1e16, 0.1]), "empty": np.zeros(0)}
+        path = tmp_path / "summary.json"
+        cli._atomic_write_json(path, {"echo": arrays})
+        lists = {key: value.tolist() for key, value in arrays.items()}
+        assert path.read_bytes() == json_text({"echo": lists}).encode()
+        # only arrays with axes are encoded
+        for value in (np.array(0.5), np.float32(0.5)):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                "".join(cli._json_batches({"z": value}))
+
     def test_unencodable_payload_leaves_the_old_file(self, tmp_path):
         # the object json cannot encode sorts after more than one batch of chunks
         out = tmp_path / "exp"
@@ -666,6 +727,31 @@ class TestBlockWriters:
             cli._atomic_write_json(out / "summary.json", payload)
         assert sorted(out.iterdir()) == names
         assert (out / "summary.json").read_bytes() == old
+
+    def test_dense_echo_is_canonical_json(self, tmp_path):
+        # a dense A at d = 64 with b != 0, an auxiliary column and an init
+        # vector: the echo holds the arrays the run uses, and summary.json is
+        # the canonical encoding of what it parses to
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((64, 64))
+        a = g @ g.T / 64 + 0.1 * np.eye(64)
+        spec_dict = quadratic_spec(tmp_path)
+        spec_dict["problem"].update(A=(0.5 * (a + a.T)).tolist(),
+                                    b=rng.standard_normal(64).tolist())
+        spec_dict["algorithm"].update(v=1, init=rng.standard_normal(64).tolist(), K=20,
+                                      mixing={"n": 4, "entries": make_easgd(3, 0.2).entries
+                                              .reshape(-1).tolist()})
+        spec = parse_experiment_spec(spec_dict)
+        assert spec.echo["problem"]["A"] is spec.oracle.A
+        assert spec.echo["problem"]["b"] is spec.oracle.b
+        assert spec.echo["algorithm"]["init"] is spec.x0
+        assert run_experiment(spec) == EXIT_OK
+        text = (tmp_path / "exp" / "summary.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        echo = json.loads(text)["config_echo"]
+        assert echo["problem"]["A"] == spec_dict["problem"]["A"]
+        assert echo["algorithm"]["init"] == spec_dict["algorithm"]["init"]
+        assert echo_text(parse_experiment_spec(echo).echo) == echo_text(spec.echo)
 
     def test_directory_destination_leaves_no_temporary(self, tmp_path):
         # the text is written, and the rename over the directory fails
@@ -867,6 +953,30 @@ class TestMainEntry:
                                 f"{str(tmp_path / in_the_way)!r}\n")
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("temporary", ["trace_seed11.csv.tmp", "summary.json.tmp"])
+    @pytest.mark.parametrize("target", ["somedir", "victim.txt", None],
+                             ids=["link-to-directory", "link-to-file", "stale-file"])
+    def test_temporary_in_the_way_is_replaced_not_followed(self, tmp_path, temporary, target):
+        # a temporary name belongs to the run: a stale temporary, or a link
+        # left there to a directory or to a file outside the output
+        # directory, is removed, and a link's target is never written
+        out = tmp_path / "exp"
+        out.mkdir()
+        (tmp_path / "somedir").mkdir()
+        (tmp_path / "victim.txt").write_text("keep\n")
+        if target is None:
+            (out / temporary).write_text("partial")
+        else:
+            (out / temporary).symlink_to(Path("..") / target)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(quadratic_spec(tmp_path)))
+        assert main(["run", str(path)]) == EXIT_OK
+        assert (tmp_path / "victim.txt").read_text() == "keep\n"
+        assert list((tmp_path / "somedir").iterdir()) == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "summary.json", "trace_mean.csv", "trace_seed11.csv", "trace_seed12.csv"]
+        assert all(p.is_file() and not p.is_symlink() for p in out.iterdir())
 
     def test_output_dir_under_symlink_to_directory(self, tmp_path):
         (tmp_path / "real").mkdir()

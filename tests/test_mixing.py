@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopsgd import mixing as mx
-from coopsgd.cli import SpecError, mixing_from_dict
+from coopsgd.cli import SpecError, _json_batches, mixing_from_dict
 
 from reference_mixing import (
     generalized_elastic_zeta,
@@ -332,13 +332,18 @@ class TestRandomDoublyStochastic:
 
 class TestSerialization:
     def test_round_trip(self):
-        # the payload's zeta is informational: the echo holds the recomputed one
+        # the payload's zeta is informational: the echo holds the recomputed
+        # one, and the validated entries as an array, which the summary
+        # writer turns back into the same JSON
         w = mx.make_easgd(4, 0.18)
         first, echo = mixing_from_dict({"n": 5, "entries": w.entries.reshape(-1).tolist(),
                                         "zeta": 0.5})
-        again, echo_again = mixing_from_dict(json.loads(json.dumps(echo)))
-        assert echo_again == echo
-        assert echo == {"n": 5, "entries": w.entries.reshape(-1).tolist(), "zeta": w.zeta}
+        text = "".join(_json_batches(echo))
+        again, echo_again = mixing_from_dict(json.loads(text))
+        assert "".join(_json_batches(echo_again)) == text
+        assert isinstance(echo["entries"], np.ndarray)
+        assert json.loads(text) == {"n": 5, "entries": w.entries.reshape(-1).tolist(),
+                                    "zeta": w.zeta}
         for m in (first, again):
             assert np.array_equal(m.entries, w.entries)
             assert m.zeta == w.zeta

@@ -1,12 +1,13 @@
 """Gradient oracles: exactness, noise contracts, certified constants."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from coopsgd import objectives
-from coopsgd.cli import SpecError, oracle_from_dict
+from coopsgd.cli import SpecError, _json_batches, oracle_from_dict
 from coopsgd.engine import AlgorithmConfig
 from coopsgd.mixing import make_fully_connected
 from coopsgd.objectives import LogisticProblem, OracleError, QuadraticProblem
@@ -501,6 +502,15 @@ class TestByteEstimates:
         estimate = QuadraticProblem.run_bytes(d, sigma_sq, beta, seeds, n, m, steps)
         assert peak <= estimate + FIXED_BYTES
 
+    def test_quadratic_build(self):
+        # at d = 512 without noise the symmetry check's two d x d temporaries
+        # (4 MiB) outweigh the run's stack
+        d = 512
+        A = np.diag(np.linspace(0.1, 1.0, d))
+        peak = self.peak(lambda: QuadraticProblem(A, np.zeros(d)), 1, d, 2, 1, 10)
+        assert peak > 16 * d * d
+        assert peak <= QuadraticProblem.run_bytes(d, 0.0, 0.0, 1, 2, 1, 10) + FIXED_BYTES
+
     @pytest.mark.parametrize("samples, d, batch, seeds, n, m, steps", [
         (1000, 20, 8, 4, 8, 8, 300),   # the logistic-gossip sizes, over three blocks
         (8, 1, 8, 20, 16, 16, 200),    # indices outweigh everything else at d = 1
@@ -540,16 +550,21 @@ class TestSerialization:
     CONFIG = AlgorithmConfig(tau=1, mixing=make_fully_connected(2), v=0, eta=0.1, steps=10)
 
     def read_twice(self, payload):
+        # through the summary writer, which encodes the echo's arrays
         first, echo, _ = oracle_from_dict(payload, 2, self.CONFIG)
-        again, echo_again, _ = oracle_from_dict(echo, 2, self.CONFIG)
-        assert echo_again == echo
+        text = "".join(_json_batches(echo))
+        again, echo_again, _ = oracle_from_dict(json.loads(text), 2, self.CONFIG)
+        assert "".join(_json_batches(echo_again)) == text
         return first, echo, again
 
     def test_quadratic_round_trip(self):
         q, echo, again = self.read_twice({"type": "quadratic", "A": [[1, 0], [0, 2]],
                                           "b": [0.5, -0.5], "sigma_sq": 1})
-        assert echo == {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.5, -0.5],
-                        "sigma_sq": 1.0, "beta": 0.0}
+        # the echo holds the oracle's own arrays, not a copy
+        assert echo["A"] is q.A and echo["b"] is q.b
+        assert json.loads("".join(_json_batches(echo))) == {
+            "type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.5, -0.5],
+            "sigma_sq": 1.0, "beta": 0.0}
         for p in (q, again):
             assert np.array_equal(p.A, np.diag([1.0, 2.0]))
             assert np.array_equal(p.b, [0.5, -0.5])
