@@ -48,7 +48,6 @@ from coopsgd.engine import (
     metric_bytes,
     run_many,
     run_many_bytes,
-    tail_start,
 )
 from coopsgd.mixing import MixingError, MixingMatrix, as_mixing, best_easgd_alpha
 from coopsgd.objectives import GradientOracle, LogisticProblem, OracleError, QuadraticProblem
@@ -73,11 +72,16 @@ EXIT_ALL_DIVERGED = 3
 # Bytes one run may hold at once; `parse_experiment_spec` rejects a spec whose
 # run would need more (see `run_bytes`) before it allocates anything large.
 MEMORY_BUDGET_BYTES = 2**30
+# Bytes that reading a spec file holds per byte of it, from above: a list in a
+# list takes 88 for its 2 bytes of text, and the text up to 4 bytes a byte.
+SPEC_FILE_FACTOR = 50
 TRACE_CSV_COLUMNS = ["k", "loss", "grad_norm_sq", "network_error", "wall_clock_s"]
 # Rows of a trace CSV formatted per write, and chunks of the JSON encoder
 # joined per write: the output files are written in blocks of this many items,
 # so writing one costs a constant number of bytes, not the file's size.
 CSV_BLOCK_ROWS = 1024
+# A run's files, as globs: parsing refuses a directory among them, and a run deletes stale ones
+RUN_FILE_GLOBS = ("trace_seed*.csv", "trace_mean.csv", "summary.json")
 
 
 class SpecError(ValueError):
@@ -152,31 +156,28 @@ def _numbers(value, where: str, ndim: int) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int, *,
-              packed: bool) -> int:
-    """Peak bytes of one run of `config` on `n_seeds` seeds in dimension d, from above.
+def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int, oracle) -> int:
+    """Peak bytes of one run of `config` on `oracle`, `n_seeds` seeds and dimension d, from above.
 
     `problem_bytes` (the oracle's own `run_bytes`) and 32 bytes a mixing
     entry (the matrix, the validated entries that the echo keeps, and the
     two n x n temporaries of `as_mixing`'s symmetry check), plus the larger
     of two phases that never overlap, whatever the seed count: `run_many`,
-    with its `run_many_bytes` (recording blocks of whole packs when
-    `packed`, for an oracle whose sampler reads no gradients), and what
-    `run_experiment` holds once it returns. That is the metric arrays
-    (`metric_bytes`), and the larger of two phases that never overlap
-    either:
+    with its `run_many_bytes`, and what `run_experiment` holds once it
+    returns. That is the metric arrays (`metric_bytes`), and the larger of
+    two phases that never overlap either:
 
     - a timeline's simulation: its `simulate_timeline_bytes`, while the
       running sum of the completed seeds' wall clocks (8 bytes a row) and
       the last seed's timeline (16 bytes a row) are held;
-    - the writing of the trace CSVs, at most 131 bytes a row and 16 more a
-      tail row: that timeline, that sum and its mean (32 bytes), the seed
-      mean of the metrics that `average_traces` sums into (24 bytes, and the
-      worker metrics' 16 a tail row), and three clock texts (75 bytes): the
-      `ClockText` of a timeline that every seed shares, and the seed mean's
-      as its blocks and as the string they are joined into. A float's repr
-      has at most 23 characters, so a text takes at most 24 bytes a row and a
-      string header per block, within 25 bytes a row.
+    - the writing of the trace CSVs: the seed mean's metric arrays, which
+      `average_traces` sums into (`metric_bytes` of one seed), and at most
+      107 bytes a row: that timeline, that sum and its mean (32 bytes), and
+      three clock texts (75 bytes): the `ClockText` of a timeline that every
+      seed shares, and the seed mean's as its blocks and as the string they
+      are joined into. A float's repr has at most 23 characters, so a text
+      takes at most 24 bytes a row and a string header per block, within 25
+      bytes a row.
 
     Writing the outputs adds a constant, whatever K: one block of
     CSV_BLOCK_ROWS trace rows as Python text (512 bytes a row) plus one
@@ -190,20 +191,16 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
     n, m, K = config.mixing.n, config.m, config.steps
     after_run = (metric_bytes(n_seeds, K)
                  + max(simulate_timeline_bytes(K, config.tau, n, m) + 24 * (K + 1),
-                       131 * (K + 1) + 16 * (K + 1 - tail_start(K)))
+                       107 * (K + 1) + metric_bytes(1, K))
                  + CSV_BLOCK_ROWS * (512 + 256) + max(32 * n * n, 152 * d))
-    return problem_bytes + 32 * n * n + max(run_many_bytes(n_seeds, d, n, m, K, packed),
+    return problem_bytes + 32 * n * n + max(run_many_bytes(n_seeds, d, n, m, K, oracle),
                                             after_run)
 
 
-def _check_memory(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
-                  oracle_class: type[GradientOracle]) -> int:
-    """The run's `run_bytes` with an `oracle_class` oracle, which must fit in
-    MEMORY_BUDGET_BYTES."""
-    need = run_bytes(n_seeds, config, d, problem_bytes,
-                     packed=not oracle_class.sampler_reads_gradients)
+def _check_memory(what: str, need: int) -> int:
+    """`need`, the bytes that `what` needs, which must fit in MEMORY_BUDGET_BYTES."""
     if need > MEMORY_BUDGET_BYTES:
-        raise SpecError(f"the run needs about {need >> 20} MiB, over the memory budget "
+        raise SpecError(f"{what} needs about {need >> 20} MiB, over the memory budget "
                         f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
     return need
 
@@ -225,9 +222,9 @@ def oracle_from_dict(payload, n_seeds: int,
         A, b = _numbers(p["A"], "'A'", 2), _numbers(p["b"], "'b'", 1)
         sigma_sq = _number(p.get("sigma_sq", 0.0), "'sigma_sq'")
         beta = _number(p.get("beta", 0.0), "'beta'")
-        need = _check_memory(n_seeds, config, b.size,
-                             QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape),
-                             QuadraticProblem)
+        need = _check_memory("the run", run_bytes(
+            n_seeds, config, b.size, QuadraticProblem.run_bytes(b.size, sigma_sq, beta, *shape),
+            QuadraticProblem))
         # the oracle keeps these float64 arrays themselves, so A is held once
         return QuadraticProblem(A, b, sigma_sq=sigma_sq, beta=beta), {
             "type": "quadratic", "A": A, "b": b, "sigma_sq": sigma_sq, "beta": beta}, need
@@ -237,9 +234,9 @@ def oracle_from_dict(payload, n_seeds: int,
         seed = _int(p["seed"], "logistic 'seed'", 0)
         l2 = _number(p.get("l2", 0.01), "'l2'")
         batch = _int(p.get("batch", 8), "logistic 'batch'", 1)
-        need = _check_memory(n_seeds, config, d,
-                             LogisticProblem.run_bytes(samples, d, batch, *shape),
-                             LogisticProblem)
+        need = _check_memory("the run", run_bytes(
+            n_seeds, config, d, LogisticProblem.run_bytes(samples, d, batch, *shape),
+            LogisticProblem))
         return LogisticProblem.synthetic(samples, d, seed, l2_reg=l2, batch_size=batch), {
             "type": "logistic", "n": samples, "d": d, "seed": seed, "l2": l2,
             "batch": batch}, need
@@ -309,8 +306,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise SpecError(f"'output_dir' cannot be created: {exc}") from exc
     if not stat.S_ISDIR(mode):
         raise SpecError(f"'output_dir' is not a directory: {output_dir!r}")
-    # a directory where the run writes or deletes a file would stop it
-    _refuse_directories(output_dir, ("trace_seed*.csv", "trace_mean.csv", "summary.json"))
+    _output_entries(output_dir, RUN_FILE_GLOBS)  # refuses a directory in the run's way
 
     try:
         mixing, mixing_echo = mixing_from_dict(algo["mixing"])
@@ -345,15 +341,20 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     )
 
 
-def _refuse_directories(directory, patterns) -> None:
-    """Raise SpecError if `directory` holds a directory (not a symlink) named by
-    a glob of `patterns`, or by one with ".tmp" added. A directory that is
-    missing or cannot be listed is not checked, as the stale sweep skips it."""
+def _output_entries(directory, patterns):
+    """The entries, dangling symlinks too, of one listing of `directory` that
+    a glob of `patterns` names, or one with ".tmp" added (none if it cannot be
+    listed), filtered lazily, so that a parse matches no file name. Raises
+    SpecError at once for a directory (not a symlink): it stops a writer."""
+    def named(entry: os.DirEntry) -> bool:
+        return any(fnmatchcase(entry.name.removesuffix(".tmp"), p) for p in patterns)
+    listed = []
     with contextlib.suppress(OSError), os.scandir(directory) as entries:
         for entry in entries:
-            name = entry.name.removesuffix(".tmp")
-            if entry.is_dir(follow_symlinks=False) and any(fnmatchcase(name, p) for p in patterns):
+            if entry.is_dir(follow_symlinks=False) and named(entry):
                 raise SpecError(f"a directory stands where a file is written: {entry.path!r}")
+            listed.append(entry)
+    return filter(named, listed)
 
 
 def _write_text_atomic(path, chunks) -> None:
@@ -484,7 +485,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
     `trace_mean.csv` holds. The output directory is created only once the
     seeds have run, so a spec that `run_many` rejects leaves nothing behind.
     Trace CSVs left in it by an earlier run that this run does not write are
-    deleted, and so are their temporaries, which an interrupted run leaves.
+    deleted, files or symlinks alike, and so are the temporaries that an
+    interrupted run leaves, all found in one listing of the directory.
     Without jitter every seed has the same timeline, which is simulated and
     formatted once and written into each seed's CSV; a jittered delay model
     gets one timeline per seed, each simulated once more before the
@@ -514,7 +516,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     shared_clock = None if shared is None else ClockText(shared.cumulative)
-    written = set()
     timeline_dict = None
     clock_sum = 0.0  # the completed seeds' clocks, added in seed order from zero like the metrics
     for seed, trace in zip(spec.seeds, traces):
@@ -523,22 +524,21 @@ def run_experiment(spec: ExperimentSpec) -> int:
             timeline_dict = timeline.to_dict()
         if not trace.diverged:
             clock_sum += timeline.cumulative  # a new array on the first add, then in place
-        path = out / f"trace_seed{seed}.csv"
         write_trace_csv(trace, shared_clock if shared is not None
-                        else ClockText(timeline.cumulative[:trace.rows]), path)
-        written.add(path)
+                        else ClockText(timeline.cumulative[:trace.rows]),
+                        out / f"trace_seed{seed}.csv")
 
     completed = [t for t in traces if not t.diverged]
     completed_seeds = [s for s, t in zip(spec.seeds, traces) if not t.diverged]
+    keep = {"summary.json", *(f"trace_seed{seed}.csv" for seed in spec.seeds)}
     mean = None
     if completed:
         mean = average_traces(completed)
         write_trace_csv(mean, ClockText(clock_sum / len(completed)), out / "trace_mean.csv")
-        written.add(out / "trace_mean.csv")
-    stale = {*out.glob("trace_seed*.csv"), *out.glob("trace_seed*.csv.tmp"),
-             *out.glob("trace_mean.csv"), *out.glob("trace_mean.csv.tmp")} - written
-    for path in stale:
-        path.unlink()
+        keep.add("trace_mean.csv")
+    for entry in _output_entries(out, RUN_FILE_GLOBS):
+        if entry.name not in keep:
+            os.unlink(entry.path)
 
     summary = {
         "mean_grad_norm_sq": mean.mean_grad_norm_sq if completed else None,
@@ -577,6 +577,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load_spec_file(path: str) -> ExperimentSpec:
     try:
         with open(path) as fh:
+            _check_memory("the spec file", SPEC_FILE_FACTOR * os.fstat(fh.fileno()).st_size)
             payload = json.load(fh, object_pairs_hook=_unique_keys)
     except SpecError:  # a ValueError, which the next clause would take for bad JSON
         raise

@@ -201,13 +201,13 @@ def record_row_bytes(n_seeds: int, d: int, n: int) -> int:
     return 8 * n_seeds * ((2 * n + 3) * d + n + 1)
 
 
-def record_block_rows(n_seeds: int, d: int, n: int, steps: int, packed: bool = False) -> int:
-    """Rows per recording block: as many as RECORD_BLOCK_BYTES holds, at
-    least one and at most `steps`. A run whose evaluations are `packed` (its
-    sampler reads no gradients, see `run_many`) rounds that down to whole
-    packs of n + 1 rows, and at least one pack."""
+def record_block_rows(n_seeds: int, d: int, n: int, steps: int, oracle) -> int:
+    """Rows per recording block on `oracle` (an oracle or its class): as many
+    as RECORD_BLOCK_BYTES holds, at least one and at most `steps`. An oracle
+    whose sampler reads no gradients packs its evaluations (see `run_many`),
+    so its blocks round that down to whole packs of n + 1 rows, at least one."""
     rows = max(1, RECORD_BLOCK_BYTES // record_row_bytes(n_seeds, d, n))
-    if packed:
+    if not oracle.sampler_reads_gradients:
         rows = max(n + 1, rows - rows % (n + 1))
     return min(steps, rows)
 
@@ -218,17 +218,16 @@ def metric_bytes(n_seeds: int, steps: int) -> int:
     return n_seeds * (24 * (steps + 1) + 16 * (steps + 1 - tail_start(steps)))
 
 
-def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int,
-                   packed: bool = False) -> int:
-    """Bytes `run_many` holds besides the oracle's, from above: the metric
-    arrays (`metric_bytes`), each stream's generator (under 1 KiB), the
-    recording block of `record_block_rows(..., packed)` rows with its five
-    metrics and the masks and row indices that find its dead seeds (56 bytes
-    a seed and row), the evaluated stack of the columns and their mean, and
-    three (seeds, d, n + 1) step arrays (the state, the step's gradients, and
-    the mixed state or the scaled gradients). All but the metric arrays are
-    freed when `run_many` returns."""
-    rows = record_block_rows(n_seeds, d, n, steps, packed)
+def run_many_bytes(n_seeds: int, d: int, n: int, m: int, steps: int, oracle) -> int:
+    """Bytes `run_many` holds on `oracle` besides the oracle's, from above:
+    the metric arrays (`metric_bytes`), each stream's generator (under 1
+    KiB), the recording block of `record_block_rows(..., oracle)` rows with
+    its five metrics and the masks and row indices that find its dead seeds
+    (56 bytes a seed and row), the evaluated stack of the columns and their
+    mean, and three (seeds, d, n + 1) step arrays (the state, the step's
+    gradients, and the mixed state or the scaled gradients). All but the
+    metric arrays are freed when `run_many` returns."""
+    rows = record_block_rows(n_seeds, d, n, steps, oracle)
     return (metric_bytes(n_seeds, steps)
             + 1024 * n_seeds * m + 32 * n_seeds * d * (n + 1)
             + rows * (record_row_bytes(n_seeds, d, n) + 56 * n_seeds))
@@ -311,7 +310,7 @@ def run_many(config: AlgorithmConfig, oracle, seeds: list[int], x0=1.0) -> list[
     # all seeds is one GEMM
     evaluated = np.empty((d, n_seeds, n + 1)).transpose(1, 0, 2)
 
-    block = record_block_rows(n_seeds, d, n, K, packed=not reads_grads)
+    block = record_block_rows(n_seeds, d, n, K, oracle)
     xbars = np.empty((block + 1, n_seeds, d))  # row 0: the mean before the block
     gbar = np.empty((block, n_seeds, d))
     vals_blk = np.empty((block, n_seeds, n + 1))

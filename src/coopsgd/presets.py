@@ -248,14 +248,14 @@ def run_preset(name: str, out_dir: str, seeds: list[int] | None = None) -> dict:
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     from coopsgd.cli import (MEMORY_BUDGET_BYTES, SpecError, _atomic_write_json,
-                             _refuse_directories, parse_experiment_spec)
+                             _output_entries, parse_experiment_spec)
 
     if name not in PRESETS:
         raise SpecError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     seeds = list(DEFAULT_SEEDS) if seeds is None else list(seeds)
     cells = {cfg_name: parse_experiment_spec(payload)
              for cfg_name, payload in PRESETS[name](out_dir, seeds)}
-    _refuse_directories(out_dir, ("preset_summary.json",))
+    _output_entries(out_dir, ("preset_summary.json",))  # refuses a directory in its way
     results: dict[str, dict] = dict.fromkeys(cells)
     # each cell fit in the budget at parse, so at least one process runs
     largest = max(spec.memory_bytes for spec in cells.values())

@@ -461,7 +461,10 @@ class TestRunExperiment:
         assert run_experiment(parse_experiment_spec(quadratic_spec(tmp_path, seeds=[1]))) == EXIT_OK
         assert sorted(f.name for f in out.iterdir()) == [
             "notes.tmp", "summary.json", "trace_mean.csv", "trace_seed1.csv"]
-        (out / "trace_mean.csv.tmp").write_text("partial")
+        # a dangling symlink under a name the run deletes is deleted as well
+        (out / "trace_mean.csv").unlink()
+        for name in ("trace_mean.csv", "trace_mean.csv.tmp"):
+            (out / name).symlink_to(tmp_path / "missing")
         diverging = quadratic_spec(tmp_path, seeds=[4])
         diverging["algorithm"].update(eta=3.0, K=5000, tau=1)
         assert run_experiment(parse_experiment_spec(diverging)) == EXIT_ALL_DIVERGED
@@ -557,11 +560,13 @@ class TestRunExperiment:
         spec_dict = quadratic_spec(tmp_path, seeds=list(range(20)))
         spec_dict["problem"] = {"type": "logistic", "n": 8, "d": 1, "seed": 3, "batch": 8}
         spec_dict["algorithm"].update(K=200, mixing={"n": 16, "entries": [1 / 16] * 256})
-        assert record_block_rows(20, 1, 16, 200) == 31 and tail_start(200) == 160
-        assert record_block_rows(20, 1, 16, 200, packed=True) == 17
+        assert record_block_rows(20, 1, 16, 200, QuadraticProblem) == 31
+        assert tail_start(200) == 160
+        assert record_block_rows(20, 1, 16, 200, LogisticProblem) == 17
         peak, spec = traced_run_peak(spec_dict)
         assert peak <= spec.memory_bytes == cli.run_bytes(
-            20, spec.config, 1, LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200), packed=True)
+            20, spec.config, 1, LogisticProblem.run_bytes(8, 1, 8, 20, 16, 16, 200),
+            LogisticProblem)
 
     def test_memory_estimate_counts_one_seed_mean(self, tmp_path):
         # a noiseless quadratic draws no noise block, so at d = 2 and K = 5000
@@ -620,7 +625,7 @@ class TestRunExperiment:
         d = 4096
         need = cli.run_bytes(4, config, d,
                              QuadraticProblem.run_bytes(d, 1.0, 0.0, 4, 17, 16, 3000),
-                             packed=False)
+                             QuadraticProblem)
         assert 24 * d * d < need <= cli.MEMORY_BUDGET_BYTES
 
     def test_memory_estimate_counts_one_csv_block(self, tmp_path):
@@ -663,6 +668,55 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: the run needs about ") and err.count("\n") == 1
         assert not out.exists() and not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda _: "{" + ",".join(f'"{i}":0' for i in range(50_000)) + "}",
+        lambda _: "[" + ",".join(["{}"] * 100_000) + "]",
+        lambda _: "[" + ",".join(["[0]"] * 100_000) + "]",
+        lambda _: "[" + ",".join(["0.5"] * 100_000) + "]",
+        lambda _: "[" + ",".join(["0.12345678901234567"] * 20_000) + "]",
+        # a list holding one list takes 88 bytes for its 2 bytes of text, and
+        # one character beyond the BMP makes the whole text 4 bytes a character
+        lambda _: '["\U0001F600",' + ",".join(["[" * 500 + "]" * 500] * 300) + "]",
+        lambda _: "[" + ",".join(['{"":' * 500 + "0" + "}" * 500] * 100) + "]",
+        # a valid spec: each 0 of A takes 2 bytes of text, and its parse holds
+        # A and the symmetry check's temporaries beside the payload
+        lambda tmp_path: json.dumps(quadratic_spec(tmp_path, problem={
+            "type": "quadratic", "A": [[0] * 400] * 400, "b": [0] * 400}), separators=",:"),
+    ], ids=["keys", "objects", "lists", "halves", "digits", "nested-lists", "nested-objects",
+            "dense"])
+    def test_spec_file_factor_covers_reading_it(self, tmp_path, make):
+        path = tmp_path / "spec.json"
+        path.write_text(make(tmp_path), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(SpecError):
+                cli._load_spec_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.SPEC_FILE_FACTOR * path.stat().st_size
+
+    def test_oversized_spec_file_refused_unread(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(quadratic_spec(tmp_path)))
+        cap = cli.SPEC_FILE_FACTOR * path.stat().st_size
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the spec file was read")
+
+        monkeypatch.setattr(json, "load", unread)
+        monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", cap - 1)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith("error: the spec file needs about ") and err.count("\n") == 1
+        monkeypatch.undo()
+        # at the cap the file is read, and then the run's estimate is over the budget
+        monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", cap)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: the run needs about ")
+        assert not (tmp_path / "exp").exists()
 
 
 class TestBlockWriters:
@@ -872,6 +926,23 @@ class TestMainEntry:
         ["run", "{repeated_nested}"],
         ["bounds", "--tau", "2", "--zeta", "-1"],
         ["bounds", "--tau", "2", "--zeta", "nan"],
+        ["bounds", *BOUND_ARGS, "--f1-minus-finf", "-1"],
+        ["bounds", *BOUND_ARGS, "--lipschitz", "0"],
+        ["bounds", *BOUND_ARGS, "--sigma-sq", "-1"],
+        ["bounds", *BOUND_ARGS, "--m", "0"],
+        ["bounds", *BOUND_ARGS, "--eta", "0"],
+        ["bounds", *BOUND_ARGS, "--K", "0"],
+        ["run", "{zero_steps}"],
+        ["run", "{many_nodes}"],
+        ["run", "{negative_l2}"],
+        ["run", "{batch_over_n}"],
+        ["run", "{huge_integer}"],
+        ["run", "{truncated}"],
+        ["run", "{not_utf8}"],
+        ["run", "{too_deep}"],
+        ["bounds", "--tau", "x"],  # usage errors, which argparse ends itself
+        ["nonesuch"],
+        [],
     ])
     def test_invalid_input_exits_two_with_one_line(self, tmp_path, capsys, argv):
         a_file = tmp_path / "a_file"
@@ -889,19 +960,37 @@ class TestMainEntry:
             "out_unencodable": quadratic_spec(tmp_path, output_dir=str(tmp_path / "exp\ud800")),
             "out_dangling": quadratic_spec(tmp_path, output_dir=str(dangling)),
             "out_under_dangling": quadratic_spec(tmp_path, output_dir=str(dangling / "sub")),
+            "zero_steps": quadratic_spec(tmp_path),
+            "many_nodes": quadratic_spec(tmp_path),
+            "negative_l2": quadratic_spec(tmp_path, problem={
+                "type": "logistic", "n": 8, "d": 2, "seed": 0, "l2": -1}),
+            "batch_over_n": quadratic_spec(tmp_path, problem={
+                "type": "logistic", "n": 8, "d": 2, "seed": 0, "batch": 9}),
+            "huge_integer": quadratic_spec(tmp_path),
         }
         specs["nonfinite"]["algorithm"]["init"] = 1e200  # the objective overflows at x0
+        specs["zero_steps"]["algorithm"]["K"] = 0
+        specs["many_nodes"]["algorithm"]["mixing"] = {"n": 257, "entries": [0] * 257**2}
+        specs["huge_integer"]["algorithm"]["eta"] = 10**400  # beyond the float range
         paths = {"out": tmp_path / "out", "a_file": a_file, "dangling": dangling}
         texts = {name: json.dumps(payload) for name, payload in specs.items()}
         valid = json.dumps(quadratic_spec(tmp_path))
         texts["repeated_top"] = valid[:-1] + ', "seeds": [2, 3]}'
         texts["repeated_nested"] = valid.replace('"sigma_sq": 1.0',
                                                  '"sigma_sq": 1.0, "sigma_sq": 2.0')
+        texts["truncated"] = valid[:-5]
+        texts["too_deep"] = "[" * 100_000 + "]" * 100_000  # past the recursion limit
         for name, text in texts.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(text)
+        paths["not_utf8"] = tmp_path / "not_utf8.json"
+        paths["not_utf8"].write_bytes(valid.encode().replace(b"quadratic", b"quadr\xffatic"))
         argv = [a.format(**paths) for a in argv]
-        assert main(argv) == EXIT_INVALID
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends a usage error itself
+            code = exc.code
+        assert code == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""

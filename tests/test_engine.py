@@ -351,7 +351,7 @@ class TestBlockedRecording:
         block_steps(cfg, q, [7, 8, 9])
         recorder = RecordingOracle(PoisonedOracle(q, {5: 1}))
         eng.run_many(cfg, recorder, [7, 8, 9], x0=1.0)
-        block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
+        block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps, QuadraticProblem)
         parked = self.block_end(cfg, block, 5)  # the step whose block finds it dead
         sampled = [grads[1] for grads in recorder.sampled_grads]
         assert all(not np.isfinite(g).all() for g in sampled[5:parked])
@@ -368,7 +368,7 @@ class TestBlockedRecording:
         traces = self.assert_same(cfg, q, [1, 2, 3], engine_oracle=recorder)
         assert all(t.diverged for t in traces)
         # the run stops at the end of the block holding the last first bad row
-        block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps)
+        block = eng.record_block_rows(3, q.d, cfg.mixing.n, cfg.steps, QuadraticProblem)
         last = max(t.rows for t in traces)
         assert len(recorder.worker_columns) == self.block_end(cfg, block, last)
 
@@ -390,8 +390,8 @@ class TestByteEstimate:
         cfg = eng.AlgorithmConfig(tau=1, mixing=mixing, v=v, eta=0.01, steps=steps, rule=rule)
         peak = traced_peak(lambda: eng.run_many(cfg, q, list(range(n_seeds))))
         shape = (n_seeds, mixing.n, cfg.m, steps)
-        estimate = eng.run_many_bytes(n_seeds, d, *shape[1:]) + QuadraticProblem.run_bytes(
-            d, 0.0, 0.0, *shape) - q.A.nbytes
+        estimate = (eng.run_many_bytes(n_seeds, d, *shape[1:], QuadraticProblem)
+                    + QuadraticProblem.run_bytes(d, 0.0, 0.0, *shape) - q.A.nbytes)
         assert peak <= estimate + FIXED_BYTES
 
 
