@@ -17,7 +17,7 @@ configuration is the main reproducibility hazard. So are keys that a spec
 file repeats anywhere, of which JSON parsing would keep the last value, and
 every number must be a finite JSON number. Each reader returns, with the
 object it builds, an echo of the values it validated, defaults filled in
-and arrays held as the validated float64 arrays themselves; a run's
+and arrays held as the float64 arrays that the run uses; a run's
 `summary.json` writes it as `config_echo`, one array row at a time, and that
 re-parses to the same experiment. The domain constructors keep their
 semantic checks (symmetry, PSD, row sums, K % tau), and their errors surface
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fnmatch import fnmatchcase
 from itertools import accumulate, islice
 from pathlib import Path
@@ -160,12 +161,12 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
     """Peak bytes of one run of `config` on `oracle`, `n_seeds` seeds and dimension d, from above.
 
     `problem_bytes` (the oracle's own `run_bytes`) and 32 bytes a mixing
-    entry (the matrix, the validated entries that the echo keeps, and the
-    two n x n temporaries of `as_mixing`'s symmetry check), plus the larger
-    of two phases that never overlap, whatever the seed count: `run_many`,
-    with its `run_many_bytes`, and what `run_experiment` holds once it
-    returns. That is the metric arrays (`metric_bytes`), and the larger of
-    two phases that never overlap either:
+    entry (at parse time, the validated entries, the matrix that the run
+    uses and the echo keeps, and the two n x n temporaries of `as_mixing`'s
+    symmetry check), plus the larger of two phases that never overlap,
+    whatever the seed count: `run_many`, with its `run_many_bytes`, and what
+    `run_experiment` holds once it returns. That is the metric arrays
+    (`metric_bytes`), and the larger of two phases that never overlap either:
 
     - a timeline's simulation: its `simulate_timeline_bytes`, while the
       running sum of the completed seeds' wall clocks (8 bytes a row) and
@@ -200,7 +201,7 @@ def run_bytes(n_seeds: int, config: AlgorithmConfig, d: int, problem_bytes: int,
 def _check_memory(what: str, need: int) -> int:
     """`need`, the bytes that `what` needs, which must fit in MEMORY_BUDGET_BYTES."""
     if need > MEMORY_BUDGET_BYTES:
-        raise SpecError(f"{what} needs about {need >> 20} MiB, over the memory budget "
+        raise SpecError(f"{what} needs about {-(-need >> 20)} MiB, over the memory budget "
                         f"of {MEMORY_BUDGET_BYTES >> 20} MiB")
     return need
 
@@ -245,7 +246,8 @@ def oracle_from_dict(payload, n_seeds: int,
 
 def mixing_from_dict(payload) -> tuple[MixingMatrix, dict]:
     """Build a matrix from a {"n", "entries", "zeta"} object; returns it and
-    its echo. `zeta` is informational: the echo holds the recomputed one."""
+    its echo, whose entries are a flat view of the matrix's. `zeta` is
+    informational: the echo holds the recomputed one."""
     p = _object(payload, "mixing", {"n", "entries"}, {"zeta"})
     n = _int(p["n"], "mixing 'n'", 1)
     flat = _numbers(p["entries"], "mixing 'entries'", 1)
@@ -254,7 +256,7 @@ def mixing_from_dict(payload) -> tuple[MixingMatrix, dict]:
     if flat.size != n * n:
         raise SpecError(f"mixing 'entries' must hold n*n values for n={n}, got {flat.size}")
     mixing = as_mixing(flat.reshape(n, n))
-    return mixing, {"n": n, "entries": flat, "zeta": mixing.zeta}
+    return mixing, {"n": n, "entries": mixing.entries.reshape(-1), "zeta": mixing.zeta}
 
 
 def delay_from_dict(payload) -> tuple[DelayModel, dict]:
@@ -574,11 +576,22 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
+def _read_spec_text(path: str) -> str:
+    """A spec file's text. Its bytes are counted against the budget as each
+    chunk comes, so a file, a redirect, a pipe or a FIFO is refused at most
+    one chunk past the cap; the chunks are freed before the text is parsed."""
+    chunks, size = [], 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(io.DEFAULT_BUFFER_SIZE):
+            size += len(chunk)
+            _check_memory("the spec file", SPEC_FILE_FACTOR * size)
+            chunks.append(chunk)
+    return b"".join(chunks).decode("utf-8")
+
+
 def _load_spec_file(path: str) -> ExperimentSpec:
     try:
-        with open(path) as fh:
-            _check_memory("the spec file", SPEC_FILE_FACTOR * os.fstat(fh.fileno()).st_size)
-            payload = json.load(fh, object_pairs_hook=_unique_keys)
+        payload = json.loads(_read_spec_text(path), object_pairs_hook=_unique_keys)
     except SpecError:  # a ValueError, which the next clause would take for bad JSON
         raise
     except OSError as exc:
@@ -613,27 +626,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         require_subunit_zeta(args.zeta)
     if args.best_easgd_alpha and args.m is None:
         raise SpecError("--best-easgd-alpha requires --m")
-    core = (args.f1_minus_finf, args.lipschitz, args.sigma_sq, args.m,
-            args.tau, args.zeta, args.eta, args.K)
+    inputs = {f.name: getattr(args, f.name) for f in fields(BoundInputs)}
     if args.tau is not None:
         output["zeta_threshold"] = zeta_threshold(args.tau)
     if args.best_easgd_alpha:
         alpha, zeta = best_easgd_alpha(args.m)
         output["best_easgd_alpha"] = {"alpha": alpha, "zeta": zeta}
-    if all(x is not None for x in core):
-        inputs = BoundInputs(
-            f1_minus_finf=args.f1_minus_finf,
-            lipschitz=args.lipschitz,
-            sigma_sq=args.sigma_sq,
-            m=args.m,
-            v=args.v,
-            tau=args.tau,
-            zeta=args.zeta,
-            eta=args.eta,
-            steps=args.K,
-            beta=args.beta,
-        )
-        output["bound_report"] = theorem1_bound(inputs).to_dict()
+    if None not in inputs.values():
+        output["bound_report"] = theorem1_bound(BoundInputs(**inputs)).to_dict()
     if not output:
         raise SpecError("nothing to compute; pass --tau, --best-easgd-alpha, or the full "
                         "bound inputs (--f1-minus-finf --lipschitz --sigma-sq --m --tau --zeta "
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--tau", type=int, default=None)
     p_bnd.add_argument("--zeta", type=float, default=None)
     p_bnd.add_argument("--eta", type=float, default=None)
-    p_bnd.add_argument("--K", type=int, default=None)
+    p_bnd.add_argument("--K", dest="steps", metavar="K", type=int, default=None)
     p_bnd.add_argument("--best-easgd-alpha", action="store_true",
                        help="also print the optimal elastic parameter for --m workers")
     p_bnd.set_defaults(func=cmd_bounds)

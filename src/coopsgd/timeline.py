@@ -138,11 +138,8 @@ def simulate_timeline(steps: int, tau: int, mixing: MixingMatrix, delay: DelayMo
     """
     if steps < 1 or tau < 1 or steps % tau != 0:
         raise TimelineError("steps must be a positive multiple of tau")
-    m = mixing.n - v
-    if m < 1:
-        raise TimelineError("need at least one worker")
-    rounds = steps // tau
-    cost = sync_cost(mixing, delay, v=v)
+    cost = sync_cost(mixing, delay, v=v)  # rejects a v that leaves no worker
+    m, rounds = mixing.n - v, steps // tau
 
     per_iteration = np.empty(steps)
     # an overflow leaves an infinite or NaN time, which is rejected below

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -702,10 +703,10 @@ class TestRunExperiment:
         path.write_text(json.dumps(quadratic_spec(tmp_path)))
         cap = cli.SPEC_FILE_FACTOR * path.stat().st_size
 
-        def unread(*args, **kwargs):
-            raise AssertionError("the spec file was read")
+        def unparsed(*args, **kwargs):
+            raise AssertionError("the spec file was parsed")
 
-        monkeypatch.setattr(json, "load", unread)
+        monkeypatch.setattr(json, "loads", unparsed)
         monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", cap - 1)
         for command in ("validate", "run"):
             assert main([command, str(path)]) == EXIT_INVALID
@@ -716,6 +717,39 @@ class TestRunExperiment:
         monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", cap)
         assert main(["validate", str(path)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: the run needs about ")
+        assert not (tmp_path / "exp").exists()
+
+    def test_spec_through_a_fifo_is_capped_as_it_is_read(self, tmp_path, capsys, monkeypatch):
+        # a FIFO, like a pipe, has no size to stat: the cap counts the bytes
+        # read, and the writer sees the reader stop
+        small = json.dumps(quadratic_spec(tmp_path))
+        fifo = tmp_path / "spec.fifo"
+        os.mkfifo(fifo)
+
+        def main_fed(command, text):
+            def write():
+                with contextlib.suppress(BrokenPipeError), open(fifo, "w") as fh:
+                    fh.write(text)
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            code = main([command, str(fifo)])
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            return code
+
+        monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", 2**20)
+        big = small[:-1] + " " * (4 * 2**20 // cli.SPEC_FILE_FACTOR) + "}"
+        # reading stops at most one chunk past the cap
+        read_most = 2**20 // cli.SPEC_FILE_FACTOR + io.DEFAULT_BUFFER_SIZE
+        for command in ("validate", "run"):
+            assert main_fed(command, big) == EXIT_INVALID
+            err = capsys.readouterr().err
+            need = int(err.removeprefix("error: the spec file needs about ").split(" ")[0])
+            assert 1 < need <= -(-cli.SPEC_FILE_FACTOR * read_most >> 20)
+            assert err.endswith(" MiB, over the memory budget of 1 MiB\n") and err.count("\n") == 1
+        monkeypatch.undo()
+        assert main_fed("validate", small) == EXIT_OK
+        assert capsys.readouterr().out.startswith("ok: 2 seed(s)")
         assert not (tmp_path / "exp").exists()
 
 
@@ -799,6 +833,8 @@ class TestBlockWriters:
         assert spec.echo["problem"]["A"] is spec.oracle.A
         assert spec.echo["problem"]["b"] is spec.oracle.b
         assert spec.echo["algorithm"]["init"] is spec.x0
+        assert np.shares_memory(spec.echo["algorithm"]["mixing"]["entries"],
+                                spec.config.mixing.entries)
         assert run_experiment(spec) == EXIT_OK
         text = (tmp_path / "exp" / "summary.json").read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
@@ -933,6 +969,14 @@ class TestMainEntry:
         ["bounds", *BOUND_ARGS, "--eta", "0"],
         ["bounds", *BOUND_ARGS, "--K", "0"],
         ["run", "{zero_steps}"],
+        ["validate", "{non_square_A}"],
+        ["run", "{non_square_A}"],
+        ["validate", "{b_longer_than_A}"],
+        ["run", "{b_longer_than_A}"],
+        ["validate", "{negative_sigma_sq}"],
+        ["run", "{negative_sigma_sq}"],
+        ["validate", "{negative_beta}"],
+        ["run", "{negative_beta}"],
         ["run", "{many_nodes}"],
         ["run", "{negative_l2}"],
         ["run", "{batch_over_n}"],
@@ -967,6 +1011,14 @@ class TestMainEntry:
             "batch_over_n": quadratic_spec(tmp_path, problem={
                 "type": "logistic", "n": 8, "d": 2, "seed": 0, "batch": 9}),
             "huge_integer": quadratic_spec(tmp_path),
+            "non_square_A": quadratic_spec(tmp_path, problem={
+                "type": "quadratic", "A": [[1.0, 0.0]], "b": [0.0]}),
+            "b_longer_than_A": quadratic_spec(tmp_path, problem={
+                "type": "quadratic", "A": [[1.0, 0.0], [0.0, 0.5]], "b": [0.0, 0.0, 0.0]}),
+            "negative_sigma_sq": quadratic_spec(tmp_path, problem={
+                "type": "quadratic", "A": [[1.0]], "b": [0.0], "sigma_sq": -1}),
+            "negative_beta": quadratic_spec(tmp_path, problem={
+                "type": "quadratic", "A": [[1.0]], "b": [0.0], "beta": -1}),
         }
         specs["nonfinite"]["algorithm"]["init"] = 1e200  # the objective overflows at x0
         specs["zero_steps"]["algorithm"]["K"] = 0
