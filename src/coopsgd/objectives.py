@@ -26,9 +26,10 @@ to exercise the general learning-rate condition.
 Both samplers pre-draw their randomness through one block reader,
 `_block_draws`, in which each (seed, worker) stream fills its own contiguous
 slice in place; the quadratic one scales standard normals there, which gives
-the values of `normal(0, scale)` except the sign of a zero draw. Each oracle
-class states the bytes it holds in a run (`run_bytes`), counting its block at
-the width its sampler passes the reader.
+the values of `normal(0, scale)` except the sign of a zero draw. One rule
+sizes every block: as many steps as NOISE_BUFFER_BYTES holds of its own
+8-byte draws, normals or indices alike, and at least one. Each oracle class
+states the bytes it holds in a run (`run_bytes`), its block included.
 
 The logistic oracle works on label-signed features, so that no kernel pass
 multiplies by the labels, and its evaluation runs in an N-major workspace it
@@ -44,27 +45,27 @@ import numpy as np
 
 
 # Bytes of pre-drawn randomness (quadratic noise, logistic mini-batch
-# indices) a sampler holds at once.
-NOISE_BUFFER_BYTES = 4 * 2**20
+# indices) a sampler's block holds at once.
+NOISE_BUFFER_BYTES = 2**20
 
 
-def noise_block_steps(n_seeds: int, width: int, m: int, steps: int) -> int:
-    """Steps per pre-drawn block of `width` 8-byte words per (seed, worker)
+def noise_block_steps(n_seeds: int, size: int, m: int, steps: int) -> int:
+    """Steps per pre-drawn block of `size` 8-byte draws per (seed, worker)
     stream and step: as many as NOISE_BUFFER_BYTES holds, at least one and at
     most `steps`."""
-    return min(steps, max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * width * m)))
+    return min(steps, max(1, NOISE_BUFFER_BYTES // (8 * n_seeds * size * m)))
 
 
-def _block_draws(rng_table, horizon: int, width: int, size: int, fill, dtype=float):
+def _block_draws(rng_table, horizon: int, size: int, fill, dtype=float):
     """Yield each step's (seeds, m, size) draws from blocks of `noise_block_steps(seeds,
-    width, m, steps left)` steps. Stream `rng_table[s][i]` fills its contiguous (steps,
+    size, m, steps left)` steps. Stream `rng_table[s][i]` fills its contiguous (steps,
     size) slice of the (seeds, m, steps, size) block in place with one `fill(rng, out)`,
     which must leave there the values one draw of `size` per step gives; step k reads
     the strided view `block[:, :, k]`."""
     n_seeds, m = len(rng_table), len(rng_table[0])
     left = horizon
     while True:
-        count = noise_block_steps(n_seeds, width, m, max(left, 1))
+        count = noise_block_steps(n_seeds, size, m, max(left, 1))
         block = None  # let the spent block go before the next is allocated
         block = np.empty((n_seeds, m, count, size), dtype)
         for s, row in enumerate(rng_table):
@@ -75,12 +76,12 @@ def _block_draws(rng_table, horizon: int, width: int, size: int, fill, dtype=flo
             yield block[:, :, k]
 
 
-def _block_bytes(n_seeds: int, m: int, steps: int, width: int, size: int, copied: bool) -> int:
+def _block_bytes(n_seeds: int, m: int, steps: int, size: int, copied: bool) -> int:
     """Bytes of `_block_draws`' block, and, where a fill draws into a temporary it
     then copies in (`copied`), of one stream's draw."""
     if not size:
         return 0
-    return 8 * size * noise_block_steps(n_seeds, width, m, steps) * (n_seeds * m + copied)
+    return 8 * size * noise_block_steps(n_seeds, size, m, steps) * (n_seeds * m + copied)
 
 
 def _gemm_over_seeds(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ class QuadraticProblem(GradientOracle):
         made, before the gradient is; the sampler's one (seeds, d, m) result is
         made while no evaluation runs. Both fit in the place of these two."""
         width = QuadraticProblem._noise_width(d, sigma_sq, beta)
-        return 8 * d * d + max(16 * d * d, _block_bytes(n_seeds, m, steps, width, width, False)
+        return 8 * d * d + max(16 * d * d, _block_bytes(n_seeds, m, steps, width, False)
                                + 16 * n_seeds * d * (n + 1))
 
     @cached_property
@@ -256,7 +257,7 @@ class QuadraticProblem(GradientOracle):
             rng.standard_normal(out=out)
             out *= scale
 
-        draws = _block_draws(rng_table, horizon, width, width, fill)
+        draws = _block_draws(rng_table, horizon, width, fill)
 
         def sample(Xw: np.ndarray, grads: np.ndarray) -> np.ndarray:
             if not width:
@@ -347,14 +348,14 @@ class LogisticProblem(GradientOracle):
     def run_bytes(n_samples: int, d: int, batch_size: int, n_seeds: int, n: int, m: int,
                   steps: int) -> int:
         """Bytes held in a run, from above: the data with its label-signed
-        copy, the sampler's block (whose `integers` fill draws into a
-        temporary), the evaluation's N-major workspace of three (N, seeds,
-        n + 1) arrays, a step's mini-batches with four
-        temporaries and two (seeds, d, n + 1) arrays. A batch over n_samples,
-        which building rejects, counts as n_samples."""
+        copy, the sampler's block of 8-byte indices, `batch` per stream and
+        step (its `integers` fill draws into a temporary), the evaluation's
+        N-major workspace of three (N, seeds, n + 1) arrays, a step's
+        mini-batches with four temporaries and two (seeds, d, n + 1) arrays.
+        A batch over n_samples, which building rejects, counts as n_samples."""
         batch = min(batch_size, n_samples)
         return (8 * n_samples * (2 * d + 1)
-                + _block_bytes(n_seeds, m, steps, batch * d, batch, True)
+                + _block_bytes(n_seeds, m, steps, batch, True)
                 + 8 * n_seeds * ((n + 1) * (2 * d + 3 * n_samples) + m * batch * (d + 4)))
 
     @cached_property
@@ -404,14 +405,13 @@ class LogisticProblem(GradientOracle):
 
     def batch_gradient_sampler(self, rng_table, horizon):
         """Vectorized sampler that differentiates its mini-batch at the worker
-        columns and ignores their full gradients, which may be None;
-        `_block_draws` weighs each index at the d floats it gathers."""
+        columns and ignores their full gradients, which may be None."""
         batch = self.batch_size
 
         def fill(rng, out):
             out[...] = rng.integers(0, self.n_samples, size=out.shape)
 
-        draws = _block_draws(rng_table, horizon, batch * self.d, batch, fill, np.int64)
+        draws = _block_draws(rng_table, horizon, batch, fill, np.int64)
 
         def sample(Ww: np.ndarray, grads: np.ndarray | None) -> np.ndarray:
             zb = self.Z[next(draws)]  # (seeds, m, batch, d)

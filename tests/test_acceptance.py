@@ -5,6 +5,9 @@ lines alongside pytest's own pass/fail report.
 """
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,12 +196,12 @@ def largest_stable_eta_tilde(lipschitz: float, tau: int, zeta: float, m: int, v:
 
 
 def test_criterion_06_convergence_bound_envelope(tmp_path):
-    # each case runs as a spec through the path that publishes bounds, and
-    # the measurement and its bound are read from the summary it writes;
-    # every case has the same seeds, so each run replaces the last one's files.
-    # Each topology runs without and with multiplicative noise (beta = 4, at
-    # 0.9 of the largest step the general condition allows), and a logistic
-    # problem runs at the logistic-gossip workload's sizes
+    # each case runs as a spec through the path that publishes bounds, into a
+    # directory of its own, and the measurement and its bound are read from
+    # the summary it writes; the cases run in spawned processes, at most one
+    # per CPU. Each topology runs without and with multiplicative noise
+    # (beta = 4, at 0.9 of the largest step the general condition allows),
+    # and a logistic problem runs at the logistic-gossip workload's sizes
     oracle = make_diag_quadratic(10, 0.1, 1.0, sigma_sq=1.0)
 
     def quadratic(beta):
@@ -225,20 +228,25 @@ def test_criterion_06_convergence_bound_envelope(tmp_path):
                   {"type": "logistic", "n": 1000, "d": 20, "seed": 101, "l2": 0.01, "batch": 8},
                   4, gossip, 0, 1000,
                   largest_stable_eta_tilde(logistic.lipschitz, 4, gossip.zeta, 8, 0, 0.0)))
-    margins = []
-    for name, problem, tau, w, v, steps, largest in cases:
+    specs = []
+    for i, (name, problem, tau, w, v, steps, largest) in enumerate(cases):
         m = w.n - v
         eta = 0.9 * largest * (m + v) / m
-        spec = parse_experiment_spec({
+        specs.append(parse_experiment_spec({
             "problem": problem,
             "algorithm": {"tau": tau, "eta": eta, "K": steps, "v": v, "init": 2.0,
                           "mixing": {"n": w.n, "entries": w.entries.ravel().tolist()}},
             "delay": {"compute": 1.0},
             "seeds": SEEDS,
-            "output_dir": str(tmp_path),
-        })
-        assert run_experiment(spec) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
+            "output_dir": str(tmp_path / f"case{i:02d}"),
+        }))
+    with ProcessPoolExecutor(min(len(specs), presets._cpu_count()),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        codes = [pool.submit(run_experiment, spec) for spec in specs]
+    margins = []
+    for (name, *_), spec, code in zip(cases, specs, codes):
+        assert code.result() == 0
+        summary = json.loads((Path(spec.output_dir) / "summary.json").read_text())
         assert summary["diverged_seeds"] == []
         measured, rep = summary["mean_grad_norm_sq"], summary["bound_report"]
         assert rep["lr_ok"]

@@ -413,12 +413,14 @@ class TestLogistic:
                 assert vals.tobytes() == ref_vals.tobytes()
                 assert np.ascontiguousarray(grads).tobytes() == ref_grads.tobytes()
 
-    def test_sampler_matches_reference_at_workload_shape(self):
+    def test_sampler_matches_reference_at_workload_shape(self, monkeypatch):
         # 4 seeds, 8 workers, batch 8 on (1000, 20) data: a block of
-        # NOISE_BUFFER_BYTES holds 102 steps, so 250 steps read three blocks
+        # NOISE_BUFFER_BYTES holds all 250 steps, so the budget is cut to 102
+        # steps of indices, and 250 steps read three blocks
         seeds, m, steps = [3, 4, 5, 6], 8, 250
+        monkeypatch.setattr(objectives, "NOISE_BUFFER_BYTES", 8 * len(seeds) * m * 8 * 102)
         p = LogisticProblem.synthetic(1000, 20, seed=13, l2_reg=0.01, batch_size=8)
-        assert objectives.noise_block_steps(len(seeds), 8 * 20, m, steps) < steps / 2
+        assert objectives.noise_block_steps(len(seeds), 8, m, steps) < steps / 2
         rngs, ref_rngs = worker_rng_table(seeds, m), worker_rng_table(seeds, m)
         sample = p.batch_gradient_sampler(rngs, steps)
         ref_sample = reference_logistic_sampler(p, ref_rngs)
@@ -438,7 +440,7 @@ class TestLogistic:
         # an odd batch, and each stream must end where per-step draws leave it
         m, steps = 3, 20
         p = LogisticProblem.synthetic(50, 4, seed=12, l2_reg=0.01, batch_size=5)
-        monkeypatch.setattr(objectives, "NOISE_BUFFER_BYTES", 8 * 2 * m * 5 * 4 * block)
+        monkeypatch.setattr(objectives, "NOISE_BUFFER_BYTES", 8 * 2 * m * 5 * block)
         rngs, ref_rngs = worker_rng_table([3, 4], m), worker_rng_table([3, 4], m)
         sample = p.batch_gradient_sampler(rngs, steps)
         ref_sample = reference_logistic_sampler(p, ref_rngs)
@@ -469,6 +471,47 @@ class TestLogistic:
     def test_labels_validated(self):
         with pytest.raises(OracleError):
             LogisticProblem(np.ones((4, 2)), np.array([1.0, 2.0, -1.0, 1.0]), 0.0, 1)
+
+
+class FillRecorder:
+    """A stream that records the shape of each block slice it fills."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.shapes = rng, []
+
+    def standard_normal(self, out):
+        self.shapes.append(out.shape)
+        return self.rng.standard_normal(out=out)
+
+    def integers(self, low, high, size):
+        self.shapes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+class TestNoiseBlocks:
+    """One rule sizes both samplers' blocks: NOISE_BUFFER_BYTES of the
+    block's own 8-byte draws, so `NOISE_BUFFER_BYTES // (8 seeds m size)`
+    steps, with `size` the d normals (and a multiplicative factor's) or the
+    batch indices a stream draws per step."""
+
+    @pytest.mark.parametrize("build, size, seeds, m, steps, per_block", [
+        (lambda: make_diag_quadratic(256, sigma_sq=1.0), 256, 4, 16, 20, 8),  # wide-elastic
+        (lambda: make_diag_quadratic(256, sigma_sq=1.0, beta=0.5), 257, 4, 16, 20, 7),
+        (lambda: LogisticProblem.synthetic(1000, 20, seed=13, l2_reg=0.01, batch_size=8),
+         8, 4, 8, 1200, 512),  # logistic-gossip
+    ], ids=["quadratic", "quadratic-beta", "logistic"])
+    def test_block_holds_its_own_bytes(self, build, size, seeds, m, steps, per_block):
+        assert objectives.NOISE_BUFFER_BYTES // (8 * seeds * m * size) == per_block
+        oracle = build()
+        table = [[FillRecorder(rng) for rng in row]
+                 for row in worker_rng_table(list(range(seeds)), m)]
+        sample = oracle.batch_gradient_sampler(table, steps)
+        Xw = np.zeros((seeds, oracle.d, m))
+        for _ in range(steps):
+            sample(Xw, Xw)
+        blocks = [per_block] * (steps // per_block) + [steps % per_block]
+        assert all(stream.shapes == [(count, size) for count in blocks]
+                   for row in table for stream in row)
 
 
 class TestByteEstimates:
@@ -512,7 +555,7 @@ class TestByteEstimates:
         assert peak <= QuadraticProblem.run_bytes(d, 0.0, 0.0, 1, 2, 1, 10) + FIXED_BYTES
 
     @pytest.mark.parametrize("samples, d, batch, seeds, n, m, steps", [
-        (1000, 20, 8, 4, 8, 8, 300),   # the logistic-gossip sizes, over three blocks
+        (1000, 20, 8, 4, 8, 8, 300),   # the logistic-gossip sizes, in one block
         (8, 1, 8, 20, 16, 16, 200),    # indices outweigh everything else at d = 1
         (50, 4, 5, 2, 4, 3, 20),       # one auxiliary column
     ])
